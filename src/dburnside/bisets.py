@@ -248,9 +248,6 @@ class BisetElement:
         return BisetElement(self.left, self.right, self.field,
                             {t: f.mul(c, v) for t, v in self.coeffs.items()})
 
-    def labels(self) -> List[BisetLabel]:
-        return [BisetLabel(self.left, self.right, t) for t in sorted(self.coeffs)]
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

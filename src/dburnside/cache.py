@@ -14,9 +14,8 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from .errors import Budget
 from .groups import FiniteGroup
-from .lattice import SubgroupLattice, get_lattice, seed_lattice, _LATTICE_MEMO
+from .lattice import SubgroupLattice, seed_lattice
 
 LATTICE_MAGIC = b"DBLT"
 BASIS_MAGIC = b"DBBS"
@@ -98,21 +97,6 @@ def load_lattice(cache_dir: Path, G: FiniteGroup) -> Optional[SubgroupLattice]:
     subgroups = [tuple(r.int_list()) for _ in range(r.u32())]
     classes = [r.int_list() for _ in range(r.u32())]
     return seed_lattice(G, subgroups, classes)
-
-
-def cached_lattice(G: FiniteGroup, cache_dir: Optional[Path],
-                   budget: Optional[Budget] = None) -> SubgroupLattice:
-    """Memory, then disk, then compute-and-store."""
-    if G.key in _LATTICE_MEMO:
-        return _LATTICE_MEMO[G.key]
-    if cache_dir is not None:
-        lat = load_lattice(cache_dir, G)
-        if lat is not None:
-            return lat
-    lat = get_lattice(G, budget)
-    if cache_dir is not None:
-        save_lattice(cache_dir, lat)
-    return lat
 
 
 def clear_memory_caches() -> None:

@@ -10,6 +10,7 @@ from typing import Dict, List, Optional
 
 from .groups import FiniteGroup, group_from_text
 from .lattice import is_isomorphic
+from .numtheory import factorize
 
 # The stock of named groups the project computes with.  Orders up to 16
 # cover every abelian type; the non-abelian entries are the ones the
@@ -34,36 +35,8 @@ def catalog_group(spec: str) -> FiniteGroup:
     return g
 
 
-def catalog_groups(max_order: Optional[int] = None,
-                   abelian_only: bool = False) -> List[FiniteGroup]:
-    out = []
-    for spec in CATALOG_SPECS:
-        g = catalog_group(spec)
-        if max_order is not None and g.order > max_order:
-            continue
-        if abelian_only and not g.is_abelian():
-            continue
-        out.append(g)
-    return out
-
-
 def _abelian_specs_of_order(n: int) -> List[str]:
     """Grammar texts of every abelian type of order n (by prime partitions)."""
-    def prime_factorization(m: int):
-        out = []
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                k = 0
-                while m % d == 0:
-                    m //= d
-                    k += 1
-                out.append((d, k))
-            d += 1
-        if m > 1:
-            out.append((m, 1))
-        return out
-
     def partitions(k: int):
         if k == 0:
             yield []
@@ -76,7 +49,7 @@ def _abelian_specs_of_order(n: int) -> List[str]:
     if n == 1:
         return ["C1"]
     per_prime = []
-    for p, k in prime_factorization(n):
+    for p, k in factorize(n):
         per_prime.append([[p ** a for a in part] for part in partitions(k)])
     combos = [[]]
     for options in per_prime:

@@ -11,7 +11,6 @@ algebra over that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
@@ -25,37 +24,21 @@ from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
                       subquotients_up_to_iso)
 from .linalg import (Field, FieldSpec, IncrementalSpan, matrix_rank,
                      rank_int_rational)
+from .numtheory import factorize
 
 LabelTuple = Tuple[int, ...]
 
 
 def euler_phi(n: int) -> int:
     out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
+    for p, _ in factorize(n):
+        out -= out // p
     return out
 
 
 def _prime_power(n: int) -> Optional[Tuple[int, int]]:
-    if n < 2:
-        return None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            return (d, k) if n == 1 else None
-        d += 1
-    return (n, 1)
+    f = factorize(n)
+    return f[0] if len(f) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +148,6 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
                                e.partial_count, 0)
 
 
-# Above this ambient dimension a characteristic-zero run first locates a
-# candidate certificate modulo a fixed large prime; the certificate itself
-# is always re-derived and verified over Q, and a negative answer is never
-# taken from the modular pass.
-_PREFILTER_PRIME = 1048583
-_PREFILTER_DIM_THRESHOLD = 300
-
-
 class _ProductStream:
     """Products of basis-label pairs in a fixed low-complexity-first order."""
 
@@ -203,19 +178,26 @@ class _ProductStream:
         return CertificateTerm(self.basis_hg[iu], self.basis_gh[iw], coeff)
 
 
-def _span_sweep(stream: _ProductStream, fieldspec: FieldSpec, b: Budget
-                ) -> Tuple[object, List[Tuple[int, int]], int, Optional[List]]:
-    """Insert every product into a fresh span; early-exit on membership.
+def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
+                       b: Budget) -> GeneratesReport:
+    """Insert every distinct product into one span; stop once it holds 1_H.
 
-    Returns (span, inserted pair list, products tried, certificate or None).
+    Running out of budget mid-span reports the products tried and the rank
+    reached so far.
     """
-    span = IncrementalSpan(stream.dim, fieldspec, track_provenance=True)
+    stream = _ProductStream(H, G, b)
+    span = IncrementalSpan(stream.dim, fieldspec)
     inserted: List[Tuple[int, int]] = []
     seen = set()
     tried = 0
     for _, iu, iw in stream.pairs:
         if tried % 64 == 0:
-            b.check("product span", tried)
+            try:
+                b.check("product span", tried)
+            except BudgetExceeded:
+                return GeneratesReport(H, G, fieldspec, None, "inconclusive",
+                                       "budget during product span", None,
+                                       tried, span.rank)
         items = stream.product_items(iu, iw)
         tried += 1
         key = tuple(items)
@@ -224,54 +206,14 @@ def _span_sweep(stream: _ProductStream, fieldspec: FieldSpec, b: Budget
         seen.add(key)
         inserted.append((iu, iw))
         if span.add(items) and span.contains(stream.id_items):
-            return span, inserted, tried, span.certificate(stream.id_items)
-    return span, inserted, tried, None
-
-
-def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                       b: Budget) -> GeneratesReport:
-    stream = _ProductStream(H, G, b)
-    if fieldspec.characteristic == 0 and stream.dim > _PREFILTER_DIM_THRESHOLD:
-        report = _char0_prefiltered(H, G, stream, b)
-        if report is not None:
-            return report
-    span, inserted, tried, cert = _span_sweep(stream, fieldspec, b)
-    if cert is not None:
-        terms = [stream.term(*inserted[seq], c) for seq, c in cert]
-        if not verify_certificate(H, G, fieldspec, terms):
-            raise AssertionError("span certificate failed to recompose")
-        return GeneratesReport(H, G, fieldspec, True, "generated", "span",
-                               terms, tried, span.rank)
+            terms = [stream.term(*inserted[seq], c)
+                     for seq, c in span.certificate(stream.id_items)]
+            if not verify_certificate(H, G, fieldspec, terms):
+                raise AssertionError("span certificate failed to recompose")
+            return GeneratesReport(H, G, fieldspec, True, "generated", "span",
+                                   terms, tried, span.rank)
     return GeneratesReport(H, G, fieldspec, False, "not-generated", "span",
                            None, tried, span.rank)
-
-
-def _char0_prefiltered(H: FiniteGroup, G: FiniteGroup,
-                       stream: _ProductStream, b: Budget
-                       ) -> Optional[GeneratesReport]:
-    """Locate a certificate support modulo a large prime, then solve over Q.
-
-    Returns None when the modular pass finds nothing or the rational lift
-    fails; the caller then runs the authoritative rational sweep.
-    """
-    span_p, inserted, tried, cert_p = _span_sweep(
-        stream, FieldSpec(_PREFILTER_PRIME), b)
-    if cert_p is None:
-        return None
-    support = [inserted[seq] for seq, _ in cert_p]
-    rational = IncrementalSpan(stream.dim, FieldSpec(0), track_provenance=True)
-    for iu, iw in support:
-        b.check("rational lift", tried)
-        rational.add(stream.product_items(iu, iw))
-    if not rational.contains(stream.id_items):
-        return None
-    terms = [stream.term(*support[seq], c)
-             for seq, c in rational.certificate(stream.id_items)]
-    if not verify_certificate(H, G, FieldSpec(0), terms):
-        raise AssertionError("lifted certificate failed to recompose")
-    return GeneratesReport(H, G, FieldSpec(0), True, "generated",
-                           "span (modular prefilter)", terms, tried,
-                           span_p.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +391,11 @@ def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
     from .groups import build_extraspecial, build_modular
     from .lattice import sylow_subgroup
     full = tuple(range(G.order))
-    n = G.order
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        primes.append(n)
-    for p in primes:
+    for p, m in factorize(G.order):
         syl = sylow_subgroup(G, full, p)
         P, _ = Subgroup(G, syl, validate=False).as_group()
         if P.is_abelian():
             continue
-        m = _prime_power(P.order)[1]
         ok = False
         if p != 2 and m >= 3:
             cand = build_extraspecial(p)

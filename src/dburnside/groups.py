@@ -17,6 +17,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import GroupSpecError, PreconditionError
+from .numtheory import is_prime
 
 DEFAULT_PRODUCT_CAP = 4096
 
@@ -287,14 +288,6 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
     return FiniteGroup(name, table, check_associativity=False)
 
 
-def product_encode(G: FiniteGroup, H: FiniteGroup, g: int, h: int) -> int:
-    return g * H.order + h
-
-
-def product_decode(G: FiniteGroup, H: FiniteGroup, x: int) -> Tuple[int, int]:
-    return divmod(x, H.order)
-
-
 # ---------------------------------------------------------------------------
 # Construction catalog
 # ---------------------------------------------------------------------------
@@ -343,17 +336,6 @@ class Product:
 
 GroupSpec = (Cyclic, AbelianProduct, Dihedral, Symmetric, Alternating,
              Extraspecial, Modular, Product)
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def build_cyclic(n: int) -> FiniteGroup:
@@ -419,7 +401,7 @@ def build_alternating(n: int) -> FiniteGroup:
 
 def build_extraspecial(p: int) -> FiniteGroup:
     """Order p^3 group of exponent p (odd p): unitriangular 3x3 over F_p."""
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise GroupSpecError(f"extraspecial construction needs an odd prime, got {p}")
     n = p * p * p
     def mul(x: int, y: int) -> int:
@@ -434,7 +416,7 @@ def build_extraspecial(p: int) -> FiniteGroup:
 
 def build_modular(p: int, n: int) -> FiniteGroup:
     """The group <a,b | a^{p^n} = b^{p^n} = 1, b a b^-1 = a^{1+p^{n-1}}>."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise GroupSpecError(f"modular construction needs a prime, got {p}")
     if n < 2:
         raise GroupSpecError(f"modular construction needs n >= 2, got {n}")

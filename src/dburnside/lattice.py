@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import Budget, NO_BUDGET, PreconditionError
 from .groups import FiniteGroup, Section, Subgroup, quotient_group
+from .numtheory import factorize
 
 ElementTuple = Tuple[int, ...]
 
@@ -422,15 +423,6 @@ def normal_subgroup_reps(G: FiniteGroup) -> List[ElementTuple]:
     return [lat.subgroups[cls[0]] for cls in lat.classes if len(cls) == 1]
 
 
-def quotient_types(G: FiniteGroup) -> List[Tuple[FiniteGroup, ElementTuple]]:
-    """All quotients G/N with their kernels, smallest kernels first."""
-    out = []
-    for n in normal_subgroup_reps(G):
-        Q, _ = quotient_group(G, Subgroup(G, n, validate=False))
-        out.append((Q, n))
-    return out
-
-
 def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
                                 ) -> Optional[Tuple[ElementTuple, List[int]]]:
     """Search a normal N with G/N isomorphic to H; returns (N, iso) or None.
@@ -467,24 +459,10 @@ def sylow_subgroup(G: FiniteGroup, within: ElementTuple, q: int
     return None
 
 
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_nilpotent_section(G: FiniteGroup, t: ElementTuple) -> bool:
     """All Sylow subgroups of the subgroup t are normal in t."""
     mul, inv = G.mul, G.inv
-    for q in _prime_factors(len(t)):
+    for q, _ in factorize(len(t)):
         syl = sylow_subgroup(G, t, q)
         if syl is None:
             return False
@@ -502,7 +480,7 @@ def is_p_group_times_cyclic(G: FiniteGroup, t: ElementTuple, p: int) -> bool:
     """
     if not is_nilpotent_section(G, t):
         return False
-    for q in _prime_factors(len(t)):
+    for q, _ in factorize(len(t)):
         if q == p:
             continue
         syl = sylow_subgroup(G, t, q)

@@ -1,31 +1,20 @@
 """Exact linear algebra over Q and prime fields.
 
-Everything here is exact: rationals are ``fractions.Fraction`` (or
-fraction-free integer rows inside spans), prime-field scalars are ints
-reduced mod p.  No floating point is used anywhere.
+Everything here is exact: rationals are ``fractions.Fraction``,
+prime-field scalars are ints reduced mod p.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import PreconditionError
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+from .numtheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -36,7 +25,7 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
-        if c != 0 and not _is_prime(c):
+        if c != 0 and not is_prime(c):
             raise PreconditionError(f"field characteristic must be 0 or prime, got {c}")
 
     @property
@@ -53,14 +42,8 @@ class Field:
     def __init__(self, spec: FieldSpec):
         self.spec = spec
         self.p = spec.characteristic
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p == 0 else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        self.zero = Fraction(0) if self.p == 0 else 0
+        self.one = Fraction(1) if self.p == 0 else 1
 
     def from_int(self, n: int):
         return Fraction(n) if self.p == 0 else n % self.p
@@ -99,306 +82,107 @@ class Field:
 
 
 # ---------------------------------------------------------------------------
-# Incremental spans
+# Incremental span
 # ---------------------------------------------------------------------------
 
 class IncrementalSpan:
-    """Row space accumulated one vector at a time, kept in reduced form.
+    """Row space accumulated one sparse vector at a time, in reduced form.
 
-    Tracks provenance: every echelon row knows its expression in terms of
-    the originally inserted vectors, so membership certificates can be
-    returned over the insertion sequence.  Vectors are given sparsely as
-    (index, integer) items; integers are interpreted in the field.
+    Rows are dicts from column to scalar, stored by pivot column.  A row's
+    pivot is its lowest column, normalized to 1, and no other row is
+    nonzero at a pivot column, so one pass over a vector's own keys
+    reduces it.  Each row also keeps its provenance: its expression over
+    the inserted vectors as a dict keyed by insertion number, so
+    membership certificates are returned over the insertion sequence.
+    Vectors are given sparsely as (index, integer) items; integers are
+    interpreted in the field.
     """
 
-    def __new__(cls, dim: int, field: FieldSpec, *, track_provenance: bool = True):
-        if cls is IncrementalSpan:
-            impl = _RationalSpan if field.characteristic == 0 else _PrimeSpan
-            return super().__new__(impl)
-        return super().__new__(cls)
-
-    def __init__(self, dim: int, field: FieldSpec, *, track_provenance: bool = True):
+    def __init__(self, dim: int, field: FieldSpec):
         self.dim = dim
         self.field = field
-        self.track_provenance = track_provenance
+        self._f = Field(field)
         self.inserted = 0
+        self.rows: Dict[int, Dict[int, object]] = {}   # pivot -> row
+        self.provs: Dict[int, Dict[int, object]] = {}  # pivot -> provenance
 
     @property
     def rank(self) -> int:
-        raise NotImplementedError
+        return len(self.rows)
+
+    def _vector(self, items: Iterable[Tuple[int, int]]) -> Dict[int, object]:
+        f = self._f
+        v: Dict[int, object] = {}
+        for idx, val in items:
+            if not 0 <= idx < self.dim:
+                raise PreconditionError(f"coordinate {idx} outside dimension {self.dim}")
+            _axpy(f, v, f.from_int(val), {idx: f.one})
+        return v
+
+    def _reduce(self, v: Dict[int, object]) -> Dict[int, object]:
+        """Subtract the rows at v's pivot columns from v, in place.
+
+        Returns the coefficient of each row used.  Rows are zero at every
+        other pivot column, so these are v's own entries at pivot columns.
+        """
+        f = self._f
+        used = {c: a for c, a in v.items() if c in self.rows}
+        for c, a in used.items():
+            _axpy(f, v, f.neg(a), self.rows[c])
+        return used
 
     def add(self, items: Iterable[Tuple[int, int]]) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        raise NotImplementedError
+        f = self._f
+        v = self._vector(items)
+        seq = self.inserted
+        self.inserted += 1
+        used = self._reduce(v)
+        if not v:
+            return False
+        lead = min(v)
+        inv = f.inv(v[lead])
+        row = {j: f.mul(inv, x) for j, x in v.items()}
+        prov = {seq: inv}
+        for c, a in used.items():
+            _axpy(f, prov, f.neg(f.mul(inv, a)), self.provs[c])
+        # clear the new pivot column from every other row
+        for c, other in self.rows.items():
+            a = other.get(lead)
+            if a is not None:
+                _axpy(f, other, f.neg(a), row)
+                _axpy(f, self.provs[c], f.neg(a), prov)
+        self.rows[lead] = row
+        self.provs[lead] = prov
+        return True
+
+    def _solve(self, items) -> Optional[Dict[int, object]]:
+        v = self._vector(items)
+        used = self._reduce(v)
+        return None if v else used
 
     def contains(self, items: Iterable[Tuple[int, int]]) -> bool:
-        raise NotImplementedError
+        return self._solve(items) is not None
 
-    def certificate(self, items: Iterable[Tuple[int, int]]):
+    def certificate(self, items: Iterable[Tuple[int, int]]) -> List[Tuple[int, object]]:
         """Coefficients over inserted vectors reproducing the query exactly."""
-        raise NotImplementedError
-
-
-class _RationalSpan(IncrementalSpan):
-    """Fraction-free reduced echelon form over Q with integer rows."""
-
-    def __init__(self, dim: int, field: FieldSpec, *, track_provenance: bool = True):
-        super().__init__(dim, field, track_provenance=track_provenance)
-        self.rows: List[List[int]] = []
-        self.provs: List[List[int]] = []
-        self.pivots: List[int] = []          # pivot column of each row
-        self.pivot_row: Dict[int, int] = {}  # column -> row index
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def _check_items(self, items) -> List[Tuple[int, int]]:
-        items = sorted(items)
-        for idx, _ in items:
-            if not 0 <= idx < self.dim:
-                raise PreconditionError(f"coordinate {idx} outside dimension {self.dim}")
-        return items
-
-    def _dense(self, items) -> List[int]:
-        v = [0] * self.dim
-        for idx, val in items:
-            v[idx] += val
-        return v
-
-    def _reduce(self, v: List[int], prov: Optional[List[int]]) -> Optional[int]:
-        """Eliminate pivot columns; returns leading column or None if zero."""
-        for col in self.pivots:
-            a = v[col]
-            if a == 0:
-                continue
-            ri = self.pivot_row[col]
-            row = self.rows[ri]
-            piv = row[col]
-            for i in range(self.dim):
-                v[i] = piv * v[i] - a * row[i]
-            if prov is not None:
-                prow = self.provs[ri]
-                for i in range(len(prov)):
-                    prov[i] = piv * prov[i] - a * (prow[i] if i < len(prow) else 0)
-            _normalize(v, prov)
-        for i in range(self.dim):
-            if v[i]:
-                return i
-        return None
-
-    def add(self, items) -> bool:
-        items = self._check_items(items)
-        v = self._dense(items)
-        seq = self.inserted
-        self.inserted += 1
-        prov = None
-        if self.track_provenance:
-            prov = [0] * (seq + 1)
-            prov[seq] = 1
-        lead = self._reduce(v, prov)
-        if lead is None:
-            return False
-        _normalize(v, prov)
-        if v[lead] < 0:
-            v = [-x for x in v]
-            if prov is not None:
-                prov = [-x for x in prov]
-        # back-eliminate the new pivot column from existing rows
-        for ri, row in enumerate(self.rows):
-            a = row[lead]
-            if a == 0:
-                continue
-            piv = v[lead]
-            for i in range(self.dim):
-                row[i] = piv * row[i] - a * v[i]
-            if self.track_provenance:
-                prow = self.provs[ri]
-                if len(prow) < len(prov):
-                    prow.extend([0] * (len(prov) - len(prow)))
-                for i in range(len(prow)):
-                    prow[i] = piv * prow[i] - a * (prov[i] if i < len(prov) else 0)
-            _normalize(row, self.provs[ri] if self.track_provenance else None)
-        self.pivot_row[lead] = len(self.rows)
-        self.rows.append(v)
-        self.provs.append(prov if prov is not None else [])
-        self.pivots.append(lead)
-        self.pivots.sort()
-        return True
-
-    def _solve(self, items) -> Optional[List[Fraction]]:
-        items = self._check_items(items)
-        v = [Fraction(x) for x in self._dense(items)]
-        coeffs = [Fraction(0)] * len(self.rows)
-        for col in self.pivots:
-            a = v[col]
-            if a == 0:
-                continue
-            ri = self.pivot_row[col]
-            row = self.rows[ri]
-            c = a / row[col]
-            coeffs[ri] = c
-            for i in range(self.dim):
-                v[i] -= c * row[i]
-        if any(v):
-            return None
-        return coeffs
-
-    def contains(self, items) -> bool:
-        return self._solve(items) is not None
-
-    def certificate(self, items) -> List[Tuple[int, Fraction]]:
-        if not self.track_provenance:
-            raise PreconditionError("span was created without provenance tracking")
-        coeffs = self._solve(items)
-        if coeffs is None:
+        used = self._solve(items)
+        if used is None:
             raise PreconditionError("certificate requested for a non-member vector")
-        out: Dict[int, Fraction] = {}
-        for ri, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            for j, pj in enumerate(self.provs[ri]):
-                if pj:
-                    out[j] = out.get(j, Fraction(0)) + c * pj
-        return sorted((j, c) for j, c in out.items() if c != 0)
+        out: Dict[int, object] = {}
+        for c, a in used.items():
+            _axpy(self._f, out, a, self.provs[c])
+        return sorted(out.items())
 
 
-def _normalize(v: List[int], prov: Optional[List[int]]) -> None:
-    g = 0
-    for x in v:
-        if x:
-            g = gcd(g, abs(x))
-    if prov is not None:
-        for x in prov:
-            if x:
-                g = gcd(g, abs(x))
-    if g > 1:
-        for i in range(len(v)):
-            v[i] //= g
-        if prov is not None:
-            for i in range(len(prov)):
-                prov[i] //= g
-
-
-class _PrimeSpan(IncrementalSpan):
-    """Reduced echelon form over F_p on numpy rows."""
-
-    def __init__(self, dim: int, field: FieldSpec, *, track_provenance: bool = True):
-        super().__init__(dim, field, track_provenance=track_provenance)
-        self.p = field.characteristic
-        self.rows: List[np.ndarray] = []
-        self.provs: List[np.ndarray] = []
-        self.pivots: List[int] = []
-        self.pivot_row: Dict[int, int] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def _dense(self, items) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=np.int64)
-        for idx, val in items:
-            if not 0 <= idx < self.dim:
-                raise PreconditionError(f"coordinate {idx} outside dimension {self.dim}")
-            v[idx] += val
-        return v % self.p
-
-    def _reduce(self, v: np.ndarray, prov: Optional[np.ndarray]):
-        # scan nonzero coordinates left to right, eliminating pivot columns;
-        # rows start at their pivot, so elimination never disturbs columns
-        # left of the current scan position
-        p = self.p
-        lead = None
-        pos = 0
-        while True:
-            nz = np.nonzero(v[pos:])[0]
-            progressed = False
-            for off in nz:
-                col = pos + int(off)
-                ri = self.pivot_row.get(col)
-                if ri is None:
-                    if lead is None:
-                        lead = col
-                    continue
-                a = int(v[col])
-                v -= a * self.rows[ri]
-                v %= p
-                if prov is not None:
-                    pr = self.provs[ri]
-                    prov[:pr.shape[0]] -= a * pr
-                    prov %= p
-                pos = col + 1
-                progressed = True
-                break
-            if not progressed:
-                break
-        return lead
-
-    def add(self, items) -> bool:
-        v = self._dense(items)
-        seq = self.inserted
-        self.inserted += 1
-        prov = None
-        if self.track_provenance:
-            prov = np.zeros(seq + 1, dtype=np.int64)
-            prov[seq] = 1
-        lead = self._reduce(v, prov)
-        if lead is None:
-            return False
-        inv = pow(int(v[lead]), self.p - 2, self.p)
-        v = (v * inv) % self.p
-        if prov is not None:
-            prov = (prov * inv) % self.p
-        for ri in range(len(self.rows)):
-            a = int(self.rows[ri][lead])
-            if a == 0:
-                continue
-            self.rows[ri] = (self.rows[ri] - a * v) % self.p
-            if self.track_provenance:
-                pr = self.provs[ri]
-                if pr.shape[0] < prov.shape[0]:
-                    pr = np.concatenate(
-                        [pr, np.zeros(prov.shape[0] - pr.shape[0], dtype=np.int64)])
-                pr = (pr - a * prov) % self.p
-                self.provs[ri] = pr
-        self.pivot_row[lead] = len(self.rows)
-        self.rows.append(v)
-        self.provs.append(prov if prov is not None else np.zeros(0, dtype=np.int64))
-        self.pivots.append(lead)
-        self.pivots.sort()
-        return True
-
-    def _solve(self, items) -> Optional[List[int]]:
-        v = self._dense(items)
-        coeffs = [0] * len(self.rows)
-        for col in self.pivots:
-            a = int(v[col])
-            if a == 0:
-                continue
-            ri = self.pivot_row[col]
-            coeffs[ri] = a  # pivot is normalized to 1
-            v = (v - a * self.rows[ri]) % self.p
-        if np.any(v):
-            return None
-        return coeffs
-
-    def contains(self, items) -> bool:
-        return self._solve(items) is not None
-
-    def certificate(self, items) -> List[Tuple[int, int]]:
-        if not self.track_provenance:
-            raise PreconditionError("span was created without provenance tracking")
-        coeffs = self._solve(items)
-        if coeffs is None:
-            raise PreconditionError("certificate requested for a non-member vector")
-        out: Dict[int, int] = {}
-        for ri, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            pr = self.provs[ri]
-            for j in np.nonzero(pr)[0]:
-                out[int(j)] = (out.get(int(j), 0) + c * int(pr[j])) % self.p
-        return sorted((j, c) for j, c in out.items() if c)
+def _axpy(f: Field, y: Dict[int, object], a, x: Dict[int, object]) -> None:
+    """y += a * x on sparse vectors, dropping entries that become zero."""
+    for j, xj in x.items():
+        s = f.add(y.get(j, f.zero), f.mul(a, xj))
+        if f.is_zero(s):
+            y.pop(j, None)
+        else:
+            y[j] = s
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Command-line interface: verbs, exit codes, JSON determinism, caching."""
 
+import hashlib
 import json
 
 import pytest
 
+from dburnside import cli
+from dburnside.bisets import canonical_basis
+from dburnside.errors import Budget, BudgetExceeded
 from dburnside.cli import main
+from dburnside.groups import group_from_text
 
 
 def run(capsys, *argv):
@@ -35,6 +40,35 @@ def test_budget_exhaustion_exit_code(capsys):
     clear_memory_caches()  # a memoized conclusive answer would short-circuit
     code, _ = run(capsys, "generates", "C2xC2", "A4", "--budget", "0s")
     assert code == 2
+
+
+class ExpireOnSpanCheck(Budget):
+    """Never expires, except at the nth check inside the product span."""
+
+    def __init__(self, n):
+        super().__init__(None)
+        self.left = n
+
+    def check(self, what, partial=0):
+        if what == "product span":
+            self.left -= 1
+            if self.left == 0:
+                raise BudgetExceeded(f"budget exhausted during {what}", partial)
+        super().check(what, partial)
+
+
+def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()  # a memoized conclusive answer would short-circuit
+    monkeypatch.setattr(cli, "Budget", lambda seconds: ExpireOnSpanCheck(10))
+    code, payload = run_json(capsys, "generates", "C2xC2", "A4", "--char", "0")
+    assert code == 2
+    result = payload["result"]
+    assert result["status"] == "inconclusive"
+    assert result["products_tried"] == 9 * 64  # checked every 64 products
+    H = group_from_text("C2xC2")
+    dim = len(canonical_basis(H, H))
+    assert 0 < result["rank_reached"] <= min(result["products_tried"], dim)
 
 
 def test_usage_errors(capsys):
@@ -240,3 +274,32 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "envcache" / "lattice").is_dir()
     assert payload["meta"]["cache_dir"] == str(tmp_path / "envcache")
+
+
+# -- golden outputs ------------------------------------------------------------
+
+# sha256 of the meta-free JSON report, recorded before the elimination
+# engine was rewritten: positives and negatives over Q and over F_p
+GOLDEN = [
+    (["generates", "C2^2", "A4xC2", "--char", "3"], 0,
+     "96033c056854c60b0edef258a63cc81214650d40a3a14d97a0f816bf59a6d436"),
+    (["generates", "C2^2", "S4", "--char", "0"], 0,
+     "c31bc422c26950048b22026db48a923430aa92bb0590ba9ffb10379831c78f4d"),
+    (["generates", "C2xC2", "A4", "--char", "0"], 1,
+     "2103eb51047553370a9e8c4a6114c6c48995c715d6b995955a4655840c8fc729"),
+    (["generates", "C2xC2", "A4", "--char", "2"], 1,
+     "f7ac2dc0b34f2a4b85f745058e621f9658fadf0b1bb9083580acd4e9ac193077"),
+    (["nv", "S4", "--char", "0"], 1,
+     "fee4a73a582a28893e8a097e1f9e6b4a21536003076637af69d76039d92385d6"),
+]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN,
+                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+def test_golden_span_output(capsys, argv, exit_code, digest):
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()  # decide afresh instead of reading the memo
+    code, payload = run_json(capsys, *argv)
+    blob = json.dumps(without_meta(payload), sort_keys=False)
+    assert code == exit_code
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -185,9 +185,12 @@ def test_span_rows_stay_reduced():
         span = IncrementalSpan(8, spec)
         for _ in range(12):
             span.add([(i, rng.randint(0, 3)) for i in range(8)])
-        for col in span.pivots:
-            nonzero = sum(1 for row in span.rows if row[col] != 0)
+        # rows are sparse dicts keyed by pivot column; a row's pivot is its
+        # lowest column, normalized to 1
+        for col, pivot_row in span.rows.items():
+            nonzero = sum(1 for row in span.rows.values() if row.get(col, 0) != 0)
             assert nonzero == 1
+            assert min(pivot_row) == col and pivot_row[col] == 1
         assert span.rank <= 8
 
 
@@ -199,3 +202,29 @@ def test_span_rank_matches_matrix_rank():
         for row in rows:
             span.add(list(enumerate(row)))
         assert span.rank == matrix_rank(rows, spec)
+
+
+def test_sparse_span_matches_dense_rank_and_certifies():
+    # sparse vectors with repeated columns, as products arrive in practice
+    rng = random.Random(41)
+    for spec in (Q, F2, FieldSpec(3)):
+        f = Field(spec)
+        span = IncrementalSpan(30, spec)
+        dense = []
+        for _ in range(60):
+            items = [(rng.randrange(30), rng.randint(-3, 3))
+                     for _ in range(rng.randint(1, 3))]
+            row = [0] * 30
+            for idx, val in items:
+                row[idx] += val
+            dense.append(row)
+            span.add(items)
+            assert span.rank == matrix_rank(dense, spec)
+        # every inserted vector is a member, certified over the insertions
+        for seq in rng.sample(range(60), 10):
+            query = [(i, x) for i, x in enumerate(dense[seq]) if x]
+            recon = [f.zero] * 30
+            for j, coeff in span.certificate(query):
+                for i, x in enumerate(dense[j]):
+                    recon[i] = f.add(recon[i], f.mul(coeff, f.from_int(x)))
+            assert recon == [f.from_int(x) for x in dense[seq]]
