@@ -3,13 +3,18 @@
 Files are keyed by the content hash of the Cayley table (pairs of hashes
 for bases), carry a format version, and use a deterministic binary
 encoding: little-endian uint32 counts followed by length-prefixed sorted
-integer lists.  Writes are atomic (temp file then rename).
+integer lists, then the sha256 of everything before it.  Writes are atomic
+(temp file then rename).  A file that fails its checksum or its structural
+checks is ignored with a warning on stderr, so the caller recomputes and
+overwrites it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
+import sys
 import tempfile
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -19,7 +24,7 @@ from .lattice import SubgroupLattice, seed_lattice
 
 LATTICE_MAGIC = b"DBLT"
 BASIS_MAGIC = b"DBBS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 ENV_CACHE_DIR = "DBURNSIDE_CACHE_DIR"
 
@@ -49,10 +54,17 @@ def _pack_list(values) -> bytes:
     return struct.pack("<I", len(vals)) + struct.pack(f"<{len(vals)}I", *vals)
 
 
+def _seal(parts: List[bytes]) -> bytes:
+    payload = b"".join(parts)
+    return payload + hashlib.sha256(payload).digest()
+
+
 class _Reader:
-    def __init__(self, data: bytes):
+    """Cursor over a sealed file's payload; short reads raise struct.error."""
+
+    def __init__(self, data: bytes, pos: int):
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def u32(self) -> int:
         (v,) = struct.unpack_from("<I", self.data, self.pos)
@@ -64,6 +76,38 @@ class _Reader:
         vals = list(struct.unpack_from(f"<{n}I", self.data, self.pos))
         self.pos += 4 * n
         return vals
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} trailing bytes")
+
+
+def _open_sealed(path: Path, magic: bytes) -> _Reader:
+    """Reader placed after the version field; ValueError if the file is bad."""
+    data = path.read_bytes()
+    if data[:len(magic)] != magic:
+        raise ValueError("wrong magic")
+    digest_size = hashlib.sha256().digest_size
+    payload, digest = data[:-digest_size], data[-digest_size:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise ValueError("checksum mismatch")
+    r = _Reader(payload, len(magic))
+    version = r.u32()
+    if version != FORMAT_VERSION:
+        raise ValueError(f"format version {version}, expected {FORMAT_VERSION}")
+    return r
+
+
+def _load(path: Path, read):
+    """``read(path)``, or None if the file is missing or fails a check."""
+    if not path.is_file():
+        return None
+    try:
+        return read(path)
+    except (ValueError, struct.error) as e:
+        print(f"warning: ignoring corrupt cache file {path} ({e}); "
+              "recomputing", file=sys.stderr)
+        return None
 
 
 def lattice_cache_path(cache_dir: Path, G: FiniteGroup) -> Path:
@@ -80,23 +124,35 @@ def save_lattice(cache_dir: Path, lat: SubgroupLattice) -> Path:
     for cls in lat.classes:
         out.append(_pack_list(cls))
     path = lattice_cache_path(cache_dir, lat.group)
-    _write_atomic(path, b"".join(out))
+    _write_atomic(path, _seal(out))
     return path
 
 
-def load_lattice(cache_dir: Path, G: FiniteGroup) -> Optional[SubgroupLattice]:
-    path = lattice_cache_path(cache_dir, G)
-    if not path.is_file():
-        return None
-    data = path.read_bytes()
-    if data[:4] != LATTICE_MAGIC:
-        return None
-    r = _Reader(data[4:])
-    if r.u32() != FORMAT_VERSION or r.u32() != G.order:
-        return None
+def _read_lattice(path: Path, order: int
+                  ) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
+    r = _open_sealed(path, LATTICE_MAGIC)
+    if r.u32() != order:
+        raise ValueError("group order differs")
     subgroups = [tuple(r.int_list()) for _ in range(r.u32())]
     classes = [r.int_list() for _ in range(r.u32())]
-    return seed_lattice(G, subgroups, classes)
+    r.done()
+    for s in subgroups:
+        if not s or s[0] != 0:
+            raise ValueError("subgroup without the identity")
+        if s[-1] >= order:
+            raise ValueError("element outside the group")
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise ValueError("subgroup elements not ascending")
+    if sorted(i for cls in classes for i in cls) != \
+            list(range(len(subgroups))):
+        raise ValueError("classes do not partition the subgroups")
+    return subgroups, classes
+
+
+def load_lattice(cache_dir: Path, G: FiniteGroup) -> Optional[SubgroupLattice]:
+    stored = _load(lattice_cache_path(cache_dir, G),
+                   lambda path: _read_lattice(path, G.order))
+    return None if stored is None else seed_lattice(G, *stored)
 
 
 def clear_memory_caches() -> None:
@@ -147,22 +203,14 @@ def save_basis(cache_dir: Path, G: FiniteGroup, H: FiniteGroup,
         out.append(_pack_list(k2))
         out.append(struct.pack("<I", qn))
     path = basis_cache_path(cache_dir, G, H)
-    _write_atomic(path, b"".join(out))
+    _write_atomic(path, _seal(out))
     return path
 
 
-def load_basis(cache_dir: Path, G: FiniteGroup, H: FiniteGroup):
-    path = basis_cache_path(cache_dir, G, H)
-    if not path.is_file():
-        return None
-    data = path.read_bytes()
-    if data[:4] != BASIS_MAGIC:
-        return None
-    r = _Reader(data[4:])
-    if r.u32() != FORMAT_VERSION:
-        return None
+def _read_basis(path: Path, G: FiniteGroup, H: FiniteGroup):
+    r = _open_sealed(path, BASIS_MAGIC)
     if r.u32() != G.order or r.u32() != H.order:
-        return None
+        raise ValueError("group orders differ")
     labels = []
     invariants = []
     for _ in range(r.u32()):
@@ -173,4 +221,10 @@ def load_basis(cache_dir: Path, G: FiniteGroup, H: FiniteGroup):
         k2 = r.int_list()
         qn = r.u32()
         invariants.append((p1, p2, k1, k2, qn))
+    r.done()
     return labels, invariants
+
+
+def load_basis(cache_dir: Path, G: FiniteGroup, H: FiniteGroup):
+    return _load(basis_cache_path(cache_dir, G, H),
+                 lambda path: _read_basis(path, G, H))

@@ -2,9 +2,9 @@
 
 One command per process; verdict-style commands map their answer onto the
 exit code (0 yes, 1 no, 2 inconclusive or out of budget, 3 usage error,
-4 precondition violation).  JSON output has a fixed field order; timing
-and configuration live under ``meta`` and are excluded from determinism
-comparisons.
+4 precondition violation, 5 internal error).  JSON output has a fixed
+field order; timing and configuration live under ``meta`` and are
+excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXIT_FALSE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_BUDGET_SECONDS = 600.0
 
@@ -503,6 +504,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BudgetExceeded as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except Exception as e:
+        # a crash must not read as a verdict (exit 0 or 1); traceback is
+        # imported here so that a normal run does not load it
+        import traceback
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if cache_dir:
             cache_mod.disable_disk_cache()

@@ -1,15 +1,21 @@
 """Subgroup lattices, sections, double cosets, and isomorphism search.
 
-Enumeration is exhaustive closure BFS seeded by cyclic subgroups, with
-extensions restricted to coset representatives (extending a subgroup by
-any element of a coset Hx yields the same subgroup, so one representative
-per coset suffices).  Results are deterministic: subgroups are sorted by
-(order, element list) and conjugacy classes are represented by their
-lexicographically least member.
+Enumeration is cyclic extension over zuppos (Neubueser 1960): every
+subgroup is generated by the cyclic subgroups of prime-power order it
+contains, so starting from the trivial group it suffices to extend each
+found subgroup H by one generator of each such zuppo, and only by one per
+right coset Hx, since <H,x> = <H,hx>.  Each extension <H,x> is built by
+Dimino's coset closure as a union of right cosets of H, and subgroups are
+deduplicated by their element-flag bytes.  Conjugacy classes (of subgroups
+and of sections) are orbits under a generating set of the group; in an
+abelian group every class is a singleton.  Results are deterministic:
+subgroups are sorted by (order, element list) and conjugacy classes are
+represented by their lexicographically least member.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import Budget, NO_BUDGET, PreconditionError
@@ -65,59 +71,105 @@ class SubgroupLattice:
         return self.index[frozenset(elements)]
 
 
+def _zuppo_generators(G: FiniteGroup) -> List[int]:
+    """The least generator of each cyclic subgroup of prime-power order."""
+    mul = G.mul
+    orders = G.element_orders()
+    seen = bytearray(G.order)
+    gens: List[int] = []
+    for x in range(1, G.order):
+        if seen[x]:
+            continue
+        n = orders[x]
+        primes = factorize(n)
+        if len(primes) != 1:
+            continue
+        gens.append(x)
+        # the generators of <x> are its powers coprime to n = p^a
+        p = primes[0][0]
+        y = x
+        for k in range(1, n):
+            if k % p:
+                seen[y] = 1
+            y = mul[y][x]
+    return gens
+
+
 def _enumerate_subgroups(G: FiniteGroup, budget: Budget) -> List[ElementTuple]:
     mul = G.mul
     order = G.order
-    found: Dict[frozenset, Tuple[ElementTuple, Tuple[int, ...]]] = {}
-    triv = (0,)
-    found[frozenset(triv)] = (triv, ())
-    queue: List[Tuple[ElementTuple, Tuple[int, ...]]] = [(triv, ())]
+    zuppos = _zuppo_generators(G)
+    triv = bytearray(order)
+    triv[0] = 1
+    found: Dict[bytes, ElementTuple] = {bytes(triv): (0,)}
+    queue: List[Tuple[ElementTuple, bytearray, Tuple[int, ...]]] = [
+        ((0,), triv, ())]
     while queue:
-        elems, gens = queue.pop()
+        elems, flags, gens = queue.pop()
         budget.check("subgroup enumeration", len(found))
         if len(elems) == order:
             continue
-        eset = set(elems)
-        # Extend only by representatives of the right cosets Hx.
-        covered = bytearray(order)
-        for x in elems:
-            covered[x] = 1
-        for x in range(1, order):
+        rows = [mul[h] for h in elems]
+        # <H,x> = <H,hx>: extend by one zuppo generator per right coset Hx
+        covered = bytearray(flags)
+        for x in zuppos:
             if covered[x]:
                 continue
-            for h in elems:
-                covered[mul[h][x]] = 1
+            for row in rows:
+                covered[row[x]] = 1
             new_gens = gens + (x,)
-            new = closure(G, new_gens)
-            key = frozenset(new)
+            # Dimino: <H,x> is the union of right cosets H*r, closed under
+            # right multiplication of each coset representative by the gens
+            new_flags = bytearray(flags)
+            reps = [0]
+            for r in reps:
+                mr = mul[r]
+                for s in new_gens:
+                    y = mr[s]
+                    if not new_flags[y]:
+                        reps.append(y)
+                        for row in rows:
+                            new_flags[row[y]] = 1
+            key = bytes(new_flags)
             if key not in found:
-                found[key] = (new, new_gens)
-                queue.append((new, new_gens))
-    subs = sorted((s for s, _ in found.values()), key=lambda t: (len(t), t))
-    return subs
+                new = tuple(compress(range(order), new_flags))
+                found[key] = new
+                queue.append((new, new_flags, new_gens))
+    return sorted(found.values(), key=lambda t: (len(t), t))
+
+
+def _conjugators(G: FiniteGroup) -> List[Tuple[List[int], int]]:
+    """(table row of g, g^-1) for each g of a generating set, none if G is
+    abelian: orbits under a generating set are the full conjugation orbits."""
+    if G.is_abelian():
+        return []
+    return [(G.mul[g], G.inv[g]) for g in generating_sequence(G)]
 
 
 def _conjugacy_classes(G: FiniteGroup,
                        subgroups: List[ElementTuple]) -> List[List[int]]:
-    mul, inv = G.mul, G.inv
+    if G.is_abelian():
+        return [[i] for i in range(len(subgroups))]
+    mul = G.mul
+    conjugators = _conjugators(G)
     index = {frozenset(s): i for i, s in enumerate(subgroups)}
     seen = [False] * len(subgroups)
     classes: List[List[int]] = []
-    for i, s in enumerate(subgroups):
+    for i in range(len(subgroups)):
         if seen[i]:
             continue
-        members = set()
-        for g in range(G.order):
-            gi = inv[g]
-            conj = frozenset(mul[mul[g][x]][gi] for x in s)
-            members.add(index[conj])
-        cls = sorted(members)
+        seen[i] = True
+        cls = [i]
         for m in cls:
-            seen[m] = True
+            for row, gi in conjugators:
+                j = index[frozenset(mul[row[x]][gi] for x in subgroups[m])]
+                if not seen[j]:
+                    seen[j] = True
+                    cls.append(j)
+        # Subgroups are (order, lex)-sorted and i is the least unseen one, so
+        # each class starts at its least member and classes come out ordered.
+        cls.sort()
         classes.append(cls)
-    # Subgroups are (order, lex)-sorted, so members[0] is the least member
-    # of each class; order classes by that representative.
-    classes.sort(key=lambda c: c[0])
     return classes
 
 
@@ -222,19 +274,23 @@ def section_classes(G: FiniteGroup, budget: Optional[Budget] = None
     pairs = _normal_pairs(G, lat, b)
     pair_key = {(lat.subgroups[t], lat.subgroups[s]): k
                 for k, (t, s) in enumerate(pairs)}
-    mul, inv = G.mul, G.inv
+    mul = G.mul
+    conjugators = _conjugators(G)
     seen = [False] * len(pairs)
     classes: List[List[Tuple[ElementTuple, ElementTuple]]] = []
     for k, (ti, si) in enumerate(pairs):
         if seen[k]:
             continue
-        t, s = lat.subgroups[ti], lat.subgroups[si]
-        members = set()
-        for g in range(G.order):
-            gi = inv[g]
-            ct = tuple(sorted(mul[mul[g][x]][gi] for x in t))
-            cs = tuple(sorted(mul[mul[g][x]][gi] for x in s))
-            members.add((ct, cs))
+        first = (lat.subgroups[ti], lat.subgroups[si])
+        members = {first}
+        orbit = [first]
+        for t, s in orbit:
+            for row, gi in conjugators:
+                ct = tuple(sorted(mul[row[x]][gi] for x in t))
+                cs = tuple(sorted(mul[row[x]][gi] for x in s))
+                if (ct, cs) not in members:
+                    members.add((ct, cs))
+                    orbit.append((ct, cs))
         cls = sorted(members)
         for m in cls:
             seen[pair_key[m]] = True

@@ -251,6 +251,93 @@ def test_cold_and_warm_cache_verdicts_identical(tmp_path, capsys):
         files_after_cold
 
 
+def _reseal(payload):
+    return payload + hashlib.sha256(payload).digest()
+
+
+def _flip_payload_byte(data):
+    return data[:20] + bytes([data[20] ^ 0x01]) + data[21:]
+
+
+def _with_u32(data, offset, value):
+    """Overwrite one header field and seal the file again."""
+    return _reseal(data[:offset] + value.to_bytes(4, "little")
+                   + data[offset + 4:-32])
+
+
+# each corruption of a good file, with the reason the warning gives
+CORRUPTIONS = {
+    "truncated": (lambda data: data[:len(data) // 2], "checksum mismatch"),
+    "flipped payload byte": (_flip_payload_byte, "checksum mismatch"),
+    "wrong magic": (lambda data: b"XXXX" + data[4:], "wrong magic"),
+    "wrong version": (lambda data: _with_u32(data, 4, 1),
+                      "format version 1, expected 2"),
+    "wrong group order": (lambda data: _with_u32(data, 8, 7),
+                          "group order differs"),
+    "trailing bytes": (lambda data: _reseal(data[:-32] + b"\0" * 4),
+                       "4 trailing bytes"),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPTIONS), ids=list(CORRUPTIONS))
+def test_corrupt_lattice_cache_is_recomputed(tmp_path, capsys, corrupt):
+    from dburnside.cache import clear_memory_caches
+    cache = tmp_path / "cache"
+    argv = ("generates", "C2xC2", "A4", "--cache-dir", str(cache))
+    clear_memory_caches()
+    code_cold, cold = run_json(capsys, *argv)
+    victim = max((cache / "lattice").iterdir(), key=lambda p: p.stat().st_size)
+    good = victim.read_bytes()
+    damage, reason = CORRUPTIONS[corrupt]
+    victim.write_bytes(damage(good))
+    clear_memory_caches()
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == code_cold == 1
+    assert without_meta(json.loads(captured.out)) == without_meta(cold)
+    assert "warning: ignoring corrupt cache file" in captured.err
+    assert f"{victim.name} ({reason})" in captured.err
+    assert victim.read_bytes() == good  # recomputed and overwritten
+
+
+def test_lattice_cache_structural_checks(tmp_path, capsys):
+    from dburnside.cache import (FORMAT_VERSION, LATTICE_MAGIC, _pack_list,
+                                 lattice_cache_path, load_lattice, save_lattice)
+    from dburnside.lattice import get_lattice
+    G = group_from_text("C2^2")
+    save_lattice(tmp_path, get_lattice(G))
+    assert load_lattice(tmp_path, G) is not None
+    assert capsys.readouterr().err == ""
+    cases = {
+        "element outside the group": ([(0,), (0, 4)], [[0], [1]]),
+        "subgroup without the identity": ([(0,), (1, 2)], [[0], [1]]),
+        "subgroup elements not ascending": ([(0,), (0, 2, 1)], [[0], [1]]),
+        "classes do not partition the subgroups":
+            ([(0,), (0, 1)], [[0], [0, 1]]),
+    }
+    for reason, (subgroups, classes) in cases.items():
+        parts = [LATTICE_MAGIC, (FORMAT_VERSION).to_bytes(4, "little"),
+                 (G.order).to_bytes(4, "little"),
+                 len(subgroups).to_bytes(4, "little")]
+        parts += [_pack_list(s) for s in subgroups]
+        parts.append(len(classes).to_bytes(4, "little"))
+        parts += [_pack_list(c) for c in classes]
+        lattice_cache_path(tmp_path, G).write_bytes(_reseal(b"".join(parts)))
+        assert load_lattice(tmp_path, G) is None
+        assert f"({reason}); recomputing" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("certificate does not recompose")
+    monkeypatch.setattr(cli, "section_classes", boom)
+    code = main(["sections", "C2"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 5
+    assert "internal error: AssertionError: certificate does not recompose" \
+        in err
+
+
 def test_basis_cache_file_round_trip(tmp_path, capsys):
     from dburnside.cache import load_basis
     from dburnside.groups import group_from_text

@@ -147,18 +147,85 @@ def test_subgroups_s3_against_brute_force():
     assert [s.elements for s in all_subgroups(s3)] == brute_force_subgroups(s3)
 
 
-def test_subgroup_count_c2_cubed_squared():
-    # Gaussian binomial sum over the rank-6 elementary abelian group
-    def gaussian(n, k, q=2):
+def galois_number(n, q=2):
+    """Number of subspaces of F_q^n: the sum of Gaussian binomials."""
+    def gaussian(k):
         num = den = 1
         for i in range(k):
             num *= q ** (n - i) - 1
             den *= q ** (k - i) - 1
         return num // den
-    expected = sum(gaussian(6, k) for k in range(7))
-    assert expected == 2825
+    return sum(gaussian(k) for k in range(n + 1))
+
+
+def test_subgroup_count_c2_cubed_squared():
+    assert galois_number(6) == 2825
     c26 = g("C2^3xC2^3")
     assert len(get_lattice(c26).subgroups) == 2825
+
+
+@pytest.mark.parametrize("rank,count", [(4, 67), (5, 374)])
+def test_subgroup_count_elementary_abelian(rank, count):
+    assert galois_number(rank) == count
+    assert len(get_lattice(g(f"C2^{rank}")).subgroups) == count
+
+
+def reference_subgroups(group):
+    """Closure BFS from the trivial group, extending by one element of each
+    right coset Hx (<H,x> = <H,hx>), with no zuppo or coset-closure tricks."""
+    def closure(gens):
+        seen, stack = {0}, [0]
+        while stack:
+            x = stack.pop()
+            for y in gens:
+                z = group.mul[x][y]
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+        return tuple(sorted(seen))
+
+    found = {(0,): ()}
+    queue = [((0,), ())]
+    while queue:
+        elems, gens = queue.pop()
+        covered = set(elems)
+        for x in range(group.order):
+            if x in covered:
+                continue
+            covered.update(group.mul[h][x] for h in elems)
+            new = closure(gens + (x,))
+            if new not in found:
+                found[new] = gens + (x,)
+                queue.append((new, gens + (x,)))
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def reference_classes(group, subgroups):
+    """Orbits of the subgroup list under conjugation by every element."""
+    index = {s: i for i, s in enumerate(subgroups)}
+    seen = set()
+    classes = []
+    for i, s in enumerate(subgroups):
+        if i in seen:
+            continue
+        cls = sorted({index[tuple(sorted(group.conj(x, y) for y in s))]
+                      for x in range(group.order)})
+        seen.update(cls)
+        classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize("name,n_subgroups,n_classes", [
+    ("A5", 59, 9), ("S4xC2", 98, 33), ("A4xA4", 216, 41),
+    ("D8xD8", 389, 214), ("C4^2", 15, 15), ("C2^5", 374, 374),
+    ("C3xS3", 14, 9), ("X(27)", 19, 11)])
+def test_lattice_matches_reference(name, n_subgroups, n_classes):
+    grp = g(name)
+    lat = get_lattice(grp)
+    subgroups = reference_subgroups(grp)
+    assert lat.subgroups == subgroups
+    assert lat.classes == reference_classes(grp, subgroups)
+    assert (len(lat.subgroups), len(lat.classes)) == (n_subgroups, n_classes)
 
 
 def test_trivial_group_single_subgroup():
@@ -360,6 +427,24 @@ def test_full_section_class_is_unique():
         full = [c for c in classes
                 if len(c[0][0]) == grp.order and len(c[0][1]) == 1]
         assert len(full) == 1
+
+
+@pytest.mark.parametrize("name", ["S4", "D8xC2", "A4xC2", "C3xS3"])
+def test_section_classes_match_conjugation_by_every_element(name):
+    grp = g(name)
+    subs = get_lattice(grp).subgroups
+    pairs = {(t, s) for t in subs for s in subs
+             if set(s) <= set(t)
+             and all(grp.conj(x, y) in s for x in t for y in s)}
+    expected = []
+    while pairs:
+        t, s = min(pairs)
+        orbit = sorted({(tuple(sorted(grp.conj(x, y) for y in t)),
+                         tuple(sorted(grp.conj(x, y) for y in s)))
+                        for x in range(grp.order)})
+        pairs -= set(orbit)
+        expected.append(orbit)
+    assert section_classes(grp) == sorted(expected)
 
 
 def test_section_validation():
