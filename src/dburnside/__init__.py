@@ -7,7 +7,7 @@ from .groups import (FiniteGroup, Section, Subgroup, build_group,
 from .lattice import (all_subgroups, automorphisms, double_coset_reps,
                       is_isomorphic, section_classes,
                       subgroup_conjugacy_classes, subquotients_up_to_iso)
-from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank, null_space
+from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
 from .bisets import (BisetElement, BisetLabel, ElementaryBiset,
                      ProductInvariants, butterfly_factorize, canonical_basis,
                      compose, identity_element, identity_label, is_left_free,
@@ -16,8 +16,7 @@ from .bisets import (BisetElement, BisetLabel, ElementaryBiset,
 from .functors import (GeneratesReport, NvReport, burnside_module_matrices,
                        check_submodules, essential_quotient_dim, euler_phi,
                        generates, is_nv, is_s_self_dual, is_semisimple,
-                       radical_dim_char0, simple_dim_p_group,
-                       simple_dim_with_raw, trace_gram_rank,
-                       verify_certificate)
+                       radical_dim_char0, simple_dim_with_raw,
+                       trace_gram_rank, verify_certificate)
 
 __version__ = "0.1.0"

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import lattice as lattice_mod
+from .cache import memo_table
 from .errors import Budget, NO_BUDGET, PreconditionError
 from .groups import (FiniteGroup, Subgroup, direct_product, quotient_group)
-from .lattice import double_coset_reps, get_lattice
+from .lattice import double_coset_reps, get_lattice, memoized_lattice
 from .linalg import Field, FieldSpec
 
 LabelTuple = Tuple[int, ...]
@@ -43,9 +43,6 @@ class BisetSpace:
     def encode(self, g: int, h: int) -> int:
         return g * self.right.order + h
 
-    def decode(self, x: int) -> Tuple[int, int]:
-        return divmod(x, self.right.order)
-
     # -- canonicalization ------------------------------------------------
 
     def canonical(self, elements: Iterable[int]) -> LabelTuple:
@@ -58,7 +55,7 @@ class BisetSpace:
             return hit
         # use the lattice only when it is already materialized; building it
         # here would turn a single canonicalization into a full enumeration
-        lat = lattice_mod._LATTICE_MEMO.get(self.product.key)
+        lat = memoized_lattice(self.product)
         if lat is not None:
             best = lat.canonical(key)
         else:
@@ -126,8 +123,9 @@ class BisetSpace:
         return r
 
 
-_SPACES: Dict[Tuple[str, str], BisetSpace] = {}
-_DC_MEMO: Dict[Tuple[str, Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
+_SPACES: Dict[Tuple[str, str], BisetSpace] = memo_table()
+_DC_MEMO: Dict[Tuple[str, Tuple[int, ...], Tuple[int, ...]], List[int]] = \
+    memo_table()
 
 
 def space(left: FiniteGroup, right: FiniteGroup) -> BisetSpace:
@@ -137,11 +135,6 @@ def space(left: FiniteGroup, right: FiniteGroup) -> BisetSpace:
         sp = BisetSpace(left, right)
         _SPACES[key] = sp
     return sp
-
-
-def clear_biset_caches() -> None:
-    _SPACES.clear()
-    _DC_MEMO.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from .cache import memo_table
 from .groups import FiniteGroup, group_from_text
 from .lattice import is_isomorphic
 from .numtheory import factorize
@@ -24,7 +25,7 @@ CATALOG_SPECS: List[str] = [
     "S4", "A4xC2", "X(27)",
 ]
 
-_BUILT: Dict[str, FiniteGroup] = {}
+_BUILT: Dict[str, FiniteGroup] = memo_table()
 
 
 def catalog_group(spec: str) -> FiniteGroup:
@@ -58,7 +59,7 @@ def _abelian_specs_of_order(n: int) -> List[str]:
             for combo in combos]
 
 
-_RECOGNIZE_MEMO: Dict[str, str] = {}
+_RECOGNIZE_MEMO: Dict[str, str] = memo_table()
 
 
 def recognize(G: FiniteGroup) -> Optional[str]:

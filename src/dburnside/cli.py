@@ -118,7 +118,6 @@ def cmd_basis(args, budget):
     H = _group(args.H)
     labels = canonical_basis(G, H, budget)
     entries = []
-    invariants = []
     for i, lab in enumerate(labels):
         inv = product_invariants(lab)
         entries.append({
@@ -130,12 +129,6 @@ def cmd_basis(args, budget):
             "k2": _label_json(inv.k2.elements),
             "q_order": inv.q.order,
         })
-        invariants.append((list(inv.p1.elements), list(inv.p2.elements),
-                           list(inv.k1.elements), list(inv.k2.elements),
-                           inv.q.order))
-    if args.cache_dir:
-        cache_mod.save_basis(Path(args.cache_dir), G, H,
-                             [lab.elements for lab in labels], invariants)
     inputs = {"G": args.G, "H": args.H}
     result = {"count": len(labels), "labels": entries}
     lines = [f"canonical basis of kB({args.G},{args.H}): {len(labels)} labels"]
@@ -482,11 +475,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()
-    if cache_dir:
-        args.cache_dir = str(cache_dir)
-        cache_mod.enable_disk_cache(Path(cache_dir))
-    else:
-        args.cache_dir = None
+    args.cache_dir = str(cache_dir) if cache_dir else None
+    cache_mod.cache_dir = Path(cache_dir) if cache_dir else None
 
     budget_s = DEFAULT_BUDGET_SECONDS
     start = time.monotonic()
@@ -511,9 +501,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if cache_dir:
-            cache_mod.disable_disk_cache()
 
     elapsed = time.monotonic() - start
     if args.format == "json":

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
                      identity_element, identity_label, mackey_tuples, space,
                      trace_of_label)
+from .cache import memo_table
 from .errors import Budget, BudgetExceeded, NO_BUDGET, PreconditionError
 from .groups import FiniteGroup, Subgroup, build_cyclic, direct_product
 from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
@@ -93,7 +94,7 @@ def _quotient_certificate(H: FiniteGroup, G: FiniteGroup,
     return [CertificateTerm(u, w, one)]
 
 
-_GENERATES_MEMO: Dict[Tuple[str, str, int], GeneratesReport] = {}
+_GENERATES_MEMO: Dict[Tuple[str, str, int], GeneratesReport] = memo_table()
 
 
 def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
@@ -140,12 +141,7 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
         return GeneratesReport(H, G, fieldspec, True, "generated", "quotient",
                                cert, 0, 0)
 
-    try:
-        return _generates_by_span(H, G, fieldspec, b)
-    except BudgetExceeded as e:
-        return GeneratesReport(H, G, fieldspec, None, "inconclusive",
-                               "budget during product span", None,
-                               e.partial_count, 0)
+    return _generates_by_span(H, G, fieldspec, b)
 
 
 class _ProductStream:
@@ -183,9 +179,13 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     """Insert every distinct product into one span; stop once it holds 1_H.
 
     Running out of budget mid-span reports the products tried and the rank
-    reached so far.
+    reached so far; running out while the bases are enumerated reports none.
     """
-    stream = _ProductStream(H, G, b)
+    try:
+        stream = _ProductStream(H, G, b)
+    except BudgetExceeded:
+        return GeneratesReport(H, G, fieldspec, None, "inconclusive",
+                               "budget during basis enumeration", None, 0, 0)
     span = IncrementalSpan(stream.dim, fieldspec)
     inserted: List[Tuple[int, int]] = []
     seen = set()
@@ -337,11 +337,6 @@ def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup,
     return dim, raw
 
 
-def simple_dim_p_group(P: FiniteGroup, G: FiniteGroup,
-                       budget: Optional[Budget] = None) -> int:
-    return simple_dim_with_raw(P, G, budget)[0]
-
-
 @dataclass
 class SsdReport:
     G: FiniteGroup
@@ -431,7 +426,8 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 # Composition tables, trace forms, the regular radical
 # ---------------------------------------------------------------------------
 
-_GG_TABLE_MEMO: Dict[str, Tuple[List[LabelTuple], List[List[Dict[int, int]]]]] = {}
+_GG_TABLE_MEMO: Dict[str, Tuple[List[LabelTuple], List[List[Dict[int, int]]]]] = \
+    memo_table()
 
 
 def gg_composition_table(G: FiniteGroup, budget: Optional[Budget] = None):

@@ -124,12 +124,6 @@ class FiniteGroup:
             hist[o] = hist.get(o, 0) + 1
         return tuple(sorted(hist.items()))
 
-    def exponent(self) -> int:
-        e = 1
-        for o in set(self.element_orders()):
-            e = _lcm(e, o)
-        return e
-
     def is_abelian(self) -> bool:
         if self._abelian is None:
             mul = self.mul
@@ -145,11 +139,6 @@ class FiniteGroup:
         n = self.order
         return tuple(z for z in range(n)
                      if all(mul[z][g] == mul[g][z] for g in range(n)))
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 class Subgroup:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import cache
 from .errors import Budget, NO_BUDGET, PreconditionError
 from .groups import FiniteGroup, Section, Subgroup, quotient_group
 from .numtheory import factorize
@@ -66,9 +67,6 @@ class SubgroupLattice:
     def canonical(self, elements: Iterable[int]) -> ElementTuple:
         idx = self.index[frozenset(elements)]
         return self.subgroups[self.rep_of[idx]]
-
-    def subgroup_index(self, elements: Iterable[int]) -> int:
-        return self.index[frozenset(elements)]
 
 
 def _zuppo_generators(G: FiniteGroup) -> List[int]:
@@ -173,42 +171,30 @@ def _conjugacy_classes(G: FiniteGroup,
     return classes
 
 
-_LATTICE_MEMO: Dict[str, SubgroupLattice] = {}
-
-# optional (loader, saver) pair installed by the disk cache layer
-_DISK_HOOKS = None
-
-
-def set_disk_hooks(hooks) -> None:
-    global _DISK_HOOKS
-    _DISK_HOOKS = hooks
+_LATTICE_MEMO: Dict[str, SubgroupLattice] = cache.memo_table()
 
 
 def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLattice:
+    """The lattice of G: from the memo, else the cache file, else enumerated
+    (and then written to the cache file)."""
     lat = _LATTICE_MEMO.get(G.key)
-    if lat is None and _DISK_HOOKS is not None:
-        lat = _DISK_HOOKS[0](G)
+    if lat is not None:
+        return lat
+    cache_dir = cache.cache_dir
+    if cache_dir is not None:
+        lat = cache.load_lattice(cache_dir, G)
     if lat is None:
-        b = budget or NO_BUDGET
-        subs = _enumerate_subgroups(G, b)
-        classes = _conjugacy_classes(G, subs)
-        lat = SubgroupLattice(G, subs, classes)
-        _LATTICE_MEMO[G.key] = lat
-        if _DISK_HOOKS is not None:
-            _DISK_HOOKS[1](lat)
-    return lat
-
-
-def seed_lattice(G: FiniteGroup, subgroups: List[ElementTuple],
-                 classes: List[List[int]]) -> SubgroupLattice:
-    """Install precomputed lattice data (used by the cache layer)."""
-    lat = SubgroupLattice(G, subgroups, classes)
+        subs = _enumerate_subgroups(G, budget or NO_BUDGET)
+        lat = SubgroupLattice(G, subs, _conjugacy_classes(G, subs))
+        if cache_dir is not None:
+            cache.save_lattice(cache_dir, lat)
     _LATTICE_MEMO[G.key] = lat
     return lat
 
 
-def clear_lattice_memo() -> None:
-    _LATTICE_MEMO.clear()
+def memoized_lattice(G: FiniteGroup) -> Optional[SubgroupLattice]:
+    """The lattice of G if this run already holds it; never builds one."""
+    return _LATTICE_MEMO.get(G.key)
 
 
 def all_subgroups(G: FiniteGroup, budget: Optional[Budget] = None) -> List[Subgroup]:
@@ -414,7 +400,7 @@ def _partial_ok(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
     return _close_with_images(G, H, gens[:len(images)], images) is not None
 
 
-_ISO_MEMO: Dict[Tuple[str, str], Optional[List[int]]] = {}
+_ISO_MEMO: Dict[Tuple[str, str], Optional[List[int]]] = cache.memo_table()
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[List[int]]:
@@ -451,7 +437,7 @@ def automorphisms(G: FiniteGroup, *, order_cap: int = 64
 # Subquotients and structural predicates
 # ---------------------------------------------------------------------------
 
-_SUBQ_MEMO: Dict[str, List[Tuple[FiniteGroup, Section]]] = {}
+_SUBQ_MEMO: Dict[str, List[Tuple[FiniteGroup, Section]]] = cache.memo_table()
 
 
 def subquotients_up_to_iso(G: FiniteGroup, budget: Optional[Budget] = None

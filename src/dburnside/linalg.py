@@ -28,10 +28,6 @@ class FieldSpec:
         if c != 0 and not is_prime(c):
             raise PreconditionError(f"field characteristic must be 0 or prime, got {c}")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
-
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
@@ -186,7 +182,7 @@ def _axpy(f: Field, y: Dict[int, object], a, x: Dict[int, object]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix rank and null space
+# Matrix rank
 # ---------------------------------------------------------------------------
 
 def rank_int_rational(rows: Sequence[Sequence[int]]) -> int:
@@ -232,7 +228,9 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
 def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     if not rows:
         return 0
-    m = np.array(rows, dtype=np.int64) % p
+    # int64 holds a product of two residues only while p < 2**31; larger
+    # primes take exact Python ints
+    m = np.array(rows, dtype=np.int64 if p < 2 ** 31 else object) % p
     rank = 0
     r = 0
     nrows, ncols = m.shape
@@ -255,42 +253,3 @@ def _rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
         if r == nrows:
             break
     return rank
-
-
-def null_space(rows: Sequence[Sequence[int]], field: FieldSpec) -> List[List]:
-    """Basis of the right null space, exact over the field."""
-    f = Field(field)
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    m = [[f.from_int(x) for x in row] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not f.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not f.is_zero(m[i][c]):
-                a = m[i][c]
-                m[i] = [f.sub(m[i][j], f.mul(a, m[r][j])) for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [f.zero] * ncols
-        v[fc] = f.one
-        for ri, pc in enumerate(pivots):
-            v[pc] = f.neg(m[ri][fc])
-        basis.append(v)
-    return basis

@@ -338,21 +338,6 @@ def test_internal_error_exit_code(capsys, monkeypatch):
         in err
 
 
-def test_basis_cache_file_round_trip(tmp_path, capsys):
-    from dburnside.cache import load_basis
-    from dburnside.groups import group_from_text
-    cache = tmp_path / "cache"
-    _, payload = run_json(capsys, "basis", "C2", "S3",
-                          "--cache-dir", str(cache))
-    stored = load_basis(cache, group_from_text("C2"), group_from_text("S3"))
-    assert stored is not None
-    labels, invariants = stored
-    assert [list(t) for t in labels] == \
-        [e["subgroup"] for e in payload["result"]["labels"]]
-    assert [inv[4] for inv in invariants] == \
-        [e["q_order"] for e in payload["result"]["labels"]]
-
-
 def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     from dburnside.cache import clear_memory_caches
     monkeypatch.setenv("DBURNSIDE_CACHE_DIR", str(tmp_path / "envcache"))
@@ -360,7 +345,44 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     code, payload = run_json(capsys, "basis", "C2", "C2")
     assert code == 0
     assert (tmp_path / "envcache" / "lattice").is_dir()
+    assert not (tmp_path / "envcache" / "basis").exists()
     assert payload["meta"]["cache_dir"] == str(tmp_path / "envcache")
+
+
+def test_run_without_cache_dir_leaves_earlier_one_alone(tmp_path, capsys,
+                                                        monkeypatch):
+    from dburnside.cache import clear_memory_caches
+    monkeypatch.delenv("DBURNSIDE_CACHE_DIR", raising=False)
+    cache = tmp_path / "cache"
+    clear_memory_caches()
+    assert run(capsys, "sections", "C2", "--cache-dir", str(cache))[0] == 0
+    files = sorted(cache.rglob("*"))
+    assert files
+    clear_memory_caches()
+    assert run(capsys, "sections", "S3")[0] == 0  # builds lattices anew
+    assert sorted(cache.rglob("*")) == files
+
+
+def test_clear_memory_caches_empties_every_memo(capsys):
+    from dburnside import bisets, catalog, functors, lattice
+    from dburnside.cache import clear_memory_caches
+
+    def module_dicts():
+        return {f"{m.__name__}.{name}": value
+                for m in (lattice, bisets, functors, catalog)
+                for name, value in vars(m).items()
+                if isinstance(value, dict) and not name.startswith("__")}
+
+    run(capsys, "nv", "S3")
+    run(capsys, "trace-gram", "C2")
+    memos = module_dicts()
+    for name in ("lattice._LATTICE_MEMO", "lattice._ISO_MEMO",
+                 "lattice._SUBQ_MEMO", "bisets._SPACES", "bisets._DC_MEMO",
+                 "functors._GENERATES_MEMO", "functors._GG_TABLE_MEMO",
+                 "catalog._RECOGNIZE_MEMO", "catalog._BUILT"):
+        assert memos["dburnside." + name], name  # filled by the two runs
+    clear_memory_caches()
+    assert {name: len(d) for name, d in module_dicts().items() if d} == {}
 
 
 # -- golden outputs ------------------------------------------------------------

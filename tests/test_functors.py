@@ -12,9 +12,8 @@ from dburnside.functors import (CertificateTerm, burnside_module_matrices,
                                 check_submodules, essential_quotient_dim,
                                 euler_phi, generates, gg_composition_table,
                                 is_nv, is_s_self_dual, is_semisimple,
-                                radical_dim_char0, simple_dim_p_group,
-                                simple_dim_with_raw, trace_gram_rank,
-                                verify_certificate)
+                                radical_dim_char0, simple_dim_with_raw,
+                                trace_gram_rank, verify_certificate)
 from dburnside.groups import group_from_text
 from dburnside.lattice import automorphisms
 from dburnside.linalg import Field, FieldSpec
@@ -135,6 +134,18 @@ def test_budget_gives_inconclusive():
     assert rep2.result is False
 
 
+def test_budget_during_basis_enumeration_reports_no_products(monkeypatch):
+    from dburnside import cache
+    from dburnside.errors import Budget
+    cache.clear_memory_caches()  # the product lattice must be enumerated
+    monkeypatch.setattr(cache, "cache_dir", None)
+    rep = generates(g("C2^3"), g("A4xC2"), F3, Budget(-1),
+                    skip_subquotient_check=True)
+    assert rep.result is None
+    assert rep.via == "budget during basis enumeration"
+    assert (rep.products_tried, rep.rank_reached) == (0, 0)
+
+
 # -- is_nv ----------------------------------------------------------------------
 
 def test_abelian_groups_are_nv():
@@ -173,10 +184,10 @@ def test_nv_full_mode_tests_everything():
 # -- dimension counts -------------------------------------------------------------
 
 def test_dimension_counts_from_sections():
-    assert simple_dim_p_group(g("C2"), g("C2^3")) == 35
+    assert simple_dim_with_raw(g("C2"), g("C2^3"))[0] == 35
     dim, raw = simple_dim_with_raw(g("C2"), g("A4xC2"))
     assert (dim, raw) == (14, 15)
-    assert simple_dim_p_group(g("C4"), g("C4")) == 1
+    assert simple_dim_with_raw(g("C4"), g("C4"))[0] == 1
 
 
 def test_dimension_count_against_naive_double_loop():
@@ -215,11 +226,11 @@ def test_dimension_count_against_naive_double_loop():
 
 def test_dimension_count_precondition_errors():
     with pytest.raises(PreconditionError):
-        simple_dim_p_group(g("1"), g("C4"))
+        simple_dim_with_raw(g("1"), g("C4"))
     with pytest.raises(PreconditionError):
-        simple_dim_p_group(g("C2^2"), g("A4"))
+        simple_dim_with_raw(g("C2^2"), g("A4"))
     with pytest.raises(PreconditionError):
-        simple_dim_p_group(g("C6"), g("A4"))  # not a p-group
+        simple_dim_with_raw(g("C6"), g("A4"))  # not a p-group
 
 
 def test_structural_filter_accepts_c6():
@@ -386,3 +397,8 @@ def test_trace_gram_degenerate():
 def test_trace_gram_modular_field():
     rank, dim = trace_gram_rank(g("C2"), F2)
     assert rank < dim
+    # a rank mod p never exceeds the rank over Q; products of residues
+    # near 2**32 overflow int64
+    big = FieldSpec(4294967311)
+    assert trace_gram_rank(g("S3"), big) == trace_gram_rank(g("S3"), Q) == (9, 22)
+    assert trace_gram_rank(g("C6"), big) == trace_gram_rank(g("C6"), Q) == (20, 30)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: spans, certificates, rank, null spaces."""
+"""Exact linear algebra: spans, certificates, rank."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 
 from dburnside.errors import PreconditionError
 from dburnside.linalg import (Field, FieldSpec, IncrementalSpan, matrix_rank,
-                              null_space, rank_int_rational)
+                              rank_int_rational)
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -129,7 +129,7 @@ def test_full_rank_span_contains_everything():
         assert span.contains([(i, rng.randint(0, 4)) for i in range(3)])
 
 
-# -- rank and null space ------------------------------------------------------
+# -- rank ------------------------------------------------------------------
 
 def test_rank_identity_and_zero():
     ident = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
@@ -137,18 +137,37 @@ def test_rank_identity_and_zero():
     assert matrix_rank(ident, F2) == 5
     zero = [[0] * 4 for _ in range(3)]
     assert matrix_rank(zero, Q) == 0
-    assert len(null_space(zero, Q)) == 4
+    assert matrix_rank(zero, F2) == 0
+
+
+def span_rank(rows, spec):
+    """Rank by the sparse span: an elimination independent of matrix_rank."""
+    span = IncrementalSpan(len(rows[0]), spec)
+    for row in rows:
+        span.add(enumerate(row))
+    return span.rank
 
 
 def test_rank_nullity_theorem():
+    # a column already in the span of the earlier columns gives a kernel
+    # vector through the span's certificate over those columns
     rng = random.Random(17)
     for spec in (Q, F5):
+        f = Field(spec)
         for _ in range(20):
             rows = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
-            r = matrix_rank(rows, spec)
-            basis = null_space(rows, spec)
-            assert r + len(basis) == 5
-            f = Field(spec)
+            span = IncrementalSpan(4, spec)
+            basis = []
+            for j in range(5):
+                col = [(i, rows[i][j]) for i in range(4)]
+                if span.contains(col):
+                    v = [f.zero] * 5
+                    v[j] = f.one
+                    for k, c in span.certificate(col):
+                        v[k] = f.sub(v[k], c)
+                    basis.append(v)
+                span.add(col)
+            assert matrix_rank(rows, spec) + len(basis) == 5
             for v in basis:
                 for row in rows:
                     s = f.zero
@@ -175,7 +194,20 @@ def test_fraction_free_rank_matches_fraction_path():
         n = rng.randint(1, 6)
         m = rng.randint(1, 6)
         rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        assert rank_int_rational(rows) == m - len(null_space(rows, Q))
+        assert rank_int_rational(rows) == span_rank(rows, Q)
+
+
+def test_rank_mod_large_prime_is_exact():
+    # a product of two residues mod p overflows int64 once p > 3.04e9
+    p = 4294967311
+    spec = FieldSpec(p)
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n - 1)]
+        a, b = rng.randrange(p), rng.randrange(p)
+        rows.append([(a * x + b * y) % p for x, y in zip(rows[0], rows[-1])])
+        assert matrix_rank(rows, spec) == span_rank(rows, spec)
 
 
 def test_span_rows_stay_reduced():
