@@ -149,11 +149,6 @@ class BisetLabel:
     right: FiniteGroup
     elements: LabelTuple
 
-    @property
-    def subgroup(self) -> Subgroup:
-        return Subgroup(space(self.left, self.right).product, self.elements,
-                        validate=False)
-
     def __str__(self) -> str:
         return f"[({self.left.name}x{self.right.name})/{list(self.elements)}]"
 
@@ -562,34 +557,16 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
 
 
 def trace_of_label(L: BisetLabel) -> int:
-    """Number of orbits of the diagonal conjugation action on the cosets."""
+    """Number of orbits of the diagonal on the cosets (G x G)/L.
+
+    The orbit of the coset xL under the diagonal D is the double coset DxL,
+    so the trace is the number of double cosets D\\(G x G)/L.
+    """
     if L.left != L.right:
         raise PreconditionError("trace needs a square label")
     sp = space(L.left, L.right)
-    R = sp.realization(L.elements)
-    G = L.left
-    n = len(R.reps)
-    X = sp.product
-    mul = X.mul
-    diag = [sp.encode(g, g) for g in range(G.order)]
-    cid = R.coset_id
-    seen = [False] * n
-    count = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        count += 1
-        stack = [i]
-        seen[i] = True
-        while stack:
-            c = stack.pop()
-            r = R.reps[c]
-            for d in diag:
-                c2 = cid[mul[d][r]]
-                if not seen[c2]:
-                    seen[c2] = True
-                    stack.append(c2)
-    return count
+    diag = [sp.encode(g, g) for g in range(L.left.order)]
+    return len(double_coset_reps(diag, sp.product, L.elements))
 
 
 def trace_map(x: BisetElement) -> object:

@@ -28,7 +28,7 @@ from .functors import (CertificateTerm, GeneratesReport,
                        essential_quotient_dim, generates, is_nv,
                        is_s_self_dual, is_semisimple, simple_dim_with_raw,
                        trace_gram_rank, verify_certificate)
-from .groups import FiniteGroup, group_from_text, parse_group_spec
+from .groups import group_from_text
 from .lattice import automorphisms, section_classes, make_section, is_isomorphic
 from .linalg import Field, FieldSpec
 
@@ -53,18 +53,6 @@ def parse_duration(text: str) -> float:
     value = float(m.group(1))
     unit = {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0}[m.group(2)]
     return value * unit
-
-
-def _field(args) -> FieldSpec:
-    try:
-        return FieldSpec(args.char)
-    except PreconditionError:
-        raise GroupSpecError(f"--char must be 0 or a prime, got {args.char}")
-
-
-def _group(text: str) -> FiniteGroup:
-    parse_group_spec(text)  # raises GroupSpecError on bad grammar
-    return group_from_text(text)
 
 
 def _scalar_str(fieldspec: FieldSpec, value) -> str:
@@ -114,8 +102,8 @@ def _verdict_exit(result: Optional[bool]) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_basis(args, budget):
-    G = _group(args.G)
-    H = _group(args.H)
+    G = group_from_text(args.G)
+    H = group_from_text(args.H)
     labels = canonical_basis(G, H, budget)
     entries = []
     for i, lab in enumerate(labels):
@@ -150,8 +138,9 @@ def _parse_label_arg(sp_left, sp_right, text, labels) -> BisetLabel:
 
 
 def cmd_compose(args, budget):
-    G, H, K = _group(args.G, ), _group(args.H), _group(args.K)
-    fieldspec = _field(args)
+    G, H, K = (group_from_text(args.G), group_from_text(args.H),
+               group_from_text(args.K))
+    fieldspec = FieldSpec(args.char)
     basis_gh = canonical_basis(G, H, budget)
     basis_hk = canonical_basis(H, K, budget)
     left = _parse_label_arg(G, H, args.left, basis_gh)
@@ -172,7 +161,7 @@ def cmd_compose(args, budget):
 
 
 def cmd_butterfly(args, budget):
-    G, H = _group(args.G), _group(args.H)
+    G, H = group_from_text(args.G), group_from_text(args.H)
     labels = canonical_basis(G, H, budget)
     lab = _parse_label_arg(G, H, args.label, labels)
     factors = butterfly_factorize(lab)
@@ -194,9 +183,9 @@ def cmd_butterfly(args, budget):
 
 
 def cmd_generates(args, budget):
-    H = _group(args.H)
-    G = _group(args.G)
-    fieldspec = _field(args)
+    H = group_from_text(args.H)
+    G = group_from_text(args.G)
+    fieldspec = FieldSpec(args.char)
     rep = generates(H, G, fieldspec, budget)
     inputs = {"H": args.H, "G": args.G, "char": fieldspec.characteristic}
     result = _generates_result_json(rep, args.H, args.G)
@@ -210,8 +199,8 @@ def cmd_generates(args, budget):
 
 
 def cmd_nv(args, budget):
-    G = _group(args.G)
-    fieldspec = _field(args)
+    G = group_from_text(args.G)
+    fieldspec = FieldSpec(args.char)
     rep = is_nv(G, fieldspec, budget, short_circuit=not args.full)
     verdicts = []
     for v in rep.verdicts:
@@ -240,8 +229,8 @@ def cmd_nv(args, budget):
 
 
 def cmd_semisimple(args, budget):
-    G = _group(args.G)
-    fieldspec = _field(args)
+    G = group_from_text(args.G)
+    fieldspec = FieldSpec(args.char)
     res = is_semisimple(G, fieldspec)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {"semisimple": res, "cyclic": G.is_cyclic()}
@@ -250,7 +239,7 @@ def cmd_semisimple(args, budget):
 
 
 def cmd_ssd(args, budget):
-    G = _group(args.G)
+    G = group_from_text(args.G)
     rep = is_s_self_dual(G)
     inputs = {"G": args.G}
     result = {
@@ -269,8 +258,8 @@ def cmd_ssd(args, budget):
 
 
 def cmd_simple_dim(args, budget):
-    P = _group(args.P)
-    G = _group(args.G)
+    P = group_from_text(args.P)
+    G = group_from_text(args.G)
     dim, raw = simple_dim_with_raw(P, G, budget)
     inputs = {"P": args.P, "G": args.G}
     result = {"dim": dim, "raw_section_classes": raw, "excluded": raw - dim}
@@ -280,11 +269,11 @@ def cmd_simple_dim(args, budget):
 
 
 def cmd_sections(args, budget):
-    G = _group(args.G)
+    G = group_from_text(args.G)
     classes = section_classes(G, budget)
     quotient_filter = None
     if args.quotient:
-        quotient_filter = _group(args.quotient)
+        quotient_filter = group_from_text(args.quotient)
     entries = []
     for cls in classes:
         t, s = cls[0]
@@ -304,8 +293,8 @@ def cmd_sections(args, budget):
 
 
 def cmd_trace_gram(args, budget):
-    G = _group(args.G)
-    fieldspec = _field(args)
+    G = group_from_text(args.G)
+    fieldspec = FieldSpec(args.char)
     rank, dim = trace_gram_rank(G, fieldspec, budget)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {"rank": rank, "dim": dim, "degenerate": rank < dim}
@@ -315,8 +304,8 @@ def cmd_trace_gram(args, budget):
 
 
 def cmd_burnside_module(args, budget):
-    G = _group(args.G)
-    fieldspec = _field(args)
+    G = group_from_text(args.G)
+    fieldspec = FieldSpec(args.char)
     actions = burnside_module_matrices(G, fieldspec, budget)
     agree = None
     if G.is_abelian():
@@ -339,7 +328,7 @@ def cmd_burnside_module(args, budget):
 
 
 def cmd_essential_out(args, budget):
-    H = _group(args.H)
+    H = group_from_text(args.H)
     dim = essential_quotient_dim(H, budget)
     _, inner, out_order = automorphisms(H)
     inputs = {"H": args.H}
@@ -359,8 +348,8 @@ def cmd_verify(args, budget):
     cert = _extract_certificate(payload)
     if cert is None:
         raise GroupSpecError("no certificate found in the report")
-    H = _group(cert["H"])
-    G = _group(cert["G"])
+    H = group_from_text(cert["H"])
+    G = group_from_text(cert["G"])
     fieldspec = FieldSpec(int(cert["char"]))
     f = Field(fieldspec)
     terms = []
@@ -476,6 +465,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()
     args.cache_dir = str(cache_dir) if cache_dir else None
+    # the directory holds for this call only; a library caller's is restored
+    previous_cache_dir = cache_mod.cache_dir
     cache_mod.cache_dir = Path(cache_dir) if cache_dir else None
 
     budget_s = DEFAULT_BUDGET_SECONDS
@@ -501,6 +492,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        cache_mod.cache_dir = previous_cache_dir
 
     elapsed = time.monotonic() - start
     if args.format == "json":

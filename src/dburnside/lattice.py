@@ -53,13 +53,10 @@ class SubgroupLattice:
         self.index: Dict[frozenset, int] = {
             frozenset(s): i for i, s in enumerate(subgroups)}
         self.classes = classes
-        self.class_of = [0] * len(subgroups)
         self.rep_of = [0] * len(subgroups)
-        for ci, members in enumerate(classes):
-            rep = members[0]
+        for members in classes:
             for m in members:
-                self.class_of[m] = ci
-                self.rep_of[m] = rep
+                self.rep_of[m] = members[0]
 
     def class_reps(self) -> List[ElementTuple]:
         return [self.subgroups[c[0]] for c in self.classes]
@@ -319,40 +316,30 @@ def _element_invariants(G: FiniteGroup) -> List[Tuple[int, int]]:
 def _close_with_images(G: FiniteGroup, H: FiniteGroup,
                        gens: Sequence[int], images: Sequence[int]
                        ) -> Optional[Dict[int, int]]:
-    """Extend gen -> image to a map on <gens>, or None on inconsistency.
+    """The homomorphism <gens> -> H sending each gen to its image, or None.
 
-    The map is built by parallel BFS and then verified to be a
-    homomorphism on the whole closure (which may be a proper subgroup).
+    phi grows from the identity by right multiplication with the gens and
+    is checked as it grows: phi(xg) = phi(x)phi(g) for every reached x and
+    every gen g.  In a finite group every element of <gens> is a positive
+    word in the gens, so induction on word length turns that check into
+    phi(xy) = phi(x)phi(y) for all x, y: passing it makes phi a
+    homomorphism, and no pairwise check is needed.
     """
     gmul, hmul = G.mul, H.mul
+    pairs = list(zip(gens, images))
     phi: Dict[int, int] = {0: 0}
-    order_elems = [0]
-    for g, img in zip(gens, images):
-        if g in phi:
-            if phi[g] != img:
-                return None
-        else:
-            phi[g] = img
-            order_elems.append(g)
-    stack = list(order_elems)
+    stack = [0]
     while stack:
         x = stack.pop()
-        for g, img in zip(gens, images):
-            y = gmul[x][g]
-            fy = hmul[phi[x]][img]
+        xrow, fxrow = gmul[x], hmul[phi[x]]
+        for g, img in pairs:
+            y, fy = xrow[g], fxrow[img]
             if y in phi:
                 if phi[y] != fy:
                     return None
             else:
                 phi[y] = fy
                 stack.append(y)
-    elems = list(phi)
-    for a in elems:
-        fa = phi[a]
-        for b in elems:
-            c = gmul[a][b]
-            if c in phi and phi[c] != hmul[fa][phi[b]]:
-                return None
     return phi
 
 
@@ -368,36 +355,23 @@ def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool
     results: List[List[int]] = []
     images: List[int] = []
 
-    def extend(i: int) -> bool:
+    def extend(i: int, phi: Dict[int, int]) -> bool:
+        # phi is an injective homomorphism on <gens[:i]>; the gens generate
+        # G and |G| = |H|, so at full depth it is an isomorphism
         if i == len(gens):
-            phi = _close_with_images(G, H, gens, images)
-            if (phi is not None and len(phi) == G.order
-                    and len(set(phi.values())) == G.order):
-                out = [0] * G.order
-                for k, v in phi.items():
-                    out[k] = v
-                results.append(out)
-                return not find_all
-            return False
+            results.append([phi[x] for x in range(G.order)])
+            return not find_all
         for y in candidates[i]:
             images.append(y)
-            # prune: partial map must already be consistent
-            if _partial_ok(G, H, gens, images):
-                if extend(i + 1):
-                    return True
+            nxt = _close_with_images(G, H, gens[:i + 1], images)
+            if (nxt is not None and len(set(nxt.values())) == len(nxt)
+                    and extend(i + 1, nxt)):
+                return True
             images.pop()
         return False
 
-    extend(0)
+    extend(0, {0: 0})
     return results
-
-
-def _partial_ok(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
-                images: Sequence[int]) -> bool:
-    sub = closure(G, gens[:len(images)])
-    if len(sub) != len(closure(H, images)):
-        return False
-    return _close_with_images(G, H, gens[:len(images)], images) is not None
 
 
 _ISO_MEMO: Dict[Tuple[str, str], Optional[List[int]]] = cache.memo_table()

@@ -12,7 +12,7 @@ from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
                               identity_element, identity_label, is_left_free,
                               mackey_compose, make_label, product_invariants,
                               realize_and_compose_oracle, space, star,
-                              trace_map)
+                              trace_map, trace_of_label)
 from dburnside.errors import PreconditionError
 from dburnside.groups import Subgroup, group_from_text
 from dburnside.lattice import all_subgroups, get_lattice, is_isomorphic
@@ -280,6 +280,37 @@ def test_trace_requires_square():
     lab = basis_labels("C2", "C3")[0]
     with pytest.raises(PreconditionError):
         trace_map(element_from_label(lab, Q))
+
+
+def diagonal_orbit_count(lab):
+    """Orbits of the diagonal on the cosets of lab, by search over the
+    explicit coset space: the reference for the double-coset count."""
+    sp = space(lab.left, lab.right)
+    R = sp.realization(lab.elements)
+    mul = sp.product.mul
+    diag = [sp.encode(x, x) for x in range(lab.left.order)]
+    seen = [False] * len(R.reps)
+    count = 0
+    for i in range(len(R.reps)):
+        if seen[i]:
+            continue
+        count += 1
+        seen[i] = True
+        stack = [i]
+        while stack:
+            r = R.reps[stack.pop()]
+            for d in diag:
+                c = R.coset_id[mul[d][r]]
+                if not seen[c]:
+                    seen[c] = True
+                    stack.append(c)
+    return count
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "A4", "C2^2", "C6"])
+def test_trace_of_label_matches_diagonal_orbit_count(name):
+    for lab in basis_labels(name, name):
+        assert trace_of_label(lab) == diagonal_orbit_count(lab)
 
 
 def test_trace_centrality():

@@ -363,6 +363,30 @@ def test_run_without_cache_dir_leaves_earlier_one_alone(tmp_path, capsys,
     assert sorted(cache.rglob("*")) == files
 
 
+def test_cache_dir_of_main_ends_with_the_call(tmp_path, capsys, monkeypatch):
+    from dburnside import cache as cache_mod
+    from dburnside.groups import group_from_text
+    from dburnside.lattice import get_lattice
+    monkeypatch.delenv("DBURNSIDE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cache_mod, "cache_dir", None)
+    cache_mod.clear_memory_caches()
+    cli_dir = tmp_path / "cli"
+    assert run(capsys, "sections", "C2", "--cache-dir", str(cli_dir))[0] == 0
+    assert cache_mod.cache_dir is None
+    cache_mod.clear_memory_caches()
+    get_lattice(group_from_text("S3"))  # no directory: writes nothing
+    assert len(list(cli_dir.rglob("*.bin"))) == 1
+    # a library caller's directory is back in force after main returns
+    lib_dir = tmp_path / "lib"
+    cache_mod.cache_dir = lib_dir
+    assert run(capsys, "sections", "C3", "--cache-dir", str(cli_dir))[0] == 0
+    assert cache_mod.cache_dir == lib_dir
+    cache_mod.clear_memory_caches()
+    get_lattice(group_from_text("S3"))
+    assert len(list(cli_dir.rglob("*.bin"))) == 2
+    assert len(list(lib_dir.rglob("*.bin"))) == 1
+
+
 def test_clear_memory_caches_empties_every_memo(capsys):
     from dburnside import bisets, catalog, functors, lattice
     from dburnside.cache import clear_memory_caches

@@ -10,9 +10,10 @@ from dburnside.groups import (FiniteGroup, Subgroup, build_group, build_cyclic,
                               direct_product, group_from_text,
                               parse_group_spec, quotient_group, spec_to_text,
                               Cyclic, Modular, Product)
-from dburnside.lattice import (all_subgroups, automorphisms,
-                               double_coset_reps, get_lattice, is_isomorphic,
-                               section_classes, subgroup_conjugacy_classes,
+from dburnside.lattice import (_close_with_images, all_subgroups,
+                               automorphisms, double_coset_reps, get_lattice,
+                               is_isomorphic, section_classes,
+                               subgroup_conjugacy_classes,
                                subquotients_up_to_iso)
 
 
@@ -397,6 +398,42 @@ def test_aut_order_product_rule():
         if grp.is_abelian():
             assert inner == 1
         assert inner == grp.order // len(grp.center())
+
+
+def is_isomorphism_by_table(phi, A, B):
+    """phi: A -> B is a bijection and a homomorphism on all of A's table."""
+    if sorted(phi) != list(range(B.order)) or A.order != B.order:
+        return False
+    return all(phi[A.mul[x][y]] == B.mul[phi[x]][phi[y]]
+               for x in range(A.order) for y in range(A.order))
+
+
+@pytest.mark.parametrize("name,n_auts", [
+    ("S4", 24), ("D8xC2", 64), ("X(27)", 432), ("M(2,2)", 32),
+    ("C2^2xC4", 192)])
+def test_automorphisms_are_distinct_bijective_homomorphisms(name, n_auts):
+    grp = g(name)
+    auts, _, _ = automorphisms(grp)
+    assert len(auts) == n_auts
+    assert len({tuple(a) for a in auts}) == n_auts
+    assert all(is_isomorphism_by_table(a, grp, grp) for a in auts)
+
+
+@pytest.mark.parametrize("a,b", [("C12", "C4xC3"), ("D8xC2", "C2xD8")])
+def test_isomorphism_checked_against_full_table(a, b):
+    phi = is_isomorphic(g(a), g(b))
+    assert phi is not None
+    assert is_isomorphism_by_table(phi, g(a), g(b))
+
+
+def test_close_with_images_is_the_generated_homomorphism():
+    # an element of order 3 cannot go to one of order 2
+    assert _close_with_images(g("C3"), g("C2"), [1], [1]) is None
+    # x -> x^2 on C4 is a homomorphism, though not injective
+    c4 = g("C4")
+    phi = _close_with_images(c4, c4, [1], [2])
+    assert phi == {x: c4.mul[x][x] for x in range(4)}
+    assert sorted(set(phi.values())) == [0, 2]
 
 
 def test_automorphism_cap():
