@@ -2,7 +2,7 @@
 
 Memo tables.  Every process-global memo of the engine (lattices,
 isomorphisms, subquotients, biset spaces, double cosets, generating
-verdicts, composition tables, catalog groups and names) is a dict made by
+verdicts, catalog groups and names) is a dict made by
 :func:`memo_table`, which registers it here.  :func:`clear_memory_caches`
 empties every registered table, which gives a true cold start.
 

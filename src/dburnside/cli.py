@@ -348,15 +348,20 @@ def cmd_verify(args, budget):
     cert = _extract_certificate(payload)
     if cert is None:
         raise GroupSpecError("no certificate found in the report")
-    H = group_from_text(cert["H"])
-    G = group_from_text(cert["G"])
-    fieldspec = FieldSpec(int(cert["char"]))
-    f = Field(fieldspec)
-    terms = []
-    for t in cert["terms"]:
-        u = make_label(H, G, t["u"]).elements
-        w = make_label(G, H, t["w"]).elements
-        terms.append(CertificateTerm(u, w, f.parse(str(t["coeff"]))))
+    try:
+        H = group_from_text(cert["H"])
+        G = group_from_text(cert["G"])
+        fieldspec = FieldSpec(int(cert["char"]))
+        f = Field(fieldspec)
+        terms = []
+        for t in cert["terms"]:
+            u = make_label(H, G, t["u"]).elements
+            w = make_label(G, H, t["w"]).elements
+            terms.append(CertificateTerm(u, w, f.parse(str(t["coeff"]))))
+    except (GroupSpecError, PreconditionError):
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise GroupSpecError(f"malformed certificate: {type(e).__name__}: {e}")
     ok = verify_certificate(H, G, fieldspec, terms)
     inputs = {"report": str(path), "H": cert["H"], "G": cert["G"],
               "char": fieldspec.characteristic}

@@ -11,7 +11,7 @@ algebra over that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
                      identity_element, identity_label, mackey_tuples, space,
@@ -23,8 +23,7 @@ from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
                       get_lattice, is_isomorphic, is_nilpotent_section,
                       is_p_group_times_cyclic, section_classes,
                       subquotients_up_to_iso)
-from .linalg import (Field, FieldSpec, IncrementalSpan, matrix_rank,
-                     rank_int_rational)
+from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
 from .numtheory import factorize
 
 LabelTuple = Tuple[int, ...]
@@ -423,58 +422,52 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Composition tables, trace forms, the regular radical
+# Trace forms and the regular radical
 # ---------------------------------------------------------------------------
 
-_GG_TABLE_MEMO: Dict[str, Tuple[List[LabelTuple], List[List[Dict[int, int]]]]] = \
-    memo_table()
+def _form_rows(G: FiniteGroup,
+               entry: Callable[[Dict[LabelTuple, int], LabelTuple], int],
+               budget: Optional[Budget] = None) -> Iterator[List[int]]:
+    """Rows ``[entry(u∘w, w) for w in basis]`` for each basis label u of (G, G).
 
-
-def gg_composition_table(G: FiniteGroup, budget: Optional[Budget] = None):
-    """Full multiplication table of the label algebra of (G, G)."""
-    hit = _GG_TABLE_MEMO.get(G.key)
-    if hit is not None:
-        return hit
+    u∘w is the Mackey product as {label: multiplicity}; it is dropped as
+    soon as its entry is read, so no composition table is ever held.
+    """
     b = budget or NO_BUDGET
     sp = space(G, G)
     basis = sp.basis(b)
-    index = sp.basis_index()
     n = len(basis)
-    table: List[List[Dict[int, int]]] = []
-    for i in range(n):
-        b.check("composition table", i * n)
-        row = []
-        for j in range(n):
-            raw = mackey_tuples(sp, sp, sp, basis[i], basis[j])
-            row.append({index[t]: c for t, c in raw.items()})
-        table.append(row)
-    _GG_TABLE_MEMO[G.key] = (basis, table)
-    return basis, table
+    for i, u in enumerate(basis):
+        b.check("trace form", i * n)
+        yield [entry(mackey_tuples(sp, sp, sp, u, w), w) for w in basis]
+
+
+def _weighted(weight: Dict[LabelTuple, int]):
+    """The entry Σ_t [u∘w]_t · weight[t] of a trace form."""
+    return lambda product, _: sum(c * weight[t] for t, c in product.items())
 
 
 def radical_dim_char0(G: FiniteGroup, budget: Optional[Budget] = None) -> int:
     """Nullity of the regular trace form of the label algebra over Q.
 
     Zero exactly when the algebra is semisimple in characteristic zero.
+    Two passes over the products: the trace of left multiplication by each
+    label (the diagonal of its row), then the gram rows weighted by them.
     """
-    basis, table = gg_composition_table(G, budget)
-    n = len(basis)
-    # trace of left multiplication by each basis label
-    lt = [sum(table[w][y].get(y, 0) for y in range(n)) for w in range(n)]
-    gram = [[sum(c * lt[w] for w, c in table[i][j].items()) for j in range(n)]
-            for i in range(n)]
-    return n - rank_int_rational(gram)
+    basis = space(G, G).basis(budget)
+    diagonals = _form_rows(G, lambda product, w: product.get(w, 0), budget)
+    lt = {u: sum(row) for u, row in zip(basis, diagonals)}
+    gram = list(_form_rows(G, _weighted(lt), budget))
+    return len(basis) - matrix_rank(gram, FieldSpec(0))
 
 
 def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec,
                     budget: Optional[Budget] = None) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
-    basis, table = gg_composition_table(G, budget)
-    n = len(basis)
-    tr = [trace_of_label(BisetLabel(G, G, t)) for t in basis]
-    gram = [[sum(c * tr[w] for w, c in table[i][j].items()) for j in range(n)]
-            for i in range(n)]
-    return matrix_rank(gram, fieldspec), n
+    basis = space(G, G).basis(budget)
+    tr = {t: trace_of_label(BisetLabel(G, G, t)) for t in basis}
+    gram = list(_form_rows(G, _weighted(tr), budget))
+    return matrix_rank(gram, fieldspec), len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -577,46 +570,23 @@ def check_submodules(G: FiniteGroup, fieldspec: FieldSpec,
     actions = burnside_module_matrices(G, fieldspec, budget)
     f = Field(fieldspec)
     d = len(actions.module_basis)
-    idx_full = d - 1  # classes sorted by size; the full subgroup is last
-    assert len(actions.module_basis[idx_full]) == G.order
-
-    def image_vectors(basis_vecs):
-        for mat in actions.matrices:
-            for v in basis_vecs:
-                yield [_mat_apply_row(f, mat, v, r) for r in range(d)]
-
-    n_basis = [_unit_diff(f, d, i, d - 1) for i in range(d - 1)]
-    n_inv = all(_sum_zero(f, w) for w in image_vectors(n_basis))
+    assert len(actions.module_basis[-1]) == G.order  # the free orbit G/G is last
+    # the sum-zero subspace is spanned by the e_i - e_{d-1}; it is invariant
+    # exactly when every column of every matrix has the same sum
+    col_sums = [[sum(col) for col in zip(*mat)] for mat in actions.matrices]
+    n_inv = all(f.is_zero(s[i] - s[d - 1])
+                for s in col_sums for i in range(d - 1))
     if d >= 3:
-        np_basis = [_unit_diff(f, d, i, d - 2) for i in range(d - 2)]
-        np_inv = all(_sum_zero(f, w) and f.is_zero(w[idx_full])
-                     for w in image_vectors(np_basis))
+        # the e_i - e_{d-2} also keep the G/G coordinate zero: columns i and
+        # d-2 need equal sums and equal entries in the last row
+        np_inv = all(f.is_zero(s[i] - s[d - 2])
+                     and f.is_zero(mat[d - 1][i] - mat[d - 1][d - 2])
+                     for mat, s in zip(actions.matrices, col_sums)
+                     for i in range(d - 2))
         np_dim = d - 2
     else:
         np_inv, np_dim = True, 0
     return SubmoduleReport(G, fieldspec, d, d - 1, n_inv, np_dim, np_inv)
-
-
-def _unit_diff(f: Field, d: int, i: int, j: int) -> List[object]:
-    v = [f.zero] * d
-    v[i] = f.add(v[i], f.one)
-    v[j] = f.sub(v[j], f.one)
-    return v
-
-
-def _mat_apply_row(f: Field, mat, v, r: int):
-    total = f.zero
-    for c in range(len(v)):
-        if not f.is_zero(v[c]):
-            total = f.add(total, f.mul(mat[r][c], v[c]))
-    return total
-
-
-def _sum_zero(f: Field, v) -> bool:
-    total = f.zero
-    for x in v:
-        total = f.add(total, x)
-    return f.is_zero(total)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ represented by their lexicographically least member.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,19 +45,26 @@ def closure(G: FiniteGroup, gens: Sequence[int]) -> ElementTuple:
 
 
 class SubgroupLattice:
-    """All subgroups of a group, with conjugacy classes and fast lookup."""
+    """All subgroups of a group, with conjugacy classes and fast lookup.
+
+    Without ``classes`` the conjugacy classes are computed here.  The
+    element-set index is built on first read: an abelian lattice never needs
+    it, and for C2^8 it would hold 417,199 frozensets.
+    """
 
     def __init__(self, group: FiniteGroup, subgroups: List[ElementTuple],
-                 classes: List[List[int]]):
+                 classes: Optional[List[List[int]]] = None):
         self.group = group
         self.subgroups = subgroups
-        self.index: Dict[frozenset, int] = {
-            frozenset(s): i for i, s in enumerate(subgroups)}
-        self.classes = classes
+        self.classes = _conjugacy_classes(self) if classes is None else classes
         self.rep_of = [0] * len(subgroups)
-        for members in classes:
+        for members in self.classes:
             for m in members:
                 self.rep_of[m] = members[0]
+
+    @cached_property
+    def index(self) -> Dict[frozenset, int]:
+        return {frozenset(s): i for i, s in enumerate(self.subgroups)}
 
     def class_reps(self) -> List[ElementTuple]:
         return [self.subgroups[c[0]] for c in self.classes]
@@ -141,13 +149,13 @@ def _conjugators(G: FiniteGroup) -> List[Tuple[List[int], int]]:
     return [(G.mul[g], G.inv[g]) for g in generating_sequence(G)]
 
 
-def _conjugacy_classes(G: FiniteGroup,
-                       subgroups: List[ElementTuple]) -> List[List[int]]:
+def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
+    G, subgroups = lat.group, lat.subgroups
     if G.is_abelian():
         return [[i] for i in range(len(subgroups))]
     mul = G.mul
     conjugators = _conjugators(G)
-    index = {frozenset(s): i for i, s in enumerate(subgroups)}
+    index = lat.index
     seen = [False] * len(subgroups)
     classes: List[List[int]] = []
     for i in range(len(subgroups)):
@@ -181,8 +189,7 @@ def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLatt
     if cache_dir is not None:
         lat = cache.load_lattice(cache_dir, G)
     if lat is None:
-        subs = _enumerate_subgroups(G, budget or NO_BUDGET)
-        lat = SubgroupLattice(G, subs, _conjugacy_classes(G, subs))
+        lat = SubgroupLattice(G, _enumerate_subgroups(G, budget or NO_BUDGET))
         if cache_dir is not None:
             cache.save_lattice(cache_dir, lat)
     _LATTICE_MEMO[G.key] = lat

@@ -206,6 +206,27 @@ def test_verify_usage_error_on_missing_file(capsys):
     assert main(["verify", "/nonexistent/report.json"]) == 3
 
 
+# certificate edits that must read as a usage error, not an internal one
+MALFORMED = {
+    "no-G": lambda cert: cert.pop("G"),
+    "term-without-w": lambda cert: cert["terms"][0].pop("w"),
+    "coeff-abc": lambda cert: cert["terms"][0].update(coeff="abc"),
+    "coeff-1/0": lambda cert: cert["terms"][0].update(coeff="1/0"),
+    "char-x": lambda cert: cert.update(char="x"),
+}
+
+
+@pytest.mark.parametrize("edit", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_verify_malformed_certificate_is_a_usage_error(tmp_path, capsys, edit):
+    _, payload = run_json(capsys, "generates", "C2", "A4", "--char", "2")
+    edit(payload["result"]["certificate"])
+    report = tmp_path / "malformed.json"
+    report.write_text(json.dumps(payload))
+    assert main(["verify", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert "malformed certificate" in err and "internal error" not in err
+
+
 # -- determinism ---------------------------------------------------------------------
 
 DETERMINISM_COMMANDS = [
@@ -402,7 +423,7 @@ def test_clear_memory_caches_empties_every_memo(capsys):
     memos = module_dicts()
     for name in ("lattice._LATTICE_MEMO", "lattice._ISO_MEMO",
                  "lattice._SUBQ_MEMO", "bisets._SPACES", "bisets._DC_MEMO",
-                 "functors._GENERATES_MEMO", "functors._GG_TABLE_MEMO",
+                 "functors._GENERATES_MEMO",
                  "catalog._RECOGNIZE_MEMO", "catalog._BUILT"):
         assert memos["dburnside." + name], name  # filled by the two runs
     clear_memory_caches()

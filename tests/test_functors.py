@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from dburnside.bisets import compose, element_from_label, BisetLabel, identity_element
+from dburnside.bisets import (compose, element_from_label, BisetLabel,
+                              identity_element, mackey_compose)
 from dburnside.errors import PreconditionError
 from dburnside.functors import (CertificateTerm, burnside_module_matrices,
                                 burnside_module_matrices_abelian,
                                 check_submodules, essential_quotient_dim,
-                                euler_phi, generates, gg_composition_table,
+                                euler_phi, generates,
                                 is_nv, is_s_self_dual, is_semisimple,
                                 radical_dim_char0, simple_dim_with_raw,
                                 trace_gram_rank, verify_certificate)
@@ -320,15 +321,18 @@ def test_abelian_action_paths_agree():
 def test_action_is_multiplicative_on_samples():
     grp = g("C4")
     actions = burnside_module_matrices(grp, Q)
-    basis, table = gg_composition_table(grp)
+    labels = actions.labels
     d = len(actions.module_basis)
     rng = random.Random(2)
     for _ in range(10):
-        i = rng.randrange(len(basis))
-        j = rng.randrange(len(basis))
+        i = rng.randrange(len(labels))
+        j = rng.randrange(len(labels))
         # matrix of the composite as a linear combination
+        composite = mackey_compose(BisetLabel(grp, grp, labels[i]),
+                                   BisetLabel(grp, grp, labels[j]))
         comp = [[Fraction(0)] * d for _ in range(d)]
-        for w, c in table[i][j].items():
+        for t, c in composite.coeffs.items():
+            w = labels.index(t)
             for r in range(d):
                 for cc in range(d):
                     comp[r][cc] += c * actions.matrices[w][r][cc]
@@ -366,6 +370,45 @@ def test_submodule_invariance_cases():
         check_submodules(g("C6"), Q)
     with pytest.raises(PreconditionError):
         check_submodules(g("S3"), Q)
+
+
+def reference_submodules(G, spec):
+    """Invariance of the two subspaces by applying every matrix to the
+    spanning vectors e_i - e_{d-1} and e_i - e_{d-2}."""
+    f = Field(spec)
+    mats = burnside_module_matrices(G, spec).matrices
+    d = len(mats[0])
+
+    def images(j, count):
+        for mat in mats:
+            for i in range(count):
+                v = [f.zero] * d
+                v[i] = f.add(v[i], f.one)
+                v[j] = f.sub(v[j], f.one)
+                yield [sum((f.mul(mat[r][c], v[c]) for c in range(d)), f.zero)
+                       for r in range(d)]
+
+    def sum_zero(w):
+        return f.is_zero(sum(w, f.zero))
+
+    n_inv = all(sum_zero(w) for w in images(d - 1, d - 1))
+    np_inv = all(sum_zero(w) and f.is_zero(w[d - 1])
+                 for w in images(d - 2, d - 2)) if d >= 3 else True
+    return n_inv, np_inv
+
+
+def test_submodule_invariance_matches_image_vectors():
+    seen = set()
+    for name in ("C2", "C3", "C4", "C5", "C8", "C9"):
+        for char in (0, 2, 3, 5):
+            spec = FieldSpec(char)
+            r = check_submodules(g(name), spec)
+            got = (r.sum_zero_invariant, r.codim2_invariant)
+            assert got == reference_submodules(g(name), spec), (name, char)
+            seen.add(got)
+    # both verdicts occur for both subspaces
+    assert {n for n, _ in seen} == {True, False}
+    assert {c for _, c in seen} == {True, False}
 
 
 # -- essential quotient ---------------------------------------------------------------

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dburnside.errors import PreconditionError
-from dburnside.linalg import (Field, FieldSpec, IncrementalSpan, matrix_rank,
-                              rank_int_rational)
+from dburnside.linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -189,12 +188,28 @@ def test_mod_p_rank_at_most_rational():
 
 
 def test_fraction_free_rank_matches_fraction_path():
-    rng = random.Random(29)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        m = rng.randint(1, 6)
-        rows = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
-        assert rank_int_rational(rows) == span_rank(rows, Q)
+    # 2147483647 is the largest prime held in int64, where pv*x - a*y must
+    # not overflow; 4294967311 takes exact Python ints
+    for p in (0, 2, 3, 2147483647, 4294967311):
+        spec = FieldSpec(p)
+        rng = random.Random(29 + p)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            m = rng.randint(1, 7)
+            big = p > 3 and rng.random() < 0.5
+            rows = [[rng.randrange(p) if big else rng.randint(-6, 6)
+                     for _ in range(m)] for _ in range(n)]
+            if n > 2:
+                # a combination of two other rows lowers the rank
+                a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            if rng.random() < 0.5:
+                rows[rng.randrange(n)] = [0] * m
+            if rng.random() < 0.5:
+                c = rng.randrange(m)
+                for row in rows:
+                    row[c] = 0
+            assert matrix_rank(rows, spec) == span_rank(rows, spec), (p, rows)
 
 
 def test_rank_mod_large_prime_is_exact():
