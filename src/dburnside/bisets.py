@@ -266,30 +266,58 @@ def _double_cosets(H: FiniteGroup, A: Tuple[int, ...], B: Tuple[int, ...]) -> Li
     return reps
 
 
+def _star(H: FiniteGroup, fib_l, fib_m, kn: int, h: int = 0) -> set:
+    """{(g, k) : (g, h m h^-1) in L, (m, k) in M} from the fibers of L over
+    its second coordinate and of M over its first, packed as g*kn + k."""
+    mul, hi = H.mul, H.inv[h]
+    out = set()
+    add = out.add
+    for m, ks in fib_m.items():
+        gs = fib_l.get(mul[mul[h][m]][hi])
+        if gs is None:
+            continue
+        for g in gs:
+            base = g * kn
+            for k in ks:
+                add(base + k)
+    return out
+
+
 def mackey_tuples(sp_gh: BisetSpace, sp_hk: BisetSpace, sp_gk: BisetSpace,
                   L: LabelTuple, M: LabelTuple) -> Dict[LabelTuple, int]:
-    """Integer decomposition of the composite of two transitive labels."""
+    """Integer decomposition of the composite of two transitive labels.
+
+    One star L * ^(h,1)M per double coset p2(L) h p1(M) of the middle group
+    H.  When H is abelian the conjugation is trivial, so every double coset
+    gives the same star: it is built once and counted
+    |H| / |p2(L) p1(M)| = |H| |p2(L) ∩ p1(M)| / (|p2(L)| |p1(M)|) times.
+    """
     H = sp_gh.right
-    mul, inv = H.mul, H.inv
     kn = sp_hk.right.order
     fib_l, p2l = sp_gh.fibers_second(L)
     fib_m, p1m = sp_hk.fibers_first(M)
+    if H.is_abelian():
+        meet = sum(1 for m in p1m if m in fib_l)
+        return {sp_gk.canonical(_star(H, fib_l, fib_m, kn)):
+                H.order * meet // (len(p2l) * len(p1m))}
     out: Dict[LabelTuple, int] = {}
     for h in _double_cosets(H, p2l, p1m):
-        hi = inv[h]
-        star = set()
-        add = star.add
-        for m1, ks in fib_m.items():
-            gs = fib_l.get(mul[mul[h][m1]][hi])
-            if gs is None:
-                continue
-            for g in gs:
-                base = g * kn
-                for k in ks:
-                    add(base + k)
-        t = sp_gk.canonical(star)
+        t = sp_gk.canonical(_star(H, fib_l, fib_m, kn, h))
         out[t] = out.get(t, 0) + 1
     return out
+
+
+def op_indices(sp: BisetSpace, sp_op: BisetSpace) -> List[int]:
+    """For each basis label L of kB(G, H), the index in the basis of
+    kB(H, G) of its opposite {(h, g) : (g, h) in L}.
+
+    The opposite biset reverses composition: (u∘w)^op = w^op∘u^op (Bouc,
+    Biset Functors for Finite Groups, LNM 1990, §2.3).
+    """
+    gn, hn = sp.left.order, sp.right.order
+    index = sp_op.basis_index()
+    return [index[sp_op.canonical([(x % hn) * gn + x // hn for x in L])]
+            for L in sp.basis()]
 
 
 def mackey_compose(L: BisetLabel, M: BisetLabel) -> BisetElement:
@@ -332,12 +360,9 @@ def star(L: BisetLabel, M: BisetLabel) -> Subgroup:
     sp_gh = space(L.left, L.right)
     sp_hk = space(M.left, M.right)
     sp_gk = space(L.left, M.right)
-    kn = M.right.order
     fib_l, _ = sp_gh.fibers_second(L.elements)
     fib_m, _ = sp_hk.fibers_first(M.elements)
-    elems = {g * kn + k
-             for h, ks in fib_m.items() if h in fib_l
-             for g in fib_l[h] for k in ks}
+    elems = _star(L.right, fib_l, fib_m, M.right.order)
     return Subgroup(sp_gk.product, elems)  # validates closure
 
 

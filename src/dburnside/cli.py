@@ -371,20 +371,29 @@ def cmd_verify(args, budget):
     return (EXIT_TRUE if ok else EXIT_FALSE), inputs, result, lines
 
 
-def _extract_certificate(payload: Dict) -> Optional[Dict]:
+def _extract_certificate(payload: object) -> Optional[Dict]:
+    """The certificate a report carries: the report itself, its result's,
+    or a subquotient's (preferring the one for the report's H)."""
+    if not isinstance(payload, dict):
+        raise GroupSpecError("malformed certificate report: not a JSON object")
     if "terms" in payload and "H" in payload:
         return payload
     result = payload.get("result", {})
+    if not isinstance(result, dict):
+        raise GroupSpecError(
+            'malformed certificate report: "result" is not an object')
     if "certificate" in result:
         return result["certificate"]
-    for sub in result.get("subquotients", []):
-        if "certificate" in sub and sub["certificate"]["H"] == payload.get(
-                "inputs", {}).get("H"):
-            return sub["certificate"]
-    for sub in result.get("subquotients", []):
-        if "certificate" in sub:
-            return sub["certificate"]
-    return None
+    subs = result.get("subquotients", [])
+    if not (isinstance(subs, list) and all(isinstance(v, dict) for v in subs)):
+        raise GroupSpecError(
+            'malformed certificate report: "subquotients" is not a list '
+            'of objects')
+    certs = [v["certificate"] for v in subs if "certificate" in v]
+    inputs = payload.get("inputs")
+    want = inputs.get("H") if isinstance(inputs, dict) else None
+    return next((c for c in certs if isinstance(c, dict) and c.get("H") == want),
+                certs[0] if certs else None)
 
 
 COMMANDS = {

@@ -10,12 +10,13 @@ algebra over that span.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
-                     identity_element, identity_label, mackey_tuples, space,
-                     trace_of_label)
+                     identity_element, identity_label, mackey_tuples,
+                     op_indices, space, trace_of_label)
 from .cache import memo_table
 from .errors import Budget, BudgetExceeded, NO_BUDGET, PreconditionError
 from .groups import FiniteGroup, Subgroup, build_cyclic, direct_product
@@ -144,7 +145,14 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
 
 
 class _ProductStream:
-    """Products of basis-label pairs in a fixed low-complexity-first order."""
+    """Products of basis-label pairs in a fixed low-complexity-first order.
+
+    Pair (iu, iw) and its dual partner (op iw, op iu) share one Mackey
+    product, since (u∘w)^op = w^op∘u^op: the partner's items are this
+    pair's relabelled by the opposite on kB(H, H).  Products are interned,
+    ``_ids`` holds 1 + product id per pair index (0: not computed yet), and
+    each distinct product is returned once, at the first pair that has it.
+    """
 
     def __init__(self, H: FiniteGroup, G: FiniteGroup, b: Budget):
         self.sp_hg = space(H, G)
@@ -163,11 +171,40 @@ class _ProductStream:
             ((hg_order // len(u)) * (gh_order // len(w)), iu, iw)
             for iu, u in enumerate(self.basis_hg)
             for iw, w in enumerate(self.basis_gh))
+        self.op_hg = op_indices(self.sp_hg, self.sp_gh)
+        self.op_gh = op_indices(self.sp_gh, self.sp_hg)
+        self.op_hh = op_indices(self.sp_hh, self.sp_hh)
+        self._ids = array("i", bytes(4 * len(self.pairs)))
+        self._products: List[Tuple[Tuple[int, int], ...]] = []
+        self._intern: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        self._returned = bytearray()  # per product id
 
-    def product_items(self, iu: int, iw: int) -> List[Tuple[int, int]]:
-        raw = mackey_tuples(self.sp_hg, self.sp_gh, self.sp_hh,
-                            self.basis_hg[iu], self.basis_gh[iw])
-        return sorted((self.index_hh[t], n) for t, n in raw.items())
+    def _store(self, pair: int, items: Tuple[Tuple[int, int], ...]) -> None:
+        pid = self._intern.setdefault(items, len(self._products))
+        if pid == len(self._products):
+            self._products.append(items)
+            self._returned.append(0)
+        self._ids[pair] = pid + 1
+
+    def new_items(self, iu: int, iw: int
+                  ) -> Optional[Tuple[Tuple[int, int], ...]]:
+        """Sorted (kB(H, H) index, multiplicity) items of the product of
+        pair (iu, iw), or None when an earlier call returned that product."""
+        n = len(self.basis_gh)
+        pair = iu * n + iw
+        if not self._ids[pair]:
+            raw = mackey_tuples(self.sp_hg, self.sp_gh, self.sp_hh,
+                                self.basis_hg[iu], self.basis_gh[iw])
+            items = tuple(sorted((self.index_hh[t], c) for t, c in raw.items()))
+            op = self.op_hh
+            self._store(self.op_gh[iw] * n + self.op_hg[iu],
+                        tuple(sorted((op[i], c) for i, c in items)))
+            self._store(pair, items)
+        pid = self._ids[pair] - 1
+        if self._returned[pid]:
+            return None
+        self._returned[pid] = 1
+        return self._products[pid]
 
     def term(self, iu: int, iw: int, coeff) -> CertificateTerm:
         return CertificateTerm(self.basis_hg[iu], self.basis_gh[iw], coeff)
@@ -187,7 +224,6 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
                                "budget during basis enumeration", None, 0, 0)
     span = IncrementalSpan(stream.dim, fieldspec)
     inserted: List[Tuple[int, int]] = []
-    seen = set()
     tried = 0
     for _, iu, iw in stream.pairs:
         if tried % 64 == 0:
@@ -197,12 +233,10 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
                 return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                        "budget during product span", None,
                                        tried, span.rank)
-        items = stream.product_items(iu, iw)
+        items = stream.new_items(iu, iw)
         tried += 1
-        key = tuple(items)
-        if key in seen:
+        if items is None:
             continue
-        seen.add(key)
         inserted.append((iu, iw))
         if span.add(items) and span.contains(stream.id_items):
             terms = [stream.term(*inserted[seq], c)
@@ -431,15 +465,32 @@ def _form_rows(G: FiniteGroup,
     """Rows ``[entry(u∘w, w) for w in basis]`` for each basis label u of (G, G).
 
     u∘w is the Mackey product as {label: multiplicity}; it is dropped as
-    soon as its entry is read, so no composition table is ever held.
+    soon as its entries are read, so no composition table is ever held.
+    Each product also fills the entry of its dual partner: (u∘w)^op =
+    w^op∘u^op, so entry (i, j) and entry (op j, op i) come from one product,
+    the latter as ``entry(op(u∘w), basis[op i])``.  Partner entries of later
+    rows wait in ``pending``; an earlier row's partner is always filled.
     """
     b = budget or NO_BUDGET
     sp = space(G, G)
     basis = sp.basis(b)
+    op = op_indices(sp, sp)
+    op_label = {t: basis[k] for t, k in zip(basis, op)}
     n = len(basis)
+    pending: Dict[int, Dict[int, int]] = {}
     for i, u in enumerate(basis):
         b.check("trace form", i * n)
-        yield [entry(mackey_tuples(sp, sp, sp, u, w), w) for w in basis]
+        row = pending.pop(i, {})
+        for j, w in enumerate(basis):
+            if j in row:
+                continue
+            product = mackey_tuples(sp, sp, sp, u, w)
+            row[j] = entry(product, w)
+            if op[j] > i:
+                pending.setdefault(op[j], {})[op[i]] = entry(
+                    {op_label[t]: c for t, c in product.items()},
+                    basis[op[i]])
+        yield [row[j] for j in range(n)]
 
 
 def _weighted(weight: Dict[LabelTuple, int]):

@@ -158,9 +158,10 @@ class Subgroup:
         G = self.parent
         if 0 not in self.eset:
             raise PreconditionError("subgroup must contain the identity")
-        for x in self.elements:
+        for x in (self.elements[0], self.elements[-1]):  # sorted
             if x < 0 or x >= G.order:
                 raise PreconditionError(f"element {x} outside parent group")
+        for x in self.elements:
             if G.inv[x] not in self.eset:
                 raise PreconditionError("subset not closed under inversion")
             row = G.mul[x]

@@ -48,8 +48,8 @@ class SubgroupLattice:
     """All subgroups of a group, with conjugacy classes and fast lookup.
 
     Without ``classes`` the conjugacy classes are computed here.  The
-    element-set index is built on first read: an abelian lattice never needs
-    it, and for C2^8 it would hold 417,199 frozensets.
+    index maps each subgroup's own sorted element tuple to its position; it
+    is built on first read, since an abelian lattice never needs it.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: List[ElementTuple],
@@ -63,14 +63,14 @@ class SubgroupLattice:
                 self.rep_of[m] = members[0]
 
     @cached_property
-    def index(self) -> Dict[frozenset, int]:
-        return {frozenset(s): i for i, s in enumerate(self.subgroups)}
+    def index(self) -> Dict[ElementTuple, int]:
+        return {s: i for i, s in enumerate(self.subgroups)}
 
     def class_reps(self) -> List[ElementTuple]:
         return [self.subgroups[c[0]] for c in self.classes]
 
     def canonical(self, elements: Iterable[int]) -> ElementTuple:
-        idx = self.index[frozenset(elements)]
+        idx = self.index[tuple(sorted(elements))]
         return self.subgroups[self.rep_of[idx]]
 
 
@@ -165,7 +165,7 @@ def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
         cls = [i]
         for m in cls:
             for row, gi in conjugators:
-                j = index[frozenset(mul[row[x]][gi] for x in subgroups[m])]
+                j = index[tuple(sorted(mul[row[x]][gi] for x in subgroups[m]))]
                 if not seen[j]:
                     seen[j] = True
                     cls.append(j)

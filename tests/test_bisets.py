@@ -10,12 +10,14 @@ from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
                               canonical_basis, compose, compose_factors,
                               element_from_label, elementary_inf,
                               identity_element, identity_label, is_left_free,
-                              mackey_compose, make_label, product_invariants,
+                              mackey_compose, mackey_tuples, make_label,
+                              op_indices, product_invariants,
                               realize_and_compose_oracle, space, star,
                               trace_map, trace_of_label)
 from dburnside.errors import PreconditionError
 from dburnside.groups import Subgroup, group_from_text
-from dburnside.lattice import all_subgroups, get_lattice, is_isomorphic
+from dburnside.lattice import (all_subgroups, double_coset_reps, get_lattice,
+                               is_isomorphic)
 from dburnside.linalg import FieldSpec
 
 Q = FieldSpec(0)
@@ -324,3 +326,83 @@ def test_trace_centrality():
             uv = compose(element_from_label(u, Q), element_from_label(v, Q))
             vu = compose(element_from_label(v, Q), element_from_label(u, Q))
             assert trace_map(uv) == trace_map(vu)
+
+
+# -- opposite bisets and the abelian middle group ----------------------------------
+
+def op_label_map(a, b):
+    """Each basis label of kB(a, b) to its opposite label of kB(b, a)."""
+    sp, sp_op = space(g(a), g(b)), space(g(b), g(a))
+    return {t: sp_op.basis()[k]
+            for t, k in zip(sp.basis(), op_indices(sp, sp_op))}
+
+
+@pytest.mark.parametrize("h,gg", [("C2", "S3"), ("C2^2", "A4"), ("C4", "D8"),
+                                  ("S3", "S3")])
+def test_mackey_product_of_opposites_is_opposite_product(h, gg):
+    # (u∘w)^op = w^op∘u^op for u in kB(H, G), w in kB(G, H)
+    sp_hg, sp_gh, sp_hh = space(g(h), g(gg)), space(g(gg), g(h)), space(g(h), g(h))
+    op_hg, op_gh, op_hh = op_label_map(h, gg), op_label_map(gg, h), op_label_map(h, h)
+    for u in sp_hg.basis():
+        for w in sp_gh.basis():
+            uw = mackey_tuples(sp_hg, sp_gh, sp_hh, u, w)
+            dual = mackey_tuples(sp_hg, sp_gh, sp_hh, op_gh[w], op_hg[u])
+            assert dual == {op_hh[t]: n for t, n in uw.items()}
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "A4", "C2xC4"])
+def test_op_indices_is_an_involution(name):
+    sp = space(g(name), g(name))
+    op = op_indices(sp, sp)
+    assert [op[k] for k in op] == list(range(len(op)))
+    assert any(op[k] != k for k in range(len(op)))
+
+
+@pytest.mark.parametrize("a,b", [("C2", "S3"), ("C2^2", "A4"), ("C4", "D8")])
+def test_op_indices_between_the_two_spaces_are_inverse_bijections(a, b):
+    sp_ab, sp_ba = space(g(a), g(b)), space(g(b), g(a))
+    there, back = op_indices(sp_ab, sp_ba), op_indices(sp_ba, sp_ab)
+    assert sorted(there) == list(range(len(sp_ba.basis())))
+    assert [back[k] for k in there] == list(range(len(sp_ab.basis())))
+    assert [there[k] for k in back] == list(range(len(sp_ba.basis())))
+
+
+def mackey_by_double_cosets(sp_gh, sp_hk, sp_gk, L, M):
+    """The composite with one star per double coset, for any middle group:
+    the reference for the one-star shortcut over an abelian middle group."""
+    H = sp_gh.right
+    mul, inv = H.mul, H.inv
+    kn = sp_hk.right.order
+    fib_l, p2l = sp_gh.fibers_second(L)
+    fib_m, p1m = sp_hk.fibers_first(M)
+    out = {}
+    for h in double_coset_reps(p2l, H, p1m):
+        elems = {g * kn + k for m, ks in fib_m.items()
+                 for g in fib_l.get(mul[mul[h][m]][inv[h]], ()) for k in ks}
+        t = sp_gk.canonical(elems)
+        out[t] = out.get(t, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("a,h,k,sample", [
+    ("C6", "C6", "C6", None), ("C2xC4", "C2xC4", "C2xC4", None),
+    ("S3", "C2", "S3", None),
+    # kB(C2^3, C2^3) has 2825 labels: a seeded sample of its 8M pairs
+    ("C2^3", "C2^3", "C2^3", 20000)])
+def test_abelian_middle_group_matches_double_coset_loop(a, h, k, sample):
+    sp_ah, sp_hk, sp_ak = space(g(a), g(h)), space(g(h), g(k)), space(g(a), g(k))
+    pairs = list(itertools.product(sp_ah.basis(), sp_hk.basis()))
+    if sample is not None:
+        pairs = random.Random(7).sample(pairs, sample)
+    assert g(h).is_abelian()
+    for L, M in pairs:
+        assert (mackey_tuples(sp_ah, sp_hk, sp_ak, L, M)
+                == mackey_by_double_cosets(sp_ah, sp_hk, sp_ak, L, M))
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "A4"])
+def test_trace_of_opposite_label(name):
+    G = g(name)
+    for t, t_op in op_label_map(name, name).items():
+        assert trace_of_label(BisetLabel(G, G, t_op)) == trace_of_label(
+            BisetLabel(G, G, t))

@@ -206,25 +206,44 @@ def test_verify_usage_error_on_missing_file(capsys):
     assert main(["verify", "/nonexistent/report.json"]) == 3
 
 
-# certificate edits that must read as a usage error, not an internal one
+def _cert_edit(edit):
+    def edit_report(payload):
+        edit(payload["result"]["certificate"])
+        return payload
+    return edit_report
+
+
+# report edits that must read as a usage error, not an internal one
 MALFORMED = {
-    "no-G": lambda cert: cert.pop("G"),
-    "term-without-w": lambda cert: cert["terms"][0].pop("w"),
-    "coeff-abc": lambda cert: cert["terms"][0].update(coeff="abc"),
-    "coeff-1/0": lambda cert: cert["terms"][0].update(coeff="1/0"),
-    "char-x": lambda cert: cert.update(char="x"),
+    "no-G": _cert_edit(lambda cert: cert.pop("G")),
+    "term-without-w": _cert_edit(lambda cert: cert["terms"][0].pop("w")),
+    "coeff-abc": _cert_edit(lambda cert: cert["terms"][0].update(coeff="abc")),
+    "coeff-1/0": _cert_edit(lambda cert: cert["terms"][0].update(coeff="1/0")),
+    "char-x": _cert_edit(lambda cert: cert.update(char="x")),
+    "report-list": lambda payload: [1, 2],
+    "result-5": lambda payload: {"result": 5},
+    "subquotients-5": lambda payload: {"result": {"subquotients": 5}},
 }
 
 
 @pytest.mark.parametrize("edit", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_verify_malformed_certificate_is_a_usage_error(tmp_path, capsys, edit):
     _, payload = run_json(capsys, "generates", "C2", "A4", "--char", "2")
-    edit(payload["result"]["certificate"])
     report = tmp_path / "malformed.json"
-    report.write_text(json.dumps(payload))
+    report.write_text(json.dumps(edit(payload)))
     assert main(["verify", str(report)]) == 3
     err = capsys.readouterr().err
     assert "malformed certificate" in err and "internal error" not in err
+
+
+def test_verify_label_outside_its_group_is_a_precondition_error(tmp_path, capsys):
+    # 99 is not an element of C2 x C4; it must fail the range check, not index
+    report = tmp_path / "outside.json"
+    report.write_text(json.dumps({"H": "C2", "G": "C4", "char": 0, "terms": [
+        {"u": [0, 99], "w": [0], "coeff": "1"}]}))
+    assert main(["verify", str(report)]) == 4
+    err = capsys.readouterr().err
+    assert "outside parent group" in err and "internal error" not in err
 
 
 # -- determinism ---------------------------------------------------------------------

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from dburnside.bisets import (compose, element_from_label, BisetLabel,
-                              identity_element, mackey_compose)
-from dburnside.errors import PreconditionError
-from dburnside.functors import (CertificateTerm, burnside_module_matrices,
+                              identity_element, mackey_compose, mackey_tuples,
+                              space)
+from dburnside.errors import NO_BUDGET, PreconditionError
+from dburnside.functors import (CertificateTerm, _form_rows, _ProductStream,
+                                burnside_module_matrices,
                                 burnside_module_matrices_abelian,
                                 check_submodules, essential_quotient_dim,
                                 euler_phi, generates,
@@ -445,3 +447,34 @@ def test_trace_gram_modular_field():
     big = FieldSpec(4294967311)
     assert trace_gram_rank(g("S3"), big) == trace_gram_rank(g("S3"), Q) == (9, 22)
     assert trace_gram_rank(g("C6"), big) == trace_gram_rank(g("C6"), Q) == (20, 30)
+
+
+# -- products shared by dual pairs ---------------------------------------------------
+
+@pytest.mark.parametrize("name", ["S3", "D8", "C2xC4"])
+def test_form_rows_match_one_product_per_entry(name):
+    # the entry reads its second argument, so a partner entry read at the
+    # wrong label or from an unrelabelled product shows up
+    G = g(name)
+    sp = space(G, G)
+    basis = sp.basis()
+    pos = {t: i for i, t in enumerate(basis)}
+
+    def entry(product, w):
+        return sum(c * (pos[t] + 1) for t, c in product.items()) * (pos[w] + 7)
+
+    expected = [[entry(mackey_tuples(sp, sp, sp, u, w), w) for w in basis]
+                for u in basis]
+    assert list(_form_rows(G, entry)) == expected
+
+
+@pytest.mark.parametrize("h,gg", [("C2", "S3"), ("C2^2", "A4"), ("C4", "D8")])
+def test_product_stream_returns_each_distinct_product_once(h, gg):
+    stream = _ProductStream(g(h), g(gg), NO_BUDGET)
+    seen = set()
+    for _, iu, iw in stream.pairs:
+        raw = mackey_tuples(stream.sp_hg, stream.sp_gh, stream.sp_hh,
+                            stream.basis_hg[iu], stream.basis_gh[iw])
+        items = tuple(sorted((stream.index_hh[t], c) for t, c in raw.items()))
+        assert stream.new_items(iu, iw) == (None if items in seen else items)
+        seen.add(items)
