@@ -133,8 +133,9 @@ def _parse_label_arg(sp_left, sp_right, text, labels) -> BisetLabel:
         if idx >= len(labels):
             raise PreconditionError(f"label index {idx} out of range")
         return labels[idx]
-    elems = [int(x) for x in text.split(",")]
-    return make_label(sp_left, sp_right, elems)
+    if not re.fullmatch(r"\d+(,\d+)*", text):
+        raise GroupSpecError(f"label {text!r} is not an index or a list i,j,...")
+    return make_label(sp_left, sp_right, [int(x) for x in text.split(",")])
 
 
 def cmd_compose(args, budget):
@@ -472,9 +473,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         FieldSpec(args.char)
-    except PreconditionError:
-        print(f"error: --char must be 0 or a prime, got {args.char}",
-              file=sys.stderr)
+    except PreconditionError as e:
+        print(f"error: --char: {e}", file=sys.stderr)
         return EXIT_USAGE
 
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()

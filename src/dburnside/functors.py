@@ -10,13 +10,13 @@ algebra over that span.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
-from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
-                     identity_element, identity_label, mackey_tuples,
-                     op_indices, space, trace_of_label)
+from .bisets import (BisetElement, BisetLabel, BisetSpace, compose,
+                     element_from_label, identity_element, identity_label,
+                     mackey_tuples, op_indices, space, trace_of_label)
 from .cache import memo_table
 from .errors import Budget, BudgetExceeded, NO_BUDGET, PreconditionError
 from .groups import FiniteGroup, Subgroup, build_cyclic, direct_product
@@ -28,6 +28,7 @@ from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
 from .numtheory import factorize
 
 LabelTuple = Tuple[int, ...]
+Items = Tuple[Tuple[int, int], ...]  # sorted (basis index, multiplicity)
 
 
 def euler_phi(n: int) -> int:
@@ -144,88 +145,69 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     return _generates_by_span(H, G, fieldspec, b)
 
 
-class _ProductStream:
-    """Products of basis-label pairs in a fixed low-complexity-first order.
+def _pair_products(sp_hg: BisetSpace, sp_gh: BisetSpace, sp_hh: BisetSpace,
+                   pairs: Iterable[Tuple[int, int]]) -> Iterator[Items]:
+    """Sorted (kB(H, H) index, multiplicity) items of u∘w for each basis-index
+    pair (iu, iw) of kB(H, G) × kB(G, H), in the order given.
 
     Pair (iu, iw) and its dual partner (op iw, op iu) share one Mackey
-    product, since (u∘w)^op = w^op∘u^op: the partner's items are this
-    pair's relabelled by the opposite on kB(H, H).  Products are interned,
-    ``_ids`` holds 1 + product id per pair index (0: not computed yet), and
-    each distinct product is returned once, at the first pair that has it.
+    product, since (u∘w)^op = w^op∘u^op (Bouc, LNM 1990, §2.3): the
+    partner's items are this pair's relabelled by the opposite on kB(H, H).
+    Whichever of the two comes first is computed, and the partner's items
+    are held until the partner arrives.  Products repeat heavily, so each
+    distinct one is kept once.
     """
-
-    def __init__(self, H: FiniteGroup, G: FiniteGroup, b: Budget):
-        self.sp_hg = space(H, G)
-        self.sp_gh = space(G, H)
-        self.sp_hh = space(H, H)
-        self.basis_hg = self.sp_hg.basis(b)
-        self.basis_gh = self.sp_gh.basis(b)
-        self.basis_hh = self.sp_hh.basis(b)
-        self.index_hh = self.sp_hh.basis_index()
-        self.dim = len(self.basis_hh)
-        self.id_items = [(self.index_hh[identity_label(H).elements], 1)]
-        hg_order = self.sp_hg.product.order
-        gh_order = self.sp_gh.product.order
-        # cheap proxy for the support size of each product: coset count
-        self.pairs = sorted(
-            ((hg_order // len(u)) * (gh_order // len(w)), iu, iw)
-            for iu, u in enumerate(self.basis_hg)
-            for iw, w in enumerate(self.basis_gh))
-        self.op_hg = op_indices(self.sp_hg, self.sp_gh)
-        self.op_gh = op_indices(self.sp_gh, self.sp_hg)
-        self.op_hh = op_indices(self.sp_hh, self.sp_hh)
-        self._ids = array("i", bytes(4 * len(self.pairs)))
-        self._products: List[Tuple[Tuple[int, int], ...]] = []
-        self._intern: Dict[Tuple[Tuple[int, int], ...], int] = {}
-        self._returned = bytearray()  # per product id
-
-    def _store(self, pair: int, items: Tuple[Tuple[int, int], ...]) -> None:
-        pid = self._intern.setdefault(items, len(self._products))
-        if pid == len(self._products):
-            self._products.append(items)
-            self._returned.append(0)
-        self._ids[pair] = pid + 1
-
-    def new_items(self, iu: int, iw: int
-                  ) -> Optional[Tuple[Tuple[int, int], ...]]:
-        """Sorted (kB(H, H) index, multiplicity) items of the product of
-        pair (iu, iw), or None when an earlier call returned that product."""
-        n = len(self.basis_gh)
+    basis_hg, basis_gh = sp_hg.basis(), sp_gh.basis()
+    index_hh = sp_hh.basis_index()
+    op_hg, op_gh = op_indices(sp_hg, sp_gh), op_indices(sp_gh, sp_hg)
+    op_hh = op_indices(sp_hh, sp_hh)
+    n = len(basis_gh)
+    held: Dict[int, Items] = {}  # by pair iu * n + iw
+    interned: Dict[Items, Items] = {}
+    for iu, iw in pairs:
         pair = iu * n + iw
-        if not self._ids[pair]:
-            raw = mackey_tuples(self.sp_hg, self.sp_gh, self.sp_hh,
-                                self.basis_hg[iu], self.basis_gh[iw])
-            items = tuple(sorted((self.index_hh[t], c) for t, c in raw.items()))
-            op = self.op_hh
-            self._store(self.op_gh[iw] * n + self.op_hg[iu],
-                        tuple(sorted((op[i], c) for i, c in items)))
-            self._store(pair, items)
-        pid = self._ids[pair] - 1
-        if self._returned[pid]:
-            return None
-        self._returned[pid] = 1
-        return self._products[pid]
-
-    def term(self, iu: int, iw: int, coeff) -> CertificateTerm:
-        return CertificateTerm(self.basis_hg[iu], self.basis_gh[iw], coeff)
+        items = held.pop(pair, None)
+        if items is None:
+            raw = mackey_tuples(sp_hg, sp_gh, sp_hh, basis_hg[iu], basis_gh[iw])
+            items = tuple(sorted((index_hh[t], c) for t, c in raw.items()))
+            items = interned.setdefault(items, items)
+            partner = op_gh[iw] * n + op_hg[iu]
+            if partner != pair:
+                dual = tuple(sorted((op_hh[i], c) for i, c in items))
+                held[partner] = interned.setdefault(dual, dual)
+        yield items
 
 
 def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
                        b: Budget) -> GeneratesReport:
     """Insert every distinct product into one span; stop once it holds 1_H.
 
-    Running out of budget mid-span reports the products tried and the rank
-    reached so far; running out while the bases are enumerated reports none.
+    Products are tried in a fixed low-complexity-first order.  Running out
+    of budget mid-span reports the products tried and the rank reached so
+    far; running out while the bases are enumerated reports none.
     """
+    sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
     try:
-        stream = _ProductStream(H, G, b)
+        basis_hg, basis_gh = sp_hg.basis(b), sp_gh.basis(b)
+        dim = len(sp_hh.basis(b))
     except BudgetExceeded:
         return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                "budget during basis enumeration", None, 0, 0)
-    span = IncrementalSpan(stream.dim, fieldspec)
-    inserted: List[Tuple[int, int]] = []
+    id_items = [(sp_hh.basis_index()[identity_label(H).elements], 1)]
+    # pair (iu, iw) is x = iu * n + iw, sorted by a cheap proxy for the
+    # support size of its product, the coset count; ties keep (iu, iw) order
+    n = len(basis_gh)
+    cosets_hg = [sp_hg.product.order // len(u) for u in basis_hg]
+    cosets_gh = [sp_gh.product.order // len(w) for w in basis_gh]
+    order = sorted(range(len(basis_hg) * n),
+                   key=lambda x: cosets_hg[x // n] * cosets_gh[x % n])
+    products = _pair_products(sp_hg, sp_gh, sp_hh,
+                              (divmod(x, n) for x in order))
+    span = IncrementalSpan(dim, fieldspec)
+    inserted: List[int] = []
+    seen = set()
     tried = 0
-    for _, iu, iw in stream.pairs:
+    for x in order:
         if tried % 64 == 0:
             try:
                 b.check("product span", tried)
@@ -233,14 +215,16 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
                 return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                        "budget during product span", None,
                                        tried, span.rank)
-        items = stream.new_items(iu, iw)
+        items = next(products)
         tried += 1
-        if items is None:
+        if items in seen:
             continue
-        inserted.append((iu, iw))
-        if span.add(items) and span.contains(stream.id_items):
-            terms = [stream.term(*inserted[seq], c)
-                     for seq, c in span.certificate(stream.id_items)]
+        seen.add(items)
+        inserted.append(x)
+        if span.add(items) and span.contains(id_items):
+            terms = [CertificateTerm(basis_hg[inserted[seq] // n],
+                                     basis_gh[inserted[seq] % n], c)
+                     for seq, c in span.certificate(id_items)]
             if not verify_certificate(H, G, fieldspec, terms):
                 raise AssertionError("span certificate failed to recompose")
             return GeneratesReport(H, G, fieldspec, True, "generated", "span",
@@ -459,43 +443,30 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 # Trace forms and the regular radical
 # ---------------------------------------------------------------------------
 
-def _form_rows(G: FiniteGroup,
-               entry: Callable[[Dict[LabelTuple, int], LabelTuple], int],
-               budget: Optional[Budget] = None) -> Iterator[List[int]]:
-    """Rows ``[entry(u∘w, w) for w in basis]`` for each basis label u of (G, G).
+def _gram(G: FiniteGroup, entry: Callable[[Items, int], int],
+          budget: Optional[Budget] = None) -> List[List[int]]:
+    """The matrix ``[[entry(u_i∘u_j, j) for j] for i]`` over the basis u of
+    kB(G, G), with u_i∘u_j as its ``_pair_products`` items.
 
-    u∘w is the Mackey product as {label: multiplicity}; it is dropped as
-    soon as its entries are read, so no composition table is ever held.
-    Each product also fills the entry of its dual partner: (u∘w)^op =
-    w^op∘u^op, so entry (i, j) and entry (op j, op i) come from one product,
-    the latter as ``entry(op(u∘w), basis[op i])``.  Partner entries of later
-    rows wait in ``pending``; an earlier row's partner is always filled.
+    Each product is dropped as soon as its entry is read, so no composition
+    table is ever held; a product shared with a later row's dual pair waits
+    for that row.
     """
     b = budget or NO_BUDGET
     sp = space(G, G)
-    basis = sp.basis(b)
-    op = op_indices(sp, sp)
-    op_label = {t: basis[k] for t, k in zip(basis, op)}
-    n = len(basis)
-    pending: Dict[int, Dict[int, int]] = {}
-    for i, u in enumerate(basis):
+    n = len(sp.basis(b))
+    products = _pair_products(sp, sp, sp,
+                              ((i, j) for i in range(n) for j in range(n)))
+    gram = []
+    for i in range(n):
         b.check("trace form", i * n)
-        row = pending.pop(i, {})
-        for j, w in enumerate(basis):
-            if j in row:
-                continue
-            product = mackey_tuples(sp, sp, sp, u, w)
-            row[j] = entry(product, w)
-            if op[j] > i:
-                pending.setdefault(op[j], {})[op[i]] = entry(
-                    {op_label[t]: c for t, c in product.items()},
-                    basis[op[i]])
-        yield [row[j] for j in range(n)]
+        gram.append([entry(next(products), j) for j in range(n)])
+    return gram
 
 
-def _weighted(weight: Dict[LabelTuple, int]):
-    """The entry Σ_t [u∘w]_t · weight[t] of a trace form."""
-    return lambda product, _: sum(c * weight[t] for t, c in product.items())
+def _weighted(weight: Sequence[int]):
+    """The entry Σ_k [u∘w]_k · weight[k] of a trace form."""
+    return lambda items, _: sum(c * weight[k] for k, c in items)
 
 
 def radical_dim_char0(G: FiniteGroup, budget: Optional[Budget] = None) -> int:
@@ -505,20 +476,18 @@ def radical_dim_char0(G: FiniteGroup, budget: Optional[Budget] = None) -> int:
     Two passes over the products: the trace of left multiplication by each
     label (the diagonal of its row), then the gram rows weighted by them.
     """
-    basis = space(G, G).basis(budget)
-    diagonals = _form_rows(G, lambda product, w: product.get(w, 0), budget)
-    lt = {u: sum(row) for u, row in zip(basis, diagonals)}
-    gram = list(_form_rows(G, _weighted(lt), budget))
-    return len(basis) - matrix_rank(gram, FieldSpec(0))
+    diagonals = _gram(G, lambda items, j: sum(c for k, c in items if k == j),
+                      budget)
+    lt = [sum(row) for row in diagonals]
+    return len(lt) - matrix_rank(_gram(G, _weighted(lt), budget), FieldSpec(0))
 
 
 def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec,
                     budget: Optional[Budget] = None) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
     basis = space(G, G).basis(budget)
-    tr = {t: trace_of_label(BisetLabel(G, G, t)) for t in basis}
-    gram = list(_form_rows(G, _weighted(tr), budget))
-    return matrix_rank(gram, fieldspec), len(basis)
+    tr = [trace_of_label(BisetLabel(G, G, t)) for t in basis]
+    return matrix_rank(_gram(G, _weighted(tr), budget), fieldspec), len(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -259,13 +260,17 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, List[int]]
     return Q, proj
 
 
+def _capped(order: int, cap: int) -> int:
+    if order > cap:
+        raise PreconditionError(
+            f"group order {order} exceeds the configured cap {cap}")
+    return order
+
+
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
     """Direct product with (g, h) encoded as g*|H| + h."""
-    order = G.order * H.order
-    if order > cap:
-        raise PreconditionError(
-            f"product order {order} exceeds the configured cap {cap}")
+    order = _capped(G.order * H.order, cap)
     hn = H.order
     gmul, hmul = G.mul, H.mul
     table = []
@@ -425,12 +430,14 @@ def build_modular(p: int, n: int) -> FiniteGroup:
 
 
 def build_group(spec, *, cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
-    """Construct the group described by a GroupSpec value."""
+    """Construct the group described by a GroupSpec value.  An atom or a
+    product above ``cap`` elements is refused before its table is built."""
     if isinstance(spec, Cyclic):
-        return build_cyclic(spec.n)
+        return build_cyclic(_capped(spec.n, cap))
     if isinstance(spec, AbelianProduct):
         if not spec.factors:
             raise GroupSpecError("empty abelian product")
+        _capped(math.prod(spec.factors), cap)
         g = build_cyclic(spec.factors[0])
         for n in spec.factors[1:]:
             g = direct_product(g, build_cyclic(n), cap=cap)
@@ -439,15 +446,21 @@ def build_group(spec, *, cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
             g.name = f"C{base}^{len(spec.factors)}"
         return g
     if isinstance(spec, Dihedral):
-        return build_dihedral(spec.order)
+        return build_dihedral(_capped(spec.order, cap))
     if isinstance(spec, Symmetric):
         return build_symmetric(spec.n)
     if isinstance(spec, Alternating):
         return build_alternating(spec.n)
     if isinstance(spec, Extraspecial):
+        _capped(spec.p ** 3, cap)
         return build_extraspecial(spec.p)
     if isinstance(spec, Modular):
-        return build_modular(spec.p, spec.n)
+        # p^e > cap once e exceeds the bits of cap (p >= 2): no huge power
+        p, e = spec.p, 2 * spec.n
+        if p > 1 and (e > cap.bit_length() or p ** e > cap):
+            raise PreconditionError(
+                f"group order {p}^{e} exceeds the configured cap {cap}")
+        return build_modular(p, spec.n)
     if isinstance(spec, Product):
         g = build_group(spec.left, cap=cap)
         h = build_group(spec.right, cap=cap)

@@ -25,14 +25,14 @@ from .numtheory import is_prime
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Characteristic 0 (exact rationals) or a prime field F_p."""
+    """Characteristic 0 (exact rationals) or a prime field F_p, p < 2^64."""
 
     characteristic: int = 0
 
     def __post_init__(self):
         c = self.characteristic
-        if c != 0 and not is_prime(c):
-            raise PreconditionError(f"field characteristic must be 0 or prime, got {c}")
+        if c != 0 and not (c < 2 ** 64 and is_prime(c)):
+            raise PreconditionError(f"characteristic must be 0 or a prime < 2^64, got {c}")
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"

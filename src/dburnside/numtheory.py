@@ -1,4 +1,5 @@
-"""Integer factorization by trial division; group orders here are small."""
+"""Trial-division factorization of group orders, which are small, and a
+Miller–Rabin primality test."""
 
 from __future__ import annotations
 
@@ -26,4 +27,20 @@ def factorize(n: int) -> List[Tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
-    return factorize(n) == [(n, 1)]
+    """Miller–Rabin to the prime bases 2..37: exact for n < 3.18·10^23
+    (Sorenson and Webster, Math. Comp. 2017), above that not always."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -77,6 +77,12 @@ def test_usage_errors(capsys):
     assert main(["basis", "C2", "C2", "--char", "4"]) == 3
     assert main([]) == 3
     assert main(["nv", "C2", "--threads", "0"]) == 3
+    # malformed label arguments
+    assert main(["compose", "S3", "C2", "S3", "--left", "1,a",
+                 "--right", "1"]) == 3
+    assert main(["compose", "S3", "C2", "S3", "--left", "",
+                 "--right", "1"]) == 3
+    assert main(["butterfly", "S3", "C2", "--label", "x"]) == 3
 
 
 def test_precondition_exit_code(capsys):

@@ -8,8 +8,8 @@ import pytest
 from dburnside.bisets import (compose, element_from_label, BisetLabel,
                               identity_element, mackey_compose, mackey_tuples,
                               space)
-from dburnside.errors import NO_BUDGET, PreconditionError
-from dburnside.functors import (CertificateTerm, _form_rows, _ProductStream,
+from dburnside.errors import PreconditionError
+from dburnside.functors import (CertificateTerm, _gram, _pair_products,
                                 burnside_module_matrices,
                                 burnside_module_matrices_abelian,
                                 check_submodules, essential_quotient_dim,
@@ -454,27 +454,44 @@ def test_trace_gram_modular_field():
 @pytest.mark.parametrize("name", ["S3", "D8", "C2xC4"])
 def test_form_rows_match_one_product_per_entry(name):
     # the entry reads its second argument, so a partner entry read at the
-    # wrong label or from an unrelabelled product shows up
+    # wrong position or from an unrelabelled product shows up
     G = g(name)
     sp = space(G, G)
     basis = sp.basis()
-    pos = {t: i for i, t in enumerate(basis)}
+    pos = sp.basis_index()
 
-    def entry(product, w):
-        return sum(c * (pos[t] + 1) for t, c in product.items()) * (pos[w] + 7)
+    def entry(items, j):
+        return sum(c * (k + 1) for k, c in items) * (j + 7)
 
-    expected = [[entry(mackey_tuples(sp, sp, sp, u, w), w) for w in basis]
-                for u in basis]
-    assert list(_form_rows(G, entry)) == expected
+    expected = [[entry([(pos[t], c) for t, c in
+                        mackey_tuples(sp, sp, sp, u, w).items()], j)
+                 for j, w in enumerate(basis)] for u in basis]
+    assert _gram(G, entry) == expected
+
+
+def _assert_pair_products(H, G, pairs):
+    sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
+    index = sp_hh.basis_index()
+    got = list(_pair_products(sp_hg, sp_gh, sp_hh, pairs))
+    assert len(got) == len(pairs)
+    for (iu, iw), items in zip(pairs, got):
+        raw = mackey_tuples(sp_hg, sp_gh, sp_hh,
+                            sp_hg.basis()[iu], sp_gh.basis()[iw])
+        assert items == tuple(sorted((index[t], c) for t, c in raw.items()))
+
+
+def _all_pairs(H, G):
+    return [(iu, iw) for iu in range(len(space(H, G).basis()))
+            for iw in range(len(space(G, H).basis()))]
 
 
 @pytest.mark.parametrize("h,gg", [("C2", "S3"), ("C2^2", "A4"), ("C4", "D8")])
-def test_product_stream_returns_each_distinct_product_once(h, gg):
-    stream = _ProductStream(g(h), g(gg), NO_BUDGET)
-    seen = set()
-    for _, iu, iw in stream.pairs:
-        raw = mackey_tuples(stream.sp_hg, stream.sp_gh, stream.sp_hh,
-                            stream.basis_hg[iu], stream.basis_gh[iw])
-        items = tuple(sorted((stream.index_hh[t], c) for t, c in raw.items()))
-        assert stream.new_items(iu, iw) == (None if items in seen else items)
-        seen.add(items)
+def test_pair_products_match_their_own_mackey_product(h, gg):
+    _assert_pair_products(g(h), g(gg), _all_pairs(g(h), g(gg)))
+
+
+def test_pair_products_in_shuffled_order():
+    # a partner may come before or after its pair, at any distance
+    pairs = _all_pairs(g("C2^2"), g("A4"))
+    random.Random(11).shuffle(pairs)
+    _assert_pair_products(g("C2^2"), g("A4"), pairs)

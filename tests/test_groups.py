@@ -114,6 +114,11 @@ def test_product_encoding_round_trip():
 def test_product_cap_enforced():
     with pytest.raises(PreconditionError):
         direct_product(g("C16"), g("C16"), cap=100)
+    # atoms are refused before their table is built
+    for text in ("C5000", "D8194", "M(11,2)", "X(24389)", "C2^13",
+                 "M(3,1000000)"):
+        with pytest.raises(PreconditionError, match="exceeds the configured cap"):
+            group_from_text(text)
 
 
 # -- subgroup enumeration ---------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from dburnside.errors import PreconditionError
 from dburnside.linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
+from dburnside.numtheory import factorize, is_prime
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -20,6 +21,19 @@ def test_fieldspec_validation():
         FieldSpec(6)
     with pytest.raises(PreconditionError):
         FieldSpec(-3)
+    FieldSpec(2 ** 64 - 59)  # the largest prime below 2^64
+    with pytest.raises(PreconditionError):
+        FieldSpec(2 ** 64 + 13)  # prime, but above the bound
+
+
+def test_is_prime_against_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if factorize(n) == [(n, 1)]]
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7,
+    # and one to every prime base up to 31
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+        assert factorize(n)[0][0] < n
 
 
 def test_exact_rational_arithmetic():
