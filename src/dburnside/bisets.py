@@ -16,7 +16,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import memo_table
 from .errors import Budget, NO_BUDGET, PreconditionError
-from .groups import (FiniteGroup, Subgroup, direct_product, quotient_group)
+from .groups import (FiniteGroup, Subgroup, direct_product, quotient_group,
+                     section_quotient)
 from .lattice import double_coset_reps, get_lattice, memoized_lattice
 from .linalg import Field, FieldSpec
 
@@ -176,23 +177,28 @@ def identity_label(G: FiniteGroup) -> BisetLabel:
     return BisetLabel(G, G, sp.canonical(diag))
 
 
-def product_invariants(label: BisetLabel) -> ProductInvariants:
-    G, H = label.left, label.right
-    hn = H.order
-    p1 = sorted({x // hn for x in label.elements})
-    p2 = sorted({x % hn for x in label.elements})
-    k1 = sorted(x // hn for x in label.elements if x % hn == 0)
-    k2 = sorted(x % hn for x in label.elements if x // hn == 0)
-    p1_sub = Subgroup(G, p1, validate=False)
-    p2_sub = Subgroup(H, p2, validate=False)
-    k1_sub = Subgroup(G, k1, validate=False)
-    k2_sub = Subgroup(H, k2, validate=False)
-    P1, emb1 = p1_sub.as_group()
-    pos1 = {x: i for i, x in enumerate(emb1)}
-    q, _ = quotient_group(P1, Subgroup(P1, [pos1[x] for x in k1], validate=False))
+def _goursat(label: BisetLabel) -> Tuple[LabelTuple, LabelTuple,
+                                          LabelTuple, LabelTuple]:
+    """(p1, k1, p2, k2): the two projections of the label and the two
+    kernels, with p1/k1 isomorphic to p2/k2 (Goursat's lemma)."""
+    hn = label.right.order
+    p1 = tuple(sorted({x // hn for x in label.elements}))
+    p2 = tuple(sorted({x % hn for x in label.elements}))
+    k1 = tuple(sorted(x // hn for x in label.elements if x % hn == 0))
+    k2 = tuple(sorted(x % hn for x in label.elements if x < hn))
     if len(p1) * len(k2) != len(p2) * len(k1):
         raise AssertionError("projection/kernel index mismatch")
-    return ProductInvariants(p1_sub, p2_sub, k1_sub, k2_sub, q)
+    return p1, k1, p2, k2
+
+
+def product_invariants(label: BisetLabel) -> ProductInvariants:
+    G, H = label.left, label.right
+    p1, k1, p2, k2 = _goursat(label)
+    q, _ = section_quotient(G, p1, k1)
+    return ProductInvariants(Subgroup(G, p1, validate=False),
+                             Subgroup(H, p2, validate=False),
+                             Subgroup(G, k1, validate=False),
+                             Subgroup(H, k2, validate=False), q)
 
 
 def is_left_free(label: BisetLabel) -> bool:
@@ -383,33 +389,33 @@ class ElementaryBiset:
     label: BisetLabel
 
 
+def _elementary(kind: str, left: FiniteGroup, right: FiniteGroup,
+                pairs: Iterable[Tuple[int, int]]) -> ElementaryBiset:
+    """The biset of ``kind`` labelled by the subgroup {(a, b)} of left x right."""
+    sp = space(left, right)
+    elems = [sp.encode(a, b) for a, b in pairs]
+    return ElementaryBiset(kind, BisetLabel(left, right, sp.canonical(elems)))
+
+
 def elementary_ind(G: FiniteGroup, sub: Subgroup) -> ElementaryBiset:
     """Ind from a subgroup: the (G, sub)-biset G with both actions by product."""
-    P, emb = sub.as_group()
-    sp = space(G, P)
-    elems = [sp.encode(emb[x], x) for x in range(P.order)]
-    return ElementaryBiset("Ind", BisetLabel(G, P, sp.canonical(elems)))
+    P, pos = section_quotient(G, sub.elements, (0,))
+    return _elementary("Ind", G, P, ((g, pos[g]) for g in sub.elements))
 
 
 def elementary_res(G: FiniteGroup, sub: Subgroup) -> ElementaryBiset:
-    P, emb = sub.as_group()
-    sp = space(P, G)
-    elems = [sp.encode(x, emb[x]) for x in range(P.order)]
-    return ElementaryBiset("Res", BisetLabel(P, G, sp.canonical(elems)))
+    P, pos = section_quotient(G, sub.elements, (0,))
+    return _elementary("Res", P, G, ((pos[g], g) for g in sub.elements))
 
 
 def elementary_inf(G: FiniteGroup, normal: Subgroup) -> ElementaryBiset:
     Q, proj = quotient_group(G, normal)
-    sp = space(G, Q)
-    elems = [sp.encode(g, proj[g]) for g in range(G.order)]
-    return ElementaryBiset("Inf", BisetLabel(G, Q, sp.canonical(elems)))
+    return _elementary("Inf", G, Q, ((g, proj[g]) for g in range(G.order)))
 
 
 def elementary_def(G: FiniteGroup, normal: Subgroup) -> ElementaryBiset:
     Q, proj = quotient_group(G, normal)
-    sp = space(Q, G)
-    elems = [sp.encode(proj[g], g) for g in range(G.order)]
-    return ElementaryBiset("Def", BisetLabel(Q, G, sp.canonical(elems)))
+    return _elementary("Def", Q, G, ((proj[g], g) for g in range(G.order)))
 
 
 def elementary_iso(alpha: Sequence[int], source: FiniteGroup,
@@ -421,39 +427,33 @@ def elementary_iso(alpha: Sequence[int], source: FiniteGroup,
         for b in range(source.order):
             if alpha[source.mul[a][b]] != target.mul[alpha[a]][alpha[b]]:
                 raise PreconditionError("iso data is not a homomorphism")
-    sp = space(target, source)
-    elems = [sp.encode(alpha[h], h) for h in range(source.order)]
-    return ElementaryBiset("Iso", BisetLabel(target, source, sp.canonical(elems)))
+    return _elementary("Iso", target, source,
+                       ((alpha[h], h) for h in range(source.order)))
 
 
 def butterfly_factorize(label: BisetLabel) -> List[ElementaryBiset]:
     """Ind o Inf o Iso o Def o Res factorization of a transitive label.
 
+    The label is the subgroup of G x H over the isomorphism P2/K2 -> P1/K1
+    of its Goursat data; each of P1, P2, P1/K1 and P2/K2 is built once.
     Composing the five factors reproduces exactly 1 * label.
     """
     G, H = label.left, label.right
-    inv = product_invariants(label)
-    P1, emb1 = inv.p1.as_group()
-    pos1 = {x: i for i, x in enumerate(emb1)}
-    K1 = Subgroup(P1, [pos1[x] for x in inv.k1.elements], validate=False)
-    Q1, proj1 = quotient_group(P1, K1)
-    P2, emb2 = inv.p2.as_group()
-    pos2 = {x: i for i, x in enumerate(emb2)}
-    K2 = Subgroup(P2, [pos2[x] for x in inv.k2.elements], validate=False)
-    Q2, proj2 = quotient_group(P2, K2)
-
+    p1, k1, p2, k2 = _goursat(label)
+    P1, pos1 = section_quotient(G, p1, (0,))
+    Q1, proj1 = section_quotient(G, p1, k1)
+    P2, pos2 = section_quotient(H, p2, (0,))
+    Q2, proj2 = section_quotient(H, p2, k2)
     fib, _ = space(G, H).fibers_second(label.elements)
     alpha = [0] * Q2.order
-    for y in range(P2.order):
-        g = fib[emb2[y]][0]
-        alpha[proj2[y]] = proj1[pos1[g]]
-
+    for h in p2:
+        alpha[proj2[h]] = proj1[fib[h][0]]
     return [
-        elementary_ind(G, inv.p1),
-        elementary_inf(P1, K1),
+        _elementary("Ind", G, P1, ((g, pos1[g]) for g in p1)),
+        _elementary("Inf", P1, Q1, ((pos1[g], proj1[g]) for g in p1)),
         elementary_iso(alpha, Q2, Q1),
-        elementary_def(P2, K2),
-        elementary_res(H, inv.p2),
+        _elementary("Def", Q2, P2, ((proj2[h], pos2[h]) for h in p2)),
+        _elementary("Res", P2, H, ((pos2[h], h) for h in p2)),
     ]
 
 

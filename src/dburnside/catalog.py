@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 from .cache import memo_table
 from .groups import FiniteGroup, group_from_text
 from .lattice import is_isomorphic
-from .numtheory import factorize
+from .numtheory import factorize, partitions
 
 # The stock of named groups the project computes with.  Orders up to 16
 # cover every abelian type; the non-abelian entries are the ones the
@@ -38,20 +38,11 @@ def catalog_group(spec: str) -> FiniteGroup:
 
 def _abelian_specs_of_order(n: int) -> List[str]:
     """Grammar texts of every abelian type of order n (by prime partitions)."""
-    def partitions(k: int):
-        if k == 0:
-            yield []
-            return
-        for first in range(k, 0, -1):
-            for rest in partitions(k - first):
-                if not rest or first >= rest[0]:
-                    yield [first] + rest
-
     if n == 1:
         return ["C1"]
     per_prime = []
     for p, k in factorize(n):
-        per_prime.append([[p ** a for a in part] for part in partitions(k)])
+        per_prime.append([[p ** a for a in part] for part in partitions(k, k)])
     combos = [[]]
     for options in per_prime:
         combos = [c + opt for c in combos for opt in options]

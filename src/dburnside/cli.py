@@ -29,7 +29,8 @@ from .functors import (CertificateTerm, GeneratesReport,
                        is_s_self_dual, is_semisimple, simple_dim_with_raw,
                        trace_gram_rank, verify_certificate)
 from .groups import group_from_text
-from .lattice import automorphisms, section_classes, make_section, is_isomorphic
+from .lattice import (automorphisms, section_classes,
+                      section_classes_with_quotient)
 from .linalg import Field, FieldSpec
 
 SCHEMA = "dburnside.report/1"
@@ -271,21 +272,13 @@ def cmd_simple_dim(args, budget):
 
 def cmd_sections(args, budget):
     G = group_from_text(args.G)
-    classes = section_classes(G, budget)
-    quotient_filter = None
     if args.quotient:
-        quotient_filter = group_from_text(args.quotient)
-    entries = []
-    for cls in classes:
-        t, s = cls[0]
-        if quotient_filter is not None:
-            if len(t) != quotient_filter.order * len(s):
-                continue
-            q = make_section(G, t, s).quotient()
-            if is_isomorphic(q, quotient_filter) is None:
-                continue
-        entries.append({"T": _label_json(t), "S": _label_json(s),
-                        "class_size": len(cls)})
+        classes = section_classes_with_quotient(
+            G, group_from_text(args.quotient), budget)
+    else:
+        classes = section_classes(G, budget)
+    entries = [{"T": _label_json(cls[0][0]), "S": _label_json(cls[0][1]),
+                "class_size": len(cls)} for cls in classes]
     inputs = {"G": args.G, "quotient": args.quotient}
     result = {"count": len(entries), "classes": entries}
     what = f" with quotient {args.quotient}" if args.quotient else ""
@@ -331,7 +324,7 @@ def cmd_burnside_module(args, budget):
 def cmd_essential_out(args, budget):
     H = group_from_text(args.H)
     dim = essential_quotient_dim(H, budget)
-    _, inner, out_order = automorphisms(H)
+    _, inner, out_order = automorphisms(H, budget=budget)
     inputs = {"H": args.H}
     result = {"essential_dim": dim, "out_order": out_order,
               "inner_order": inner, "agree": dim == out_order}

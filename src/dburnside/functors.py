@@ -19,13 +19,14 @@ from .bisets import (BisetElement, BisetLabel, BisetSpace, compose,
                      mackey_tuples, op_indices, space, trace_of_label)
 from .cache import memo_table
 from .errors import Budget, BudgetExceeded, NO_BUDGET, PreconditionError
-from .groups import FiniteGroup, Subgroup, build_cyclic, direct_product
+from .groups import (FiniteGroup, build_cyclic, build_extraspecial,
+                     build_modular, direct_product, section_quotient)
 from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
                       get_lattice, is_isomorphic, is_nilpotent_section,
-                      is_p_group_times_cyclic, section_classes,
-                      subquotients_up_to_iso)
+                      is_p_group_times_cyclic, section_classes_with_quotient,
+                      subquotients_up_to_iso, sylow_subgroup)
 from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
-from .numtheory import factorize
+from .numtheory import factorize, partitions
 
 LabelTuple = Tuple[int, ...]
 Items = Tuple[Tuple[int, int], ...]  # sorted (basis index, multiplicity)
@@ -85,8 +86,7 @@ def _quotient_certificate(H: FiniteGroup, G: FiniteGroup,
     if hit is None:
         return None
     n_elems, phi = hit
-    from .groups import quotient_group
-    _, proj = quotient_group(G, Subgroup(G, n_elems, validate=False))
+    _, proj = section_quotient(G, range(G.order), n_elems)
     sp_hg = space(H, G)
     sp_gh = space(G, H)
     u = sp_hg.canonical([sp_hg.encode(phi[proj[g]], g) for g in range(G.order)])
@@ -338,20 +338,9 @@ def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup,
         raise PreconditionError(
             "the rank-two elementary abelian case is excluded by the "
             "dimension theorem hypothesis")
-    raw = 0
-    dim = 0
-    for cls in section_classes(G, budget):
-        t, s = cls[0]
-        if len(t) != P.order * len(s):
-            continue
-        from .lattice import make_section
-        Q = make_section(G, t, s).quotient()
-        if is_isomorphic(Q, P) is None:
-            continue
-        raw += 1
-        if is_p_group_times_cyclic(G, t, p):
-            dim += 1
-    return dim, raw
+    classes = section_classes_with_quotient(G, P, budget)
+    dim = sum(1 for cls in classes if is_p_group_times_cyclic(G, cls[0][0], p))
+    return dim, len(classes)
 
 
 @dataclass
@@ -376,7 +365,7 @@ def is_s_self_dual(G: FiniteGroup) -> SsdReport:
     failing: Optional[LabelTuple] = None
     for cls in lat.classes:
         rep = lat.subgroups[cls[0]]
-        sub_g, _ = Subgroup(G, rep, validate=False).as_group()
+        sub_g, _ = section_quotient(G, rep, (0,))
         if find_quotient_isomorphic_to(G, sub_g) is None:
             result = False
             failing = rep
@@ -388,24 +377,11 @@ def is_s_self_dual(G: FiniteGroup) -> SsdReport:
                      classification == result)
 
 
-def _abelian_partitions(total: int, max_part: int) -> List[List[int]]:
-    """Partitions of ``total`` with parts at most ``max_part``."""
-    if total == 0:
-        return [[]]
-    out = []
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _abelian_partitions(total - first, first):
-            out.append([first] + rest)
-    return out
-
-
 def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
-    from .groups import build_extraspecial, build_modular
-    from .lattice import sylow_subgroup
     full = tuple(range(G.order))
     for p, m in factorize(G.order):
         syl = sylow_subgroup(G, full, p)
-        P, _ = Subgroup(G, syl, validate=False).as_group()
+        P, _ = section_quotient(G, syl, (0,))
         if P.is_abelian():
             continue
         ok = False
@@ -417,7 +393,7 @@ def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
         if not ok:
             for nn in range(2, m // 2 + 1):
                 rest = m - 2 * nn
-                for parts in _abelian_partitions(rest, nn - 1):
+                for parts in partitions(rest, nn - 1):
                     cand = build_modular(p, nn)
                     for a in parts:
                         cand = direct_product(cand, build_cyclic(p ** a))

@@ -4,6 +4,12 @@ Every group lives on the element set {0..n-1} with 0 as the identity;
 multiplication is a table lookup.  All target orders are small enough
 (products capped at 4096 by default) that this beats any structured
 representation.
+
+Subgroups are sorted element tuples of their parent.  Every subquotient
+T/S, and with S trivial every subgroup T as a group of its own, comes from
+one routine, :func:`section_quotient`, which numbers the cosets of S in T
+by their least element.  ``Subgroup``, ``Section`` and ``quotient_group``
+validate what a caller hands in and then build through it.
 """
 
 from __future__ import annotations
@@ -13,12 +19,12 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import GroupSpecError, PreconditionError
-from .numtheory import is_prime
+from .numtheory import integer_cube_root, is_prime
 
 DEFAULT_PRODUCT_CAP = 4096
 
@@ -194,19 +200,6 @@ class Subgroup:
         return all(G.conj(g, x) in self.eset
                    for g in range(G.order) for x in self.elements)
 
-    def as_group(self) -> Tuple[FiniteGroup, List[int]]:
-        """Standalone copy of this subgroup with its embedding into the parent.
-
-        Element i of the returned group is ``embedding[i]`` in the parent;
-        index 0 stays the identity because element lists are sorted.
-        """
-        emb = list(self.elements)
-        pos = {x: i for i, x in enumerate(emb)}
-        pmul = self.parent.mul
-        table = [[pos[pmul[a][b]] for b in emb] for a in emb]
-        name = f"{self.parent.name}.sub{len(emb)}"
-        return FiniteGroup(name, table, check_associativity=False), emb
-
 
 @dataclass(frozen=True)
 class Section:
@@ -227,11 +220,32 @@ class Section:
                     raise PreconditionError("S must be normal in T")
 
     def quotient(self) -> FiniteGroup:
-        Tg, emb = self.T.as_group()
-        pos = {x: i for i, x in enumerate(emb)}
-        Ssub = Subgroup(Tg, [pos[s] for s in self.S.elements], validate=False)
-        Q, _ = quotient_group(Tg, Ssub)
-        return Q
+        return section_quotient(self.T.parent, self.T.elements,
+                                self.S.elements)[0]
+
+
+def section_quotient(G: FiniteGroup, T: Sequence[int], S: Sequence[int]
+                     ) -> Tuple[FiniteGroup, Dict[int, int]]:
+    """The subquotient T/S with the projection of T onto it.
+
+    T and S are sorted element lists of G with S normal in T; this is not
+    checked.  The cosets xS are numbered in order of their least element,
+    so the identity coset is 0, and ``proj[x]`` is the coset of x in T.
+    With S trivial this is T itself as a group, ``proj`` its numbering.
+    """
+    mul = G.mul
+    proj: Dict[int, int] = {}
+    reps: List[int] = []
+    for x in T:
+        if x in proj:
+            continue
+        row = mul[x]
+        for s in S:
+            proj[row[s]] = len(reps)
+        reps.append(x)
+    table = [[proj[mul[a][b]] for b in reps] for a in reps]
+    name = f"{G.name}.sub{len(T)}/N{len(S)}"
+    return FiniteGroup(name, table, check_associativity=False), proj
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, List[int]]:
@@ -244,20 +258,8 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, List[int]]
         raise PreconditionError("subgroup belongs to a different group")
     if not N.is_normal():
         raise PreconditionError("quotient requires a normal subgroup")
-    mul = G.mul
-    rep_of = [-1] * G.order
-    reps: List[int] = []
-    for g in range(G.order):
-        if rep_of[g] >= 0:
-            continue
-        reps.append(g)
-        for n in N.elements:
-            rep_of[mul[g][n]] = g
-    index = {r: i for i, r in enumerate(reps)}
-    proj = [index[rep_of[g]] for g in range(G.order)]
-    table = [[proj[mul[a][b]] for b in reps] for a in reps]
-    Q = FiniteGroup(f"{G.name}/N{len(N)}", table, check_associativity=False)
-    return Q, proj
+    Q, proj = section_quotient(G, range(G.order), N.elements)
+    return Q, [proj[g] for g in range(G.order)]
 
 
 def _capped(order: int, cap: int) -> int:
@@ -506,30 +508,32 @@ def _parse_atom(tok: str):
         raise GroupSpecError(f"cannot parse group atom {tok!r}")
     if tok == "1":
         return Cyclic(1)
-    if m.group("cn"):
-        n = int(m.group("cn"))
+    try:
+        num = {k: int(v) for k, v in m.groupdict().items() if v is not None}
+    except ValueError:  # more digits than int() converts
+        raise GroupSpecError(f"number too long in {tok!r}") from None
+    if "cn" in num:
+        n = num["cn"]
         if n < 1:
             raise GroupSpecError(f"bad cyclic order in {tok!r}")
-        if m.group("ck"):
-            k = int(m.group("ck"))
-            if k < 1:
-                raise GroupSpecError(f"bad power in {tok!r}")
+        if "ck" in num:
+            k = num["ck"]
+            if not 1 <= k <= 64:  # refused before a k-tuple is built
+                raise GroupSpecError(f"power in {tok!r} must be in 1..64")
             return AbelianProduct((n,) * k)
         return Cyclic(n)
-    if m.group("dn"):
-        return Dihedral(int(m.group("dn")))
-    if m.group("sn"):
-        return Symmetric(int(m.group("sn")))
-    if m.group("an"):
-        return Alternating(int(m.group("an")))
-    if m.group("xp"):
-        n = int(m.group("xp"))
-        p = round(n ** (1.0 / 3.0))
-        for cand in (p - 1, p, p + 1):
-            if cand > 1 and cand ** 3 == n:
-                return Extraspecial(cand)
-        raise GroupSpecError(f"{tok!r}: argument must be a prime cubed")
-    return Modular(int(m.group("mp")), int(m.group("mn")))
+    if "dn" in num:
+        return Dihedral(num["dn"])
+    if "sn" in num:
+        return Symmetric(num["sn"])
+    if "an" in num:
+        return Alternating(num["an"])
+    if "xp" in num:
+        p = integer_cube_root(num["xp"])
+        if p < 2 or p ** 3 != num["xp"]:
+            raise GroupSpecError(f"{tok!r}: argument must be a prime cubed")
+        return Extraspecial(p)
+    return Modular(num["mp"], num["mn"])
 
 
 def parse_group_spec(text: str):

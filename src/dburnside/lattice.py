@@ -11,6 +11,10 @@ and of sections) are orbits under a generating set of the group; in an
 abelian group every class is a singleton.  Results are deterministic:
 subgroups are sorted by (order, element list) and conjugacy classes are
 represented by their lexicographically least member.
+
+Subgroups and sections stay sorted element tuples of the group; each
+subquotient T/S is built from them by ``groups.section_quotient``, and the
+``Subgroup`` and ``Section`` wrappers are made only for public results.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache
 from .errors import Budget, NO_BUDGET, PreconditionError
-from .groups import FiniteGroup, Section, Subgroup, quotient_group
+from .groups import FiniteGroup, Section, Subgroup, section_quotient
 from .numtheory import factorize
 
 ElementTuple = Tuple[int, ...]
@@ -289,8 +293,13 @@ def section_classes(G: FiniteGroup, budget: Optional[Budget] = None
     return classes
 
 
-def make_section(G: FiniteGroup, t: ElementTuple, s: ElementTuple) -> Section:
-    return Section(Subgroup(G, t, validate=False), Subgroup(G, s, validate=False))
+def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup,
+                                  budget: Optional[Budget] = None
+                                  ) -> List[List[Tuple[ElementTuple, ElementTuple]]]:
+    """The section classes of G whose subquotient T/S is isomorphic to P."""
+    return [cls for cls in section_classes(G, budget)
+            if len(cls[0][0]) == P.order * len(cls[0][1])
+            and is_isomorphic(section_quotient(G, *cls[0])[0], P) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +359,8 @@ def _close_with_images(G: FiniteGroup, H: FiniteGroup,
     return phi
 
 
-def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool
-                ) -> List[List[int]]:
+def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool,
+                budget: Budget = NO_BUDGET) -> List[List[int]]:
     gens = generating_sequence(G)
     inv_g = _element_invariants(G)
     inv_h = _element_invariants(H)
@@ -365,6 +374,7 @@ def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool
     def extend(i: int, phi: Dict[int, int]) -> bool:
         # phi is an injective homomorphism on <gens[:i]>; the gens generate
         # G and |G| = |H|, so at full depth it is an isomorphism
+        budget.check("isomorphism search", len(results))
         if i == len(gens):
             results.append([phi[x] for x in range(G.order)])
             return not find_all
@@ -402,13 +412,14 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[List[int]]:
     return result
 
 
-def automorphisms(G: FiniteGroup, *, order_cap: int = 64
+def automorphisms(G: FiniteGroup, *, order_cap: int = 64,
+                  budget: Optional[Budget] = None
                   ) -> Tuple[List[List[int]], int, int]:
     """All automorphisms, |Inn|, and |Out| = |Aut| / |Inn|."""
     if G.order > order_cap:
         raise PreconditionError(
             f"automorphism search capped at order {order_cap}, group has {G.order}")
-    auts = _iso_search(G, G, find_all=True)
+    auts = _iso_search(G, G, find_all=True, budget=budget or NO_BUDGET)
     inner = G.order // len(G.center())
     out_order = len(auts) // inner
     return auts, inner, out_order
@@ -431,10 +442,10 @@ def subquotients_up_to_iso(G: FiniteGroup, budget: Optional[Budget] = None
     out: List[Tuple[FiniteGroup, Section]] = []
     for cls in section_classes(G, b):
         t, s = cls[0]
-        sec = make_section(G, t, s)
-        q = sec.quotient()
+        q, _ = section_quotient(G, t, s)
         if not any(is_isomorphic(q, known) is not None for known, _ in out):
-            out.append((q, sec))
+            out.append((q, Section(Subgroup(G, t, validate=False),
+                                   Subgroup(G, s, validate=False))))
     out.sort(key=lambda pair: (pair[0].order, pair[0].order_histogram()))
     _SUBQ_MEMO[G.key] = out
     return out
@@ -450,8 +461,8 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
                                 ) -> Optional[Tuple[ElementTuple, List[int]]]:
     """Search a normal N with G/N isomorphic to H; returns (N, iso) or None.
 
-    The iso maps the quotient group (coset numbering of quotient_group)
-    onto H.
+    The iso maps the quotient group (the coset numbering of
+    ``section_quotient``) onto H.
     """
     target = G.order // H.order if H.order and G.order % H.order == 0 else None
     if target is None:
@@ -459,7 +470,7 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
     for n in normal_subgroup_reps(G):
         if len(n) != target:
             continue
-        Q, _ = quotient_group(G, Subgroup(G, n, validate=False))
+        Q, _ = section_quotient(G, range(G.order), n)
         phi = is_isomorphic(Q, H)
         if phi is not None:
             return n, phi

@@ -1,9 +1,9 @@
-"""Trial-division factorization of group orders, which are small, and a
-Miller–Rabin primality test."""
+"""Trial-division factorization of group orders, which are small, a
+Miller–Rabin primality test, integer cube roots and integer partitions."""
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
@@ -44,3 +44,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def integer_cube_root(n: int) -> int:
+    """The largest r with r^3 <= n, for n >= 0: Newton's method from
+    2^ceil(bits/3), above the root, falls strictly until it reaches it."""
+    r = 1 << -(-n.bit_length() // 3)
+    while r ** 3 > n:
+        r = (2 * r + n // (r * r)) // 3
+    return r
+
+
+def partitions(total: int, max_part: int) -> Iterator[List[int]]:
+    """Partitions of ``total`` into parts at most ``max_part``, each part
+    list non-increasing, in reverse lexicographic order."""
+    if total == 0:
+        yield []
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in partitions(total - first, first):
+            yield [first] + rest

@@ -8,7 +8,8 @@ import pytest
 
 from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
                               canonical_basis, compose, compose_factors,
-                              element_from_label, elementary_inf,
+                              element_from_label, elementary_def,
+                              elementary_ind, elementary_inf, elementary_res,
                               identity_element, identity_label, is_left_free,
                               mackey_compose, mackey_tuples, make_label,
                               op_indices, product_invariants,
@@ -245,6 +246,22 @@ def test_butterfly_sweep_order_eight():
             lab = BisetLabel(g(a), g(b), t)
             assert compose_factors(butterfly_factorize(lab)) == \
                 element_from_label(lab, RATIONALS)
+
+
+@pytest.mark.parametrize("a,b", [("D8", "C4"), ("S3", "C2"), ("A4", "C2^2")])
+def test_butterfly_factors_are_the_elementary_bisets(a, b):
+    # P1 and P2 number their elements by position in the projections
+    for lab in basis_labels(a, b):
+        ind, inf, _, dfl, res = butterfly_factorize(lab)
+        inv = product_invariants(lab)
+        P1, P2 = ind.label.right, res.label.left
+        p1, p2 = inv.p1.elements, inv.p2.elements
+        K1 = Subgroup(P1, [p1.index(x) for x in inv.k1.elements])
+        K2 = Subgroup(P2, [p2.index(x) for x in inv.k2.elements])
+        assert ind == elementary_ind(g(a), inv.p1)
+        assert inf == elementary_inf(P1, K1)
+        assert dfl == elementary_def(P2, K2)
+        assert res == elementary_res(g(b), inv.p2)
 
 
 def test_inflation_label_not_left_free():

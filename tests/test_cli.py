@@ -42,15 +42,16 @@ def test_budget_exhaustion_exit_code(capsys):
     assert code == 2
 
 
-class ExpireOnSpanCheck(Budget):
-    """Never expires, except at the nth check inside the product span."""
+class ExpireAtCheck(Budget):
+    """Never expires, except at the nth check inside the stage ``what``."""
 
-    def __init__(self, n):
+    def __init__(self, what, n):
         super().__init__(None)
+        self.what = what
         self.left = n
 
     def check(self, what, partial=0):
-        if what == "product span":
+        if what == self.what:
             self.left -= 1
             if self.left == 0:
                 raise BudgetExceeded(f"budget exhausted during {what}", partial)
@@ -60,7 +61,8 @@ class ExpireOnSpanCheck(Budget):
 def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
     from dburnside.cache import clear_memory_caches
     clear_memory_caches()  # a memoized conclusive answer would short-circuit
-    monkeypatch.setattr(cli, "Budget", lambda seconds: ExpireOnSpanCheck(10))
+    monkeypatch.setattr(cli, "Budget",
+                        lambda seconds: ExpireAtCheck("product span", 10))
     code, payload = run_json(capsys, "generates", "C2xC2", "A4", "--char", "0")
     assert code == 2
     result = payload["result"]
@@ -69,6 +71,12 @@ def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
     H = group_from_text("C2xC2")
     dim = len(canonical_basis(H, H))
     assert 0 < result["rank_reached"] <= min(result["products_tried"], dim)
+
+
+def test_budget_reaches_the_automorphism_search(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Budget",
+                        lambda seconds: ExpireAtCheck("isomorphism search", 1))
+    assert run(capsys, "essential-out", "C2^2")[0] == 2
 
 
 def test_usage_errors(capsys):
@@ -83,6 +91,9 @@ def test_usage_errors(capsys):
     assert main(["compose", "S3", "C2", "S3", "--left", "",
                  "--right", "1"]) == 3
     assert main(["butterfly", "S3", "C2", "--label", "x"]) == 3
+    # numbers too large for a float cube root or a tuple of factors
+    assert main(["basis", "X(1" + "0" * 400 + ")", "C2"]) == 3
+    assert main(["basis", "C2^10000000000000000000", "C2"]) == 3
 
 
 def test_precondition_exit_code(capsys):
@@ -473,12 +484,45 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN,
-                         ids=[" ".join(a) for a, _, _ in GOLDEN])
+# the same for the commands that build subquotients T/S, recorded before
+# they all came from one routine; a butterfly entry without --label hashes
+# the reports of every label of kB(G, H), one line each, in basis order
+GOLDEN_SUBQUOTIENTS = [
+    (["basis", "A4", "C2^2"], 0,
+     "e4ce6e87c92bc906940d24ede1f4ae0d935776c824ee79ca7a62ff671a46878c"),
+    (["butterfly", "D8", "C4"], 0,
+     "69fed4ce429368446bbb77abb71fed35083e40821cc66ff8f4f1a760899a7ae0"),
+    (["butterfly", "S3", "C2"], 0,
+     "f64ca5a00477bbf593357ba733c41061bdb02a9543734bb3d9780d123db3f7ec"),
+    (["sections", "S4", "--quotient", "C2"], 0,
+     "056ae80a0d2836cdcbc91f9cbf6527cfabaf6bb303be0c50f5131cbdba678deb"),
+    (["simple-dim", "C2", "A4xC2"], 0,
+     "cde8aca41e8ea1022d71bbd1b8dde3effa10ba40b839b2bbb513da013fbe9b83"),
+    (["ssd", "X(27)"], 0,
+     "eaa2c5b707250afd168367e6b65ef8cf9efeb49bf82f4759c147a589495fed5a"),
+    (["nv", "X(27)", "--char", "3"], 0,
+     "5b25cbd216e847815ebb65c6a45944b2fdfb14cfb401e872ec1b71c4ed634013"),
+    (["generates", "C3", "A4"], 0,  # a one-term quotient certificate
+     "98ca66925df4b63e7efb2d17e88055a7742d1f6729232091bc3abcf2ff5d95a4"),
+]
+
+
+def _argvs(argv):
+    if argv[0] != "butterfly":
+        return [argv]
+    n = len(canonical_basis(group_from_text(argv[1]), group_from_text(argv[2])))
+    return [argv + ["--label", str(i)] for i in range(n)]
+
+
+@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN + GOLDEN_SUBQUOTIENTS,
+                         ids=[" ".join(a) for a, _, _ in
+                              GOLDEN + GOLDEN_SUBQUOTIENTS])
 def test_golden_span_output(capsys, argv, exit_code, digest):
     from dburnside.cache import clear_memory_caches
     clear_memory_caches()  # decide afresh instead of reading the memo
-    code, payload = run_json(capsys, *argv)
-    blob = json.dumps(without_meta(payload), sort_keys=False)
-    assert code == exit_code
-    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+    blobs = []
+    for one in _argvs(argv):
+        code, payload = run_json(capsys, *one)
+        assert code == exit_code
+        blobs.append(json.dumps(without_meta(payload), sort_keys=False))
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == digest

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from dburnside.errors import GroupSpecError, PreconditionError
-from dburnside.groups import (FiniteGroup, Subgroup, build_group, build_cyclic,
-                              direct_product, group_from_text,
-                              parse_group_spec, quotient_group, spec_to_text,
+from dburnside.errors import (Budget, BudgetExceeded, GroupSpecError,
+                              PreconditionError)
+from dburnside.groups import (FiniteGroup, Section, Subgroup, build_group,
+                              build_cyclic, direct_product, group_from_text,
+                              parse_group_spec, quotient_group,
+                              section_quotient, spec_to_text,
                               Cyclic, Modular, Product)
 from dburnside.lattice import (_close_with_images, all_subgroups,
                                automorphisms, double_coset_reps, get_lattice,
@@ -68,6 +70,13 @@ def test_malformed_specs_rejected():
         group_from_text("Q8")
     with pytest.raises(GroupSpecError):
         group_from_text("")
+    # numbers too large for a float cube root, a tuple of factors, or int()
+    with pytest.raises(GroupSpecError):
+        group_from_text("X(1" + "0" * 400 + ")")
+    with pytest.raises(GroupSpecError):
+        group_from_text("C2^10000000000000000000")
+    with pytest.raises(GroupSpecError):
+        group_from_text("C" + "9" * 5000)
 
 
 def test_spec_parse_print_round_trip():
@@ -446,6 +455,11 @@ def test_automorphism_cap():
         automorphisms(g("A4xC2"), order_cap=16)
 
 
+def test_automorphism_search_is_budgeted():
+    with pytest.raises(BudgetExceeded):
+        automorphisms(g("C2^4"), budget=Budget(-1.0))
+
+
 # -- sections -----------------------------------------------------------------
 
 def test_sections_c2_in_c2_cubed():
@@ -487,6 +501,28 @@ def test_section_classes_match_conjugation_by_every_element(name):
         pairs -= set(orbit)
         expected.append(orbit)
     assert section_classes(grp) == sorted(expected)
+
+
+def _subgroup_copy(G, elements):
+    """A subgroup as a group of its own, numbered by position: the copy
+    every subquotient was once built from."""
+    pos = {x: i for i, x in enumerate(elements)}
+    table = [[pos[G.mul[a][b]] for b in elements] for a in elements]
+    return FiniteGroup("copy", table, check_associativity=False), pos
+
+
+@pytest.mark.parametrize("name", ["S4", "A4xC2", "D8xC2", "X(27)", "C3xS3"])
+def test_section_quotient_matches_quotient_of_subgroup_copy(name):
+    grp = g(name)
+    for cls in section_classes(grp):
+        for t, s in cls:
+            T, pos = _subgroup_copy(grp, t)
+            ref, ref_proj = quotient_group(T, Subgroup(T, [pos[x] for x in s]))
+            q, proj = section_quotient(grp, t, s)
+            assert q.mul == ref.mul
+            assert proj == {x: ref_proj[pos[x]] for x in t}
+            sec = Section(Subgroup(grp, t), Subgroup(grp, s))
+            assert sec.quotient().mul == ref.mul
 
 
 def test_section_validation():
