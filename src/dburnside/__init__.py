@@ -1,9 +1,8 @@
 """Exact computations in double Burnside algebras of small finite groups."""
 
 from .errors import Budget, BudgetExceeded, GroupSpecError, PreconditionError
-from .groups import (FiniteGroup, Section, Subgroup, build_group,
-                     direct_product, group_from_text, parse_group_spec,
-                     quotient_group, spec_to_text)
+from .groups import (FiniteGroup, Section, Subgroup, direct_product,
+                     group_from_text, quotient_group)
 from .lattice import (all_subgroups, automorphisms, double_coset_reps,
                       is_isomorphic, section_classes,
                       subgroup_conjugacy_classes, subquotients_up_to_iso)

@@ -16,7 +16,9 @@ binary encoding: little-endian uint32 counts followed by length-prefixed
 sorted integer lists, then the sha256 of everything before it.  Writes are
 atomic (temp file then rename).  A file that fails its checksum or its
 structural checks is ignored with a warning on stderr, so the caller
-recomputes and overwrites it.
+recomputes and overwrites it.  A file that cannot be read or written
+(say, the cache directory is a regular file) also costs only a warning:
+the run goes on with the lattice it computed.
 
 Only ``groups`` is imported at module level, so every other module can
 import this one.
@@ -114,6 +116,8 @@ def lattice_cache_path(cache_dir: Path, G: FiniteGroup) -> Path:
 
 
 def save_lattice(cache_dir: Path, lat: SubgroupLattice) -> Path:
+    """Write the lattice file; a failed write warns on stderr and the run
+    goes on with the lattice it holds."""
     out = [LATTICE_MAGIC, struct.pack("<I", FORMAT_VERSION),
            struct.pack("<I", lat.group.order),
            struct.pack("<I", len(lat.subgroups))]
@@ -124,7 +128,11 @@ def save_lattice(cache_dir: Path, lat: SubgroupLattice) -> Path:
         out.append(_pack_list(cls))
     payload = b"".join(out)
     path = lattice_cache_path(cache_dir, lat.group)
-    _write_atomic(path, payload + hashlib.sha256(payload).digest())
+    try:
+        _write_atomic(path, payload + hashlib.sha256(payload).digest())
+    except OSError as e:
+        print(f"warning: cannot write cache file {path} "
+              f"({e.strerror or e}); continuing", file=sys.stderr)
     return path
 
 
@@ -166,7 +174,13 @@ def load_lattice(cache_dir: Path, G: FiniteGroup) -> Optional[SubgroupLattice]:
     if not path.is_file():
         return None
     try:
-        subgroups, classes = _read_lattice(path.read_bytes(), G.order)
+        data = path.read_bytes()
+    except OSError as e:
+        print(f"warning: cannot read cache file {path} ({e.strerror or e}); "
+              "recomputing", file=sys.stderr)
+        return None
+    try:
+        subgroups, classes = _read_lattice(data, G.order)
     except (ValueError, struct.error) as e:
         print(f"warning: ignoring corrupt cache file {path} ({e}); "
               "recomputing", file=sys.stderr)

@@ -82,15 +82,13 @@ def verify_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
 def _quotient_certificate(H: FiniteGroup, G: FiniteGroup,
                           fieldspec: FieldSpec) -> Optional[List[CertificateTerm]]:
     """One-term certificate through a quotient G/N isomorphic to H."""
-    hit = find_quotient_isomorphic_to(G, H)
-    if hit is None:
+    epi = find_quotient_isomorphic_to(G, H)
+    if epi is None:
         return None
-    n_elems, phi = hit
-    _, proj = section_quotient(G, range(G.order), n_elems)
     sp_hg = space(H, G)
     sp_gh = space(G, H)
-    u = sp_hg.canonical([sp_hg.encode(phi[proj[g]], g) for g in range(G.order)])
-    w = sp_gh.canonical([sp_gh.encode(g, phi[proj[g]]) for g in range(G.order)])
+    u = sp_hg.canonical([sp_hg.encode(epi[g], g) for g in range(G.order)])
+    w = sp_gh.canonical([sp_gh.encode(g, epi[g]) for g in range(G.order)])
     one = Field(fieldspec).one
     return [CertificateTerm(u, w, one)]
 
@@ -283,21 +281,17 @@ def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
             verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
                                                "skipped", "short-circuit"))
             continue
-        if find_quotient_isomorphic_to(G, Q) is not None:
-            rep = generates(Q, G, fieldspec, b, skip_subquotient_check=True)
-            verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
-                                               rep.status, "quotient", rep))
-            confirmed.append(Q)
-            continue
-        via_b = next((B for B in confirmed
-                      if find_quotient_isomorphic_to(B, Q) is not None), None)
-        if via_b is not None:
-            bname = recognize(via_b) or f"order{via_b.order}"
-            verdicts.append(SubquotientVerdict(
-                Q, name, wit_t, wit_s, "generated",
-                f"transitivity({bname})"))
-            confirmed.append(Q)
-            continue
+        if find_quotient_isomorphic_to(G, Q) is None:
+            via_b = next((B for B in confirmed
+                          if find_quotient_isomorphic_to(B, Q) is not None),
+                         None)
+            if via_b is not None:
+                bname = recognize(via_b) or f"order{via_b.order}"
+                verdicts.append(SubquotientVerdict(
+                    Q, name, wit_t, wit_s, "generated",
+                    f"transitivity({bname})"))
+                confirmed.append(Q)
+                continue
         rep = generates(Q, G, fieldspec, b, skip_subquotient_check=True)
         verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
                                            rep.status, rep.via, rep))

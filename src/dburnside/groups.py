@@ -1,4 +1,4 @@
-"""Finite groups as dense Cayley tables, plus the construction catalog.
+"""Finite groups as dense Cayley tables, built straight from grammar text.
 
 Every group lives on the element set {0..n-1} with 0 as the identity;
 multiplication is a table lookup.  All target orders are small enough
@@ -10,16 +10,20 @@ T/S, and with S trivial every subgroup T as a group of its own, comes from
 one routine, :func:`section_quotient`, which numbers the cosets of S in T
 by their least element.  ``Subgroup``, ``Section`` and ``quotient_group``
 validate what a caller hands in and then build through it.
+
+Grammar text (``A4xC2``, ``C2^3``, ``X(27)``) is parsed and checked atom by
+atom, and :func:`group_from_text` then builds each atom straight into its
+table and multiplies them; no other description of a group stands between.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -86,10 +90,9 @@ class FiniteGroup:
     def key(self) -> str:
         """Content hash of the Cayley table; used for caches and equality."""
         if self._key is None:
-            h = hashlib.sha256()
-            h.update(self.order.to_bytes(4, "little"))
-            for row in self.mul:
-                h.update(b"".join(x.to_bytes(2, "little") for x in row))
+            # entries fit two bytes: the product cap keeps orders below 2^16
+            h = hashlib.sha256(self.order.to_bytes(4, "little"))
+            h.update(np.asarray(self.mul, dtype="<u2").tobytes())
             self._key = h.hexdigest()
         return self._key
 
@@ -286,54 +289,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
 
 
 # ---------------------------------------------------------------------------
-# Construction catalog
+# Constructions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cyclic:
-    n: int
-
-
-@dataclass(frozen=True)
-class AbelianProduct:
-    factors: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Dihedral:
-    order: int
-
-
-@dataclass(frozen=True)
-class Symmetric:
-    n: int
-
-
-@dataclass(frozen=True)
-class Alternating:
-    n: int
-
-
-@dataclass(frozen=True)
-class Extraspecial:
-    p: int
-
-
-@dataclass(frozen=True)
-class Modular:
-    p: int
-    n: int
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "GroupSpec"
-    right: "GroupSpec"
-
-
-GroupSpec = (Cyclic, AbelianProduct, Dihedral, Symmetric, Alternating,
-             Extraspecial, Modular, Product)
-
 
 def build_cyclic(n: int) -> FiniteGroup:
     if n < 1:
@@ -431,45 +388,6 @@ def build_modular(p: int, n: int) -> FiniteGroup:
     return FiniteGroup(f"M({p},{n})", table)
 
 
-def build_group(spec, *, cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
-    """Construct the group described by a GroupSpec value.  An atom or a
-    product above ``cap`` elements is refused before its table is built."""
-    if isinstance(spec, Cyclic):
-        return build_cyclic(_capped(spec.n, cap))
-    if isinstance(spec, AbelianProduct):
-        if not spec.factors:
-            raise GroupSpecError("empty abelian product")
-        _capped(math.prod(spec.factors), cap)
-        g = build_cyclic(spec.factors[0])
-        for n in spec.factors[1:]:
-            g = direct_product(g, build_cyclic(n), cap=cap)
-        base = spec.factors[0]
-        if all(n == base for n in spec.factors) and len(spec.factors) > 1:
-            g.name = f"C{base}^{len(spec.factors)}"
-        return g
-    if isinstance(spec, Dihedral):
-        return build_dihedral(_capped(spec.order, cap))
-    if isinstance(spec, Symmetric):
-        return build_symmetric(spec.n)
-    if isinstance(spec, Alternating):
-        return build_alternating(spec.n)
-    if isinstance(spec, Extraspecial):
-        _capped(spec.p ** 3, cap)
-        return build_extraspecial(spec.p)
-    if isinstance(spec, Modular):
-        # p^e > cap once e exceeds the bits of cap (p >= 2): no huge power
-        p, e = spec.p, 2 * spec.n
-        if p > 1 and (e > cap.bit_length() or p ** e > cap):
-            raise PreconditionError(
-                f"group order {p}^{e} exceeds the configured cap {cap}")
-        return build_modular(p, spec.n)
-    if isinstance(spec, Product):
-        g = build_group(spec.left, cap=cap)
-        h = build_group(spec.right, cap=cap)
-        return direct_product(g, h, cap=cap)
-    raise GroupSpecError(f"unknown group spec {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # Text grammar: C<n>, C<n>^<k>, D<2n>, S<n>, A<n>, X(p^3), M(p,n), 1,
 # and products joined by 'x'.
@@ -502,74 +420,69 @@ def _split_product(text: str) -> List[str]:
     return parts
 
 
-def _parse_atom(tok: str):
+def _parse_atom(tok: str, cap: int) -> Callable[[], FiniteGroup]:
+    """Check the syntax of one atom and return the builder of its table.
+
+    The builder refuses an order above ``cap`` before it builds anything,
+    and the constructions check their own arguments, so none of those
+    errors can come before a syntax error in a later atom.
+    """
     m = _ATOM_RE.match(tok)
     if not m:
         raise GroupSpecError(f"cannot parse group atom {tok!r}")
-    if tok == "1":
-        return Cyclic(1)
     try:
         num = {k: int(v) for k, v in m.groupdict().items() if v is not None}
     except ValueError:  # more digits than int() converts
         raise GroupSpecError(f"number too long in {tok!r}") from None
-    if "cn" in num:
-        n = num["cn"]
-        if n < 1:
-            raise GroupSpecError(f"bad cyclic order in {tok!r}")
-        if "ck" in num:
-            k = num["ck"]
-            if not 1 <= k <= 64:  # refused before a k-tuple is built
-                raise GroupSpecError(f"power in {tok!r} must be in 1..64")
-            return AbelianProduct((n,) * k)
-        return Cyclic(n)
-    if "dn" in num:
-        return Dihedral(num["dn"])
-    if "sn" in num:
-        return Symmetric(num["sn"])
-    if "an" in num:
-        return Alternating(num["an"])
+    n, k = num.get("cn", 1), num.get("ck", 1)  # the atom 1 is C1
+    if n < 1:
+        raise GroupSpecError(f"bad cyclic order in {tok!r}")
+    if not 1 <= k <= 64:
+        raise GroupSpecError(f"power in {tok!r} must be in 1..64")
     if "xp" in num:
         p = integer_cube_root(num["xp"])
         if p < 2 or p ** 3 != num["xp"]:
             raise GroupSpecError(f"{tok!r}: argument must be a prime cubed")
-        return Extraspecial(p)
-    return Modular(num["mp"], num["mn"])
 
-
-def parse_group_spec(text: str):
-    """Parse grammar text like ``A4xC2`` or ``C2^3`` into a GroupSpec."""
-    text = text.strip()
-    if not text:
-        raise GroupSpecError("empty group description")
-    parts = _split_product(text)
-    specs = [_parse_atom(p) for p in parts]
-    out = specs[0]
-    for s in specs[1:]:
-        out = Product(out, s)
-    return out
-
-
-def spec_to_text(spec) -> str:
-    if isinstance(spec, Cyclic):
-        return f"C{spec.n}"
-    if isinstance(spec, AbelianProduct):
-        return f"C{spec.factors[0]}^{len(spec.factors)}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.order}"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.n}"
-    if isinstance(spec, Alternating):
-        return f"A{spec.n}"
-    if isinstance(spec, Extraspecial):
-        return f"X({spec.p ** 3})"
-    if isinstance(spec, Modular):
-        return f"M({spec.p},{spec.n})"
-    if isinstance(spec, Product):
-        return f"{spec_to_text(spec.left)}x{spec_to_text(spec.right)}"
-    raise GroupSpecError(f"unknown group spec {spec!r}")
+    def build() -> FiniteGroup:
+        if "dn" in num:
+            return build_dihedral(_capped(num["dn"], cap))
+        if "sn" in num:
+            return build_symmetric(num["sn"])
+        if "an" in num:
+            return build_alternating(num["an"])
+        if "xp" in num:
+            _capped(num["xp"], cap)
+            return build_extraspecial(p)
+        if "mp" in num:
+            # q^e > cap once e exceeds the bits of cap (q >= 2): no huge power
+            q, e = num["mp"], 2 * num["mn"]
+            if q > 1 and (e > cap.bit_length() or q ** e > cap):
+                raise PreconditionError(
+                    f"group order {q}^{e} exceeds the configured cap {cap}")
+            return build_modular(q, num["mn"])
+        _capped(n, cap)  # before n^k, whose digits may be too many to print
+        _capped(n ** k, cap)
+        g = c = build_cyclic(n)
+        for _ in range(k - 1):
+            g = direct_product(g, c, cap=cap)
+        return g
+    return build
 
 
 def group_from_text(text: str, *, cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
-    g = build_group(parse_group_spec(text), cap=cap)
-    g.name = text.strip()
+    """The group that grammar text like ``A4xC2`` or ``C2^3`` names.
+
+    Every atom is parsed before any is built, so a syntax error anywhere
+    wins over a cap or construction error; the atoms are then built and
+    multiplied left to right, and the first build that fails is reported.
+    """
+    text = text.strip()
+    if not text:
+        raise GroupSpecError("empty group description")
+    builders = [_parse_atom(tok, cap) for tok in _split_product(text)]
+    g = builders[0]()
+    for build in builders[1:]:
+        g = direct_product(g, build(), cap=cap)
+    g.name = text
     return g

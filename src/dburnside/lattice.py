@@ -458,11 +458,12 @@ def normal_subgroup_reps(G: FiniteGroup) -> List[ElementTuple]:
 
 
 def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
-                                ) -> Optional[Tuple[ElementTuple, List[int]]]:
-    """Search a normal N with G/N isomorphic to H; returns (N, iso) or None.
+                                ) -> Optional[List[int]]:
+    """An epimorphism G -> H as the image of each element of G, or None.
 
-    The iso maps the quotient group (the coset numbering of
-    ``section_quotient``) onto H.
+    It is the projection onto G/N for the first normal subgroup N (in
+    lattice order) whose quotient is isomorphic to H, followed by that
+    isomorphism.
     """
     target = G.order // H.order if H.order and G.order % H.order == 0 else None
     if target is None:
@@ -470,10 +471,10 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
     for n in normal_subgroup_reps(G):
         if len(n) != target:
             continue
-        Q, _ = section_quotient(G, range(G.order), n)
+        Q, proj = section_quotient(G, range(G.order), n)
         phi = is_isomorphic(Q, H)
         if phi is not None:
-            return n, phi
+            return [phi[proj[g]] for g in range(G.order)]
     return None
 
 

@@ -96,6 +96,26 @@ def test_usage_errors(capsys):
     assert main(["basis", "C2^10000000000000000000", "C2"]) == 3
 
 
+# every atom is parsed before any is built: a syntax error anywhere wins
+# over a cap error, and among build errors the leftmost atom's comes first
+PRODUCT_ERRORS = [
+    ("C5000xQ8", 3, "error: cannot parse group atom 'Q8'\n"),
+    ("C5000xS5", 4, "precondition error: group order 5000 exceeds the "
+                    "configured cap 4096\n"),
+    ("S5xC5000", 3, "error: symmetric group supported for n in 1..4, got 5\n"),
+    ("M(2,1)xC5000", 3, "error: modular construction needs n >= 2, got 1\n"),
+    ("C5000xM(2,1)", 4, "precondition error: group order 5000 exceeds the "
+                        "configured cap 4096\n"),
+]
+
+
+@pytest.mark.parametrize("text,exit_code,message", PRODUCT_ERRORS,
+                         ids=[t for t, _, _ in PRODUCT_ERRORS])
+def test_which_product_error_wins(capsys, text, exit_code, message):
+    assert main(["basis", text, "C1"]) == exit_code
+    assert capsys.readouterr().err == message
+
+
 def test_precondition_exit_code(capsys):
     # excluded quotient type for the dimension count
     assert main(["simple-dim", "C2xC2", "A4"]) == 4
@@ -382,6 +402,39 @@ def test_lattice_cache_structural_checks(tmp_path, capsys):
         lattice_cache_path(tmp_path, G).write_bytes(_reseal(b"".join(parts)))
         assert load_lattice(tmp_path, G) is None
         assert f"({reason}); recomputing" in capsys.readouterr().err
+
+
+def test_unwritable_cache_dir_warns_and_answers(tmp_path, capsys,
+                                                monkeypatch):
+    from dburnside.cache import clear_memory_caches
+    monkeypatch.delenv("DBURNSIDE_CACHE_DIR", raising=False)
+    clear_memory_caches()
+    expected = run(capsys, "sections", "S3")
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    clear_memory_caches()
+    code = main(["sections", "S3", "--cache-dir", str(blocker)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == expected
+    assert captured.err.startswith(f"warning: cannot write cache file "
+                                   f"{blocker / 'lattice'}")
+    assert "Not a directory" in captured.err
+
+
+def test_unreadable_cache_file_is_recomputed(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+    from dburnside.cache import load_lattice, save_lattice
+    from dburnside.lattice import get_lattice
+    G = group_from_text("S3")
+    path = save_lattice(tmp_path, get_lattice(G))
+
+    def denied(self):
+        raise PermissionError(13, "Permission denied", str(self))
+    monkeypatch.setattr(Path, "read_bytes", denied)
+    assert load_lattice(tmp_path, G) is None
+    assert capsys.readouterr().err == (
+        f"warning: cannot read cache file {path} (Permission denied); "
+        "recomputing\n")
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

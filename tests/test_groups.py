@@ -7,11 +7,10 @@ import pytest
 
 from dburnside.errors import (Budget, BudgetExceeded, GroupSpecError,
                               PreconditionError)
-from dburnside.groups import (FiniteGroup, Section, Subgroup, build_group,
-                              build_cyclic, direct_product, group_from_text,
-                              parse_group_spec, quotient_group,
-                              section_quotient, spec_to_text,
-                              Cyclic, Modular, Product)
+from dburnside.catalog import CATALOG_SPECS
+from dburnside.groups import (FiniteGroup, Section, Subgroup, build_cyclic,
+                              direct_product, group_from_text, quotient_group,
+                              section_quotient)
 from dburnside.lattice import (_close_with_images, all_subgroups,
                                automorphisms, double_coset_reps, get_lattice,
                                is_isomorphic, section_classes,
@@ -61,7 +60,7 @@ def test_extraspecial_27():
 
 def test_malformed_specs_rejected():
     with pytest.raises(GroupSpecError):
-        build_group(Modular(2, 1))
+        group_from_text("M(2,1)")
     with pytest.raises(GroupSpecError):
         group_from_text("X(8)")  # 8 = 2^3 but p must be odd
     with pytest.raises(GroupSpecError):
@@ -79,17 +78,71 @@ def test_malformed_specs_rejected():
         group_from_text("C" + "9" * 5000)
 
 
-def test_spec_parse_print_round_trip():
-    for text in ["C6", "C2^3", "A4xC2", "D8", "S4", "X(27)", "M(2,2)",
-                 "C2^2xC4", "C3xC5xC2"]:
-        spec = parse_group_spec(text)
-        assert parse_group_spec(spec_to_text(spec)) == spec
+# order and table hash of every catalog group and of the grammar's edge
+# cases (the empty product 1, powers, trivial atoms, long products),
+# recorded before grammar text was built straight into tables; the key
+# names lattice cache files, so it must not drift
+GOLDEN_KEYS = {
+    "C1": (1, "36c159d76b52e03e496363607c5940227f62f4e048df344b050159bc97bba3d7"),
+    "C2": (2, "469cad6b75ece6da9f6af06f766c2b4cf1dfc6b9600f261f940d1186bffa3a87"),
+    "C3": (3, "34edca7c7c30227a25ff6ad2c46fda6635d51be2cf553c4eb2e1c81ba19bd579"),
+    "C4": (4, "4091fa57cbd9ac603f624e37503ead8a95300ee05866e7115ba33893d4a56047"),
+    "C5": (5, "669ca5aee292e0c3504d964fb83d9b8f2ded92933362490e447dd73608e125b5"),
+    "C6": (6, "864a926e30280edcde38328df01e49b00299a63a0662255c5591471fc0be221c"),
+    "C7": (7, "6412a0d05e8c5c2b9e68010ea5975be03d9cda97e493471aec402c1af39d5c5f"),
+    "C8": (8, "cf0af149a71568b938b2a2adee8959c70264f19c62e661715cba5c165a86d1e5"),
+    "C9": (9, "a0459a059506e51f6496cde491a95f8eda4b2626b5fe51b13ba1b240c7dddc4e"),
+    "C10": (10, "fcfc3a71f00baac4a71b0fa456081a82cbe32b770b8710cbe21e037a18d2552d"),
+    "C11": (11, "71b76fa29aa5e5225326d0bbafe807d389111974fb8613aa267bfb446d0803f5"),
+    "C12": (12, "7398f124739a70c7289b74756874b4baeae1afba935b29a35803bd1209398e18"),
+    "C13": (13, "5030cd055659c533bc11bc4e3f4bf98551115756d92a72b9ffe339bad2e5c009"),
+    "C14": (14, "327e8d88a1bbbebdf0903cf30af64bf0c4de4407e00e3eb170c64d74d81e159b"),
+    "C15": (15, "5afd075edcb496af85ffac52880f3212d40bf4a3ffa01d5fd6d7515daf0479ed"),
+    "C16": (16, "a473925715c599c0cd202be935f908c1cd1efc69db85b7eab4ef02a995eccba3"),
+    "C2^2": (4, "4ecdd7deab192c5d2aaa4987cfe5878742cc045417bad2eef2942c5fe1c7e943"),
+    "C2^3": (8, "96ad91877156f5b617b987a4232f8d56c28585ff253360d212fde20861c80c4d"),
+    "C2^4": (16, "06ad423e68d79de1d27a2ed6965544bd7a03262b9e5d36eac92bb900c5b467dd"),
+    "C2xC4": (8, "4189b25b604ab02f7a213936bc09f2389728e4456b0bb9805140c085d11c5397"),
+    "C3^2": (9, "e5b632fba1e0d6d3ffc6e139612e26bf4c287fbf98b22a2d06796bc8104e7235"),
+    "C2xC6": (12, "693ee37458906dce120c920f2540059596212a7fa71b94550d80af4785ce1fc6"),
+    "C2xC8": (16, "c2efa593d6826edba4ce86621908c2ba5790b31058232ce54682dd75e24a3edf"),
+    "C4^2": (16, "2cdc8e025911fa707a8646ba953cd636620c2f931291767f3e0dfa2dfd7e6b4e"),
+    "C2^2xC4": (16, "9aadb77866157dcf25aa2dc62748f89f61bf50047042965505943f0a77674605"),
+    "S3": (6, "0b0a310dee21d54a49c6415d8117e5338cfd3743ad65191fa82610d0d3bbd34d"),
+    "D8": (8, "d7c3720ed654f28549fa908cb9aad64fbd671bcdcd4c644cbc9e03b67163e5b0"),
+    "D10": (10, "ee5a21698118bf84446c5c176fddbb2fffc038e446f2cdb3053dae3856fad7f8"),
+    "D12": (12, "6d9bd64f790e9b3eb7a1835462ed2e767ad447451b39bd21727a8c4fd3788472"),
+    "D16": (16, "afa1cdc1110e4ded9831de5506a41954876dd7ace48ba4b6f5beb25a84513242"),
+    "A4": (12, "037bc85dc8b151d6df0f08ea90a8cb1befa6f676a5b16330a7277364dc80e4ec"),
+    "M(2,2)": (16, "ea8cccf7e470ce5c7227e10de1292f0e67a22c3a923add4bff719786b72a9b47"),
+    "S4": (24, "51596172d84d50df929d522e9332910f1affb8097bdf6a70dab22da18d017b6a"),
+    "A4xC2": (24, "ff86e69fb6f5d8e8faaee43ae032792ab1b70fdd00bc57744beb8506cfa57720"),
+    "X(27)": (27, "cb9b1ba23154d9a4d223c258ba460311bc63b167b52788b88bbfc0635d79be3c"),
+    "1": (1, "36c159d76b52e03e496363607c5940227f62f4e048df344b050159bc97bba3d7"),
+    "1xC2": (2, "469cad6b75ece6da9f6af06f766c2b4cf1dfc6b9600f261f940d1186bffa3a87"),
+    "C1^3": (1, "36c159d76b52e03e496363607c5940227f62f4e048df344b050159bc97bba3d7"),
+    "D2": (2, "469cad6b75ece6da9f6af06f766c2b4cf1dfc6b9600f261f940d1186bffa3a87"),
+    "S1": (1, "36c159d76b52e03e496363607c5940227f62f4e048df344b050159bc97bba3d7"),
+    "A5": (60, "a0d282aec28cb55d468ba49b078014a57302e2a8277bfb2dc2f5281449130945"),
+    "M(3,2)": (81, "2a0d10eba1c4df4ff4023badadee31d4bbb23f877900b9f5636eb92afb7ef8e7"),
+    "X(125)": (125, "891a3e7f1d45872206594029cbe1de0cecd61ff514c4003821b98e82ba69a9ee"),
+    "C2^3xC4": (32, "39c633d5432872041b39a1d7fd488f5b04ce4e25091d700f09138306a80d83f8"),
+    "C3xC5xC2": (30, "cb65bde9caf843eb3b42eb665485547c0691a22c2f11b3b33cbe9cd673fe58e8"),
+    "C2^2xS3xC2": (48, "5f944e30f44e490be11f3d1ea9d8074096ee9fb7f6273f38f4dfe9e50350d2a3"),
+    "S4xA4": (288, "1c679b58e18bbd54b960e73837ecfac8f028080546f7d4b51e288c2391f93119"),
+    "C2xC3": (6, "bdd78002b1f311d2910b0982175bbb6d32574e73e2cebb3a0d924cfb4d6c7aed"),
+}
 
 
-def test_parse_aliases():
-    assert parse_group_spec("1") == Cyclic(1)
-    assert g("1").order == 1
-    assert isinstance(parse_group_spec("C2xC3"), Product)
+def test_golden_keys_cover_the_catalog():
+    assert set(CATALOG_SPECS) <= set(GOLDEN_KEYS)
+
+
+@pytest.mark.parametrize("text", list(GOLDEN_KEYS))
+def test_golden_group_keys(text):
+    G = group_from_text(text)
+    assert (G.order, G.key) == GOLDEN_KEYS[text]
+    assert G.name == text
 
 
 # -- direct products --------------------------------------------------------
@@ -124,8 +177,9 @@ def test_product_cap_enforced():
     with pytest.raises(PreconditionError):
         direct_product(g("C16"), g("C16"), cap=100)
     # atoms are refused before their table is built
+    # C<n>^<k> checks n first: n^k of a 4000-digit n is too long to print
     for text in ("C5000", "D8194", "M(11,2)", "X(24389)", "C2^13",
-                 "M(3,1000000)"):
+                 "M(3,1000000)", "C" + "9" * 4000 + "^64"):
         with pytest.raises(PreconditionError, match="exceeds the configured cap"):
             group_from_text(text)
 

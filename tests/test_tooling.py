@@ -52,3 +52,33 @@ def test_every_engine_definition_is_referenced():
     dead = [f"{where} {name}" for name, where in defined
             if not name.startswith("__") and uses[name] <= own[name]]
     assert dead == []
+
+
+def _module_imports(tree):
+    """(bound name, line) of each import outside every function and class;
+    ``from __future__`` imports bind nothing the code names."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                yield (a.asname or a.name).split(".")[0], node.lineno
+        elif not isinstance(node, DEFINITION):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_engine_import_is_used():
+    """Each module-level import of an engine module other than the package
+    ``__init__`` is named in that module's code, so a deletion cannot leave
+    a dead import behind."""
+    unused = []
+    for path in ENGINE:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _module_imports(tree) if name not in named]
+    assert unused == []
