@@ -76,7 +76,7 @@ class BisetSpace:
 
     def basis(self, budget: Optional[Budget] = None) -> List[LabelTuple]:
         if self._basis is None:
-            lat = get_lattice(self.product, budget)
+            lat = get_lattice(self.product, budget, (self.left, self.right))
             self._basis = lat.class_reps()
             self._basis_index = {t: i for i, t in enumerate(self._basis)}
         return self._basis

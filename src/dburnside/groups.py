@@ -272,6 +272,18 @@ def _capped(order: int, cap: int) -> int:
     return order
 
 
+def _capped_factorial(n: int, divisor: int, cap: int) -> None:
+    """Refuse the order n!/divisor above ``cap``, multiplying only until
+    the product passes it."""
+    f = 1
+    for k in range(2, n + 1):
+        f *= k
+        if f // divisor > cap:
+            shown = f"{n}!" if divisor == 1 else f"{n}!/{divisor}"
+            raise PreconditionError(
+                f"group order {shown} exceeds the configured cap {cap}")
+
+
 def direct_product(G: FiniteGroup, H: FiniteGroup, *,
                    cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
     """Direct product with (g, h) encoded as g*|H| + h."""
@@ -448,8 +460,10 @@ def _parse_atom(tok: str, cap: int) -> Callable[[], FiniteGroup]:
         if "dn" in num:
             return build_dihedral(_capped(num["dn"], cap))
         if "sn" in num:
+            _capped_factorial(num["sn"], 1, cap)
             return build_symmetric(num["sn"])
         if "an" in num:
+            _capped_factorial(num["an"], 2, cap)
             return build_alternating(num["an"])
         if "xp" in num:
             _capped(num["xp"], cap)

@@ -1,16 +1,30 @@
 """Subgroup lattices, sections, double cosets, and isomorphism search.
 
-Enumeration is cyclic extension over zuppos (Neubueser 1960): every
+A lattice is found by one of two routes; both give the same sorted list.
+
+A direct product G x H whose factors are known and both nontrivial (the
+product of a biset space, handed over by ``BisetSpace.basis``) takes
+Goursat's lemma: each subgroup is one section K1 <| P1 of G, one section
+K2 <| P2 of H and one isomorphism P2/K2 -> P1/K1, read off the factors'
+own lattices and the automorphisms of each quotient type the factors
+share.  No closure is built and nothing is found twice.  When such a type
+is above the automorphism cap, the product falls back to the next route.
+
+Every other group takes cyclic extension over zuppos (Neubueser 1960): every
 subgroup is generated by the cyclic subgroups of prime-power order it
 contains, so starting from the trivial group it suffices to extend each
 found subgroup H by one generator of each such zuppo, and only by one per
 right coset Hx, since <H,x> = <H,hx>.  Each extension <H,x> is built by
 Dimino's coset closure as a union of right cosets of H, and subgroups are
-deduplicated by their element-flag bytes.  Conjugacy classes (of subgroups
-and of sections) are orbits under a generating set of the group; in an
-abelian group every class is a singleton.  Results are deterministic:
-subgroups are sorted by (order, element list) and conjugacy classes are
-represented by their lexicographically least member.
+deduplicated by their element-flag bytes.  A product with a trivial factor
+has the other factor's table, so its lattice is that factor's and comes
+this way too.
+
+Results are deterministic and do not depend on the route: subgroups are
+sorted by (order, element list), conjugacy classes (of subgroups and of
+sections) are orbits under a generating set of the group, singletons in
+an abelian group, and each class is represented by its lexicographically
+least member.  So memo and cache files stay keyed by the table hash alone.
 
 Subgroups and sections stay sorted element tuples of the group; each
 subquotient T/S is built from them by ``groups.section_quotient``, and the
@@ -20,7 +34,8 @@ subquotient T/S is built from them by ``groups.section_quotient``, and the
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
+from operator import getitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache
@@ -145,6 +160,78 @@ def _enumerate_subgroups(G: FiniteGroup, budget: Budget) -> List[ElementTuple]:
     return sorted(found.values(), key=lambda t: (len(t), t))
 
 
+def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup,
+                       budget: Budget) -> Optional[List[ElementTuple]]:
+    """The sorted subgroups of G x H (elements g*|H| + h) by Goursat's lemma,
+    or None when a quotient type both factors share is above the
+    automorphism cap.
+
+    Every subgroup is {(g, h) : theta(hK2) = gK1} for exactly one section
+    K1 <| P1 of G, one K2 <| P2 of H and one isomorphism theta: P2/K2 ->
+    P1/K1.  Each quotient is matched to a representative R of its type by
+    psi: R -> P/K, so the maps Q1 -> Q2 are psi2 . beta . psi1^-1 for beta
+    in Aut(R), each giving one subgroup.  Walking g up P1 and h up its coset
+    yields every subgroup's elements already sorted.
+    """
+    hn = H.order
+    sections = []
+    for X in (G, H):
+        lat = get_lattice(X, budget)
+        sections.append([(lat.subgroups[t], lat.subgroups[s])
+                         for t, s in _normal_pairs(X, lat, budget)])
+    shared = ({len(t) // len(s) for t, s in sections[0]}
+              & {len(t) // len(s) for t, s in sections[1]})
+    types: List[FiniteGroup] = []
+    # per factor and type: for G each P1 as its elements with psi1^-1 of
+    # their cosets; for H each P2 of a type G has too as psi2 (an image
+    # list) with the rows g*|H| + coset of every g in G, indexed by coset
+    sides: List[Dict[int, list]] = [{}, {}]
+    for i, X in enumerate((G, H)):
+        for t, s in sections[i]:
+            if len(t) // len(s) not in shared:
+                continue
+            Q, proj = section_quotient(X, t, s)
+            for k, R in enumerate(types):
+                psi = (is_isomorphic(R, Q, budget) if R.order == Q.order
+                       else None)
+                if psi is not None:
+                    break
+            else:
+                k, psi = len(types), list(range(Q.order))
+                types.append(Q)
+            if i == 0:
+                psi_inv = [0] * Q.order
+                for r, c in enumerate(psi):
+                    psi_inv[c] = r
+                entry = (t, [psi_inv[proj[g]] for g in t])
+            elif k not in sides[0]:
+                continue  # a type of H's alone pairs with no section of G
+            else:
+                cosets: List[List[int]] = [[] for _ in range(Q.order)]
+                for h in t:
+                    cosets[proj[h]].append(h)
+                entry = (psi, [[tuple(g * hn + h for h in c) for c in cosets]
+                               for g in range(G.order)])
+            sides[i].setdefault(k, []).append(entry)
+    common = sorted(sides[1])
+    if any(types[k].order > AUTOMORPHISM_ORDER_CAP for k in common):
+        return None
+    found: List[ElementTuple] = []
+    for k in common:
+        auts, _, _ = automorphisms(types[k], budget=budget)
+        for psi, shifted in sides[1][k]:
+            # gK1 = psi1(r) pairs with the coset psi2(beta(r)) of K2
+            twisted = [[psi[b] for b in beta] for beta in auts]
+            for p1, r_of in sides[0][k]:
+                budget.check("subgroup enumeration", len(found))
+                rows = [shifted[g] for g in p1]
+                for tw in twisted:
+                    found.append(tuple(chain.from_iterable(
+                        map(getitem, rows, map(tw.__getitem__, r_of)))))
+    found.sort(key=lambda t: (len(t), t))
+    return found
+
+
 def _conjugators(G: FiniteGroup) -> List[Tuple[List[int], int]]:
     """(table row of g, g^-1) for each g of a generating set, none if G is
     abelian: orbits under a generating set are the full conjugation orbits."""
@@ -183,9 +270,15 @@ def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
 _LATTICE_MEMO: Dict[str, SubgroupLattice] = cache.memo_table()
 
 
-def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLattice:
+def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None,
+                factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
+                ) -> SubgroupLattice:
     """The lattice of G: from the memo, else the cache file, else enumerated
-    (and then written to the cache file)."""
+    (and then written to the cache file).
+
+    ``factors`` (G1, G2) says that G is ``direct_product(G1, G2)``; the
+    subgroups are then found by Goursat's lemma unless a factor is trivial.
+    """
     lat = _LATTICE_MEMO.get(G.key)
     if lat is not None:
         return lat
@@ -193,7 +286,15 @@ def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLatt
     if cache_dir is not None:
         lat = cache.load_lattice(cache_dir, G)
     if lat is None:
-        lat = SubgroupLattice(G, _enumerate_subgroups(G, budget or NO_BUDGET))
+        b = budget or NO_BUDGET
+        subgroups = None
+        # a trivial factor leaves G's table, and so its key, unchanged:
+        # the factor's lattice would be the one being computed
+        if factors is not None and min(f.order for f in factors) > 1:
+            subgroups = _goursat_subgroups(*factors, b)
+        if subgroups is None:
+            subgroups = _enumerate_subgroups(G, b)
+        lat = SubgroupLattice(G, subgroups)
         if cache_dir is not None:
             cache.save_lattice(cache_dir, lat)
     _LATTICE_MEMO[G.key] = lat
@@ -394,8 +495,11 @@ def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool,
 _ISO_MEMO: Dict[Tuple[str, str], Optional[List[int]]] = cache.memo_table()
 
 
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[List[int]]:
-    """Explicit isomorphism G -> H as an image list, or None."""
+def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
+                  budget: Optional[Budget] = None) -> Optional[List[int]]:
+    """Explicit isomorphism G -> H as an image list, or None.
+
+    A search cut short by ``budget`` raises and is not memoized."""
     if G.order != H.order:
         return None
     if G.key == H.key:
@@ -406,13 +510,16 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[List[int]]:
     result: Optional[List[int]] = None
     if (G.order_histogram() == H.order_histogram()
             and G.is_abelian() == H.is_abelian()):
-        found = _iso_search(G, H, find_all=False)
+        found = _iso_search(G, H, find_all=False, budget=budget or NO_BUDGET)
         result = found[0] if found else None
     _ISO_MEMO[memo_key] = result
     return result
 
 
-def automorphisms(G: FiniteGroup, *, order_cap: int = 64,
+AUTOMORPHISM_ORDER_CAP = 64
+
+
+def automorphisms(G: FiniteGroup, *, order_cap: int = AUTOMORPHISM_ORDER_CAP,
                   budget: Optional[Budget] = None
                   ) -> Tuple[List[List[int]], int, int]:
     """All automorphisms, |Inn|, and |Out| = |Aut| / |Inn|."""

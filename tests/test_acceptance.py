@@ -211,8 +211,8 @@ def test_criterion_08_burnside_module_lemma():
 
 
 # Everything of order <= 16 in the catalog; the square of C2^4 has 417,199
-# subgroups, enumerated within the budget because an abelian lattice builds
-# no element-set index.
+# subgroups, found from the sections of C2^4 by Goursat's lemma, and an
+# abelian lattice builds no element-set index.
 CATALOG_16_ESSENTIAL = [s for s in CATALOG_SPECS
                         if catalog_group(s).order <= 16]
 

@@ -473,6 +473,27 @@ def test_run_without_cache_dir_leaves_earlier_one_alone(tmp_path, capsys,
     assert sorted(cache.rglob("*")) == files
 
 
+def test_goursat_lattice_file_matches_zuppo_extension(tmp_path, monkeypatch):
+    """The basis of kB(A4, S3) finds the product's lattice by Goursat's
+    lemma, a bare get_lattice by zuppo extension: the files are the same."""
+    from dburnside import cache as cache_mod
+    from dburnside.bisets import space
+    from dburnside.groups import direct_product
+    from dburnside.lattice import get_lattice
+    a4, s3 = group_from_text("A4"), group_from_text("S3")
+    product = direct_product(a4, s3)
+    written = []
+    for name, build in [("goursat", lambda: space(a4, s3).basis()),
+                        ("zuppo", lambda: get_lattice(product))]:
+        monkeypatch.setattr(cache_mod, "cache_dir", tmp_path / name)
+        cache_mod.clear_memory_caches()
+        build()
+        path = cache_mod.lattice_cache_path(tmp_path / name, product)
+        written.append(path.read_bytes())
+    cache_mod.clear_memory_caches()
+    assert written[0] == written[1]
+
+
 def test_cache_dir_of_main_ends_with_the_call(tmp_path, capsys, monkeypatch):
     from dburnside import cache as cache_mod
     from dburnside.groups import group_from_text

@@ -5,16 +5,20 @@ import random
 
 import pytest
 
-from dburnside.errors import (Budget, BudgetExceeded, GroupSpecError,
-                              PreconditionError)
-from dburnside.catalog import CATALOG_SPECS
+from dburnside import lattice
+from dburnside.bisets import space
+from dburnside.cache import clear_memory_caches
+from dburnside.errors import (NO_BUDGET, Budget, BudgetExceeded,
+                              GroupSpecError, PreconditionError)
+from dburnside.catalog import CATALOG_SPECS, catalog_group
 from dburnside.groups import (FiniteGroup, Section, Subgroup, build_cyclic,
                               direct_product, group_from_text, quotient_group,
                               section_quotient)
-from dburnside.lattice import (_close_with_images, all_subgroups,
-                               automorphisms, double_coset_reps, get_lattice,
-                               is_isomorphic, section_classes,
-                               subgroup_conjugacy_classes,
+from dburnside.lattice import (SubgroupLattice, _close_with_images,
+                               _enumerate_subgroups, _goursat_subgroups,
+                               all_subgroups, automorphisms,
+                               double_coset_reps, get_lattice, is_isomorphic,
+                               section_classes, subgroup_conjugacy_classes,
                                subquotients_up_to_iso)
 
 
@@ -56,6 +60,18 @@ def test_extraspecial_27():
     assert len(x.center()) == 3
     assert max(x.element_orders()) == 3  # exponent p
     assert not x.is_abelian()
+
+
+def test_symmetric_and_alternating_atoms_respect_the_cap():
+    with pytest.raises(PreconditionError):
+        group_from_text("S4", cap=10)
+    with pytest.raises(PreconditionError):
+        group_from_text("A5", cap=10)
+    assert group_from_text("S4").order == 24
+    assert group_from_text("A5").order == 60
+    # the order is refused before n! grows past the cap, however large n is
+    with pytest.raises(PreconditionError):
+        group_from_text("S" + "9" * 30)
 
 
 def test_malformed_specs_rejected():
@@ -297,6 +313,76 @@ def test_lattice_matches_reference(name, n_subgroups, n_classes):
     assert (len(lat.subgroups), len(lat.classes)) == (n_subgroups, n_classes)
 
 
+def swapped(subgroups, G, H):
+    """Subgroups of G x H carried to H x G by (g, h) -> (h, g), sorted."""
+    hn, gn = H.order, G.order
+    moved = [tuple(sorted((x % hn) * gn + x // hn for x in s))
+             for s in subgroups]
+    return sorted(moved, key=lambda t: (len(t), t))
+
+
+def test_goursat_route_matches_zuppo_extension():
+    """Every ordered pair of nontrivial catalog groups with |G||H| <= 192.
+
+    G x H is checked against zuppo extension on the product, and H x G
+    against that list with the factors swapped, which halves the oracle's
+    cost.
+    """
+    specs = [s for s in CATALOG_SPECS if catalog_group(s).order > 1]
+    checked = 0
+    for i, a in enumerate(specs):
+        for b in specs[i:]:
+            G, H = catalog_group(a), catalog_group(b)
+            if G.order * H.order > 192:
+                continue
+            ref = _enumerate_subgroups(direct_product(G, H), NO_BUDGET)
+            assert _goursat_subgroups(G, H, NO_BUDGET) == ref, (a, b)
+            assert _goursat_subgroups(H, G, NO_BUDGET) == \
+                swapped(ref, G, H), (b, a)
+            checked += 1 if a == b else 2
+    assert checked == 928
+
+
+@pytest.mark.parametrize("left,right", [("S4", "A4"), ("A4", "S4"),
+                                        ("S4", "S4")])
+def test_goursat_lattice_matches_zuppo_extension(left, right):
+    clear_memory_caches()
+    G, H = g(left), g(right)
+    P = direct_product(G, H)
+    lat = get_lattice(P, factors=(G, H))
+    ref = SubgroupLattice(P, _enumerate_subgroups(P, NO_BUDGET))
+    assert lat.subgroups == ref.subgroups
+    assert lat.classes == ref.classes
+
+
+@pytest.mark.parametrize("left,right", [("C1", "S4"), ("S4", "C1")])
+def test_trivial_factor_takes_zuppo_extension(monkeypatch, left, right):
+    clear_memory_caches()
+    calls = []
+    real = lattice._goursat_subgroups
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "_goursat_subgroups", counted)
+    G, H = g(left), g(right)
+    P = direct_product(G, H)
+    s4 = g("S4")
+    assert P.key == s4.key  # the product's table is S4's own
+    lat = get_lattice(P, factors=(G, H))
+    assert not calls
+    assert lat.subgroups == _enumerate_subgroups(s4, NO_BUDGET)
+    assert get_lattice(s4) is lat
+
+
+def test_product_basis_is_budgeted():
+    clear_memory_caches()  # memoized lattices would skip every check
+    with pytest.raises(BudgetExceeded):
+        space(g("S4"), g("S4")).basis(Budget(0.0))
+    clear_memory_caches()
+
+
 def test_trivial_group_single_subgroup():
     assert len(all_subgroups(g("1"))) == 1
 
@@ -507,6 +593,16 @@ def test_close_with_images_is_the_generated_homomorphism():
 def test_automorphism_cap():
     with pytest.raises(PreconditionError):
         automorphisms(g("A4xC2"), order_cap=16)
+
+
+def test_isomorphism_search_is_budgeted_and_not_memoized():
+    c6, c2c3 = g("C6"), g("C2xC3")
+    clear_memory_caches()
+    with pytest.raises(BudgetExceeded):
+        is_isomorphic(c6, c2c3, budget=Budget(-1.0))
+    assert (c6.key, c2c3.key) not in lattice._ISO_MEMO
+    assert is_isomorphic(c6, c2c3) is not None
+    assert (c6.key, c2c3.key) in lattice._ISO_MEMO
 
 
 def test_automorphism_search_is_budgeted():
