@@ -76,7 +76,7 @@ class BisetSpace:
 
     def basis(self, budget: Optional[Budget] = None) -> List[LabelTuple]:
         if self._basis is None:
-            lat = get_lattice(self.product, budget, (self.left, self.right))
+            lat = get_lattice(self.product, budget)
             self._basis = lat.class_reps()
             self._basis_index = {t: i for i, t in enumerate(self._basis)}
         return self._basis
@@ -457,11 +457,10 @@ def butterfly_factorize(label: BisetLabel) -> List[ElementaryBiset]:
     ]
 
 
-def compose_factors(factors: Sequence[ElementaryBiset],
-                    field: FieldSpec = RATIONALS) -> BisetElement:
-    out = element_from_label(factors[0].label, field)
+def compose_factors(factors: Sequence[ElementaryBiset]) -> BisetElement:
+    out = element_from_label(factors[0].label, RATIONALS)
     for f in factors[1:]:
-        out = compose(out, element_from_label(f.label, field))
+        out = compose(out, element_from_label(f.label, RATIONALS))
     return out
 
 

@@ -67,11 +67,8 @@ def recognize(G: FiniteGroup) -> Optional[str]:
         extra = [f"D{G.order}"] if G.order % 2 == 0 and G.order >= 6 else []
         candidates.extend(x for x in extra if x not in candidates)
     for spec in candidates:
-        try:
-            cand = catalog_group(spec) if spec in CATALOG_SPECS else group_from_text(spec)
-        except Exception:
-            continue
-        if cand.order == G.order and is_isomorphic(G, cand) is not None:
+        cand = catalog_group(spec) if spec in CATALOG_SPECS else group_from_text(spec)
+        if is_isomorphic(G, cand) is not None:
             name = _canonical_alias(spec)
             _RECOGNIZE_MEMO[G.key] = name
             return name

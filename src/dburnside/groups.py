@@ -2,7 +2,7 @@
 
 Every group lives on the element set {0..n-1} with 0 as the identity;
 multiplication is a table lookup.  All target orders are small enough
-(products capped at 4096 by default) that this beats any structured
+(every order is capped at 4096) that this beats any structured
 representation.
 
 Subgroups are sorted element tuples of their parent.  Every subquotient
@@ -40,13 +40,15 @@ ASSOCIATIVITY_CHECK_LIMIT = 512
 class FiniteGroup:
     """Group on {0..order-1} given by a validated multiplication table."""
 
-    __slots__ = ("name", "order", "mul", "inv", "_key", "_orders", "_abelian")
+    __slots__ = ("name", "order", "mul", "inv", "factors", "_key", "_orders", "_abelian")
 
     def __init__(self, name: str, mul: Sequence[Sequence[int]], *,
                  check_associativity: bool = True):
         self.name = name
         self.order = len(mul)
         self.mul = [list(map(int, row)) for row in mul]
+        # (G, H) when this is direct_product(G, H) of two nontrivial groups
+        self.factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
         self._key: Optional[str] = None
         self._orders: Optional[Tuple[int, ...]] = None
         self._abelian: Optional[bool] = None
@@ -265,29 +267,27 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, List[int]]
     return Q, [proj[g] for g in range(G.order)]
 
 
-def _capped(order: int, cap: int) -> int:
-    if order > cap:
-        raise PreconditionError(
-            f"group order {order} exceeds the configured cap {cap}")
+def _capped(order: int, shown: object = None) -> int:
+    """Return ``order``; above the cap, refuse it, written as ``shown``."""
+    if order > DEFAULT_PRODUCT_CAP:
+        raise PreconditionError(f"group order {shown or order} exceeds the "
+                                f"configured cap {DEFAULT_PRODUCT_CAP}")
     return order
 
 
-def _capped_factorial(n: int, divisor: int, cap: int) -> None:
-    """Refuse the order n!/divisor above ``cap``, multiplying only until
+def _capped_factorial(n: int, divisor: int) -> None:
+    """Refuse the order n!/divisor above the cap, multiplying only until
     the product passes it."""
+    shown = f"{n}!" if divisor == 1 else f"{n}!/{divisor}"
     f = 1
     for k in range(2, n + 1):
         f *= k
-        if f // divisor > cap:
-            shown = f"{n}!" if divisor == 1 else f"{n}!/{divisor}"
-            raise PreconditionError(
-                f"group order {shown} exceeds the configured cap {cap}")
+        _capped(f // divisor, shown)
 
 
-def direct_product(G: FiniteGroup, H: FiniteGroup, *,
-                   cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Direct product with (g, h) encoded as g*|H| + h."""
-    order = _capped(G.order * H.order, cap)
+    order = _capped(G.order * H.order)
     hn = H.order
     gmul, hmul = G.mul, H.mul
     table = []
@@ -296,8 +296,9 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, *,
         grow, hrow = gmul[a1], hmul[a2]
         table.append([grow[b1] * hn + hrow[b2]
                       for b1 in range(G.order) for b2 in range(hn)])
-    name = f"{G.name}x{H.name}"
-    return FiniteGroup(name, table, check_associativity=False)
+    P = FiniteGroup(f"{G.name}x{H.name}", table, check_associativity=False)
+    P.factors = (G, H) if min(G.order, H.order) > 1 else None
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +433,10 @@ def _split_product(text: str) -> List[str]:
     return parts
 
 
-def _parse_atom(tok: str, cap: int) -> Callable[[], FiniteGroup]:
+def _parse_atom(tok: str) -> Callable[[], FiniteGroup]:
     """Check the syntax of one atom and return the builder of its table.
 
-    The builder refuses an order above ``cap`` before it builds anything,
+    The builder refuses an order above the cap before it builds anything,
     and the constructions check their own arguments, so none of those
     errors can come before a syntax error in a later atom.
     """
@@ -458,33 +459,31 @@ def _parse_atom(tok: str, cap: int) -> Callable[[], FiniteGroup]:
 
     def build() -> FiniteGroup:
         if "dn" in num:
-            return build_dihedral(_capped(num["dn"], cap))
+            return build_dihedral(_capped(num["dn"]))
         if "sn" in num:
-            _capped_factorial(num["sn"], 1, cap)
+            _capped_factorial(num["sn"], 1)
             return build_symmetric(num["sn"])
         if "an" in num:
-            _capped_factorial(num["an"], 2, cap)
+            _capped_factorial(num["an"], 2)
             return build_alternating(num["an"])
         if "xp" in num:
-            _capped(num["xp"], cap)
+            _capped(num["xp"])
             return build_extraspecial(p)
         if "mp" in num:
-            # q^e > cap once e exceeds the bits of cap (q >= 2): no huge power
+            # q^e > cap once e passes the bits of cap (q >= 2): no huge power
             q, e = num["mp"], 2 * num["mn"]
-            if q > 1 and (e > cap.bit_length() or q ** e > cap):
-                raise PreconditionError(
-                    f"group order {q}^{e} exceeds the configured cap {cap}")
+            _capped(q ** min(e, DEFAULT_PRODUCT_CAP.bit_length()), f"{q}^{e}")
             return build_modular(q, num["mn"])
-        _capped(n, cap)  # before n^k, whose digits may be too many to print
-        _capped(n ** k, cap)
+        _capped(n)  # before n^k, whose digits may be too many to print
+        _capped(n ** k)
         g = c = build_cyclic(n)
         for _ in range(k - 1):
-            g = direct_product(g, c, cap=cap)
+            g = direct_product(g, c)
         return g
     return build
 
 
-def group_from_text(text: str, *, cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup:
+def group_from_text(text: str) -> FiniteGroup:
     """The group that grammar text like ``A4xC2`` or ``C2^3`` names.
 
     Every atom is parsed before any is built, so a syntax error anywhere
@@ -494,9 +493,9 @@ def group_from_text(text: str, *, cap: int = DEFAULT_PRODUCT_CAP) -> FiniteGroup
     text = text.strip()
     if not text:
         raise GroupSpecError("empty group description")
-    builders = [_parse_atom(tok, cap) for tok in _split_product(text)]
+    builders = [_parse_atom(tok) for tok in _split_product(text)]
     g = builders[0]()
     for build in builders[1:]:
-        g = direct_product(g, build(), cap=cap)
+        g = direct_product(g, build())
     g.name = text
     return g

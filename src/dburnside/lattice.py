@@ -1,9 +1,10 @@
 """Subgroup lattices, sections, double cosets, and isomorphism search.
 
-A lattice is found by one of two routes; both give the same sorted list.
+A lattice is found by one of two routes, chosen by ``G.factors``; both
+give the same sorted list.
 
-A direct product G x H whose factors are known and both nontrivial (the
-product of a biset space, handed over by ``BisetSpace.basis``) takes
+A product G x H with ``factors`` set (``groups.direct_product`` sets them
+unless a factor is trivial, so text like ``S4xS4`` has them too) takes
 Goursat's lemma: each subgroup is one section K1 <| P1 of G, one section
 K2 <| P2 of H and one isomorphism P2/K2 -> P1/K1, read off the factors'
 own lattices and the automorphisms of each quotient type the factors
@@ -17,8 +18,8 @@ found subgroup H by one generator of each such zuppo, and only by one per
 right coset Hx, since <H,x> = <H,hx>.  Each extension <H,x> is built by
 Dimino's coset closure as a union of right cosets of H, and subgroups are
 deduplicated by their element-flag bytes.  A product with a trivial factor
-has the other factor's table, so its lattice is that factor's and comes
-this way too.
+has no factors and the other factor's table, so its lattice is that
+factor's and comes this way too.
 
 Results are deterministic and do not depend on the route: subgroups are
 sorted by (order, element list), conjugacy classes (of subgroups and of
@@ -270,14 +271,12 @@ def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
 _LATTICE_MEMO: Dict[str, SubgroupLattice] = cache.memo_table()
 
 
-def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None,
-                factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
-                ) -> SubgroupLattice:
+def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLattice:
     """The lattice of G: from the memo, else the cache file, else enumerated
     (and then written to the cache file).
 
-    ``factors`` (G1, G2) says that G is ``direct_product(G1, G2)``; the
-    subgroups are then found by Goursat's lemma unless a factor is trivial.
+    When ``G.factors`` is set, the subgroups are found by Goursat's lemma
+    from the factors' lattices.
     """
     lat = _LATTICE_MEMO.get(G.key)
     if lat is not None:
@@ -287,11 +286,7 @@ def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None,
         lat = cache.load_lattice(cache_dir, G)
     if lat is None:
         b = budget or NO_BUDGET
-        subgroups = None
-        # a trivial factor leaves G's table, and so its key, unchanged:
-        # the factor's lattice would be the one being computed
-        if factors is not None and min(f.order for f in factors) > 1:
-            subgroups = _goursat_subgroups(*factors, b)
+        subgroups = _goursat_subgroups(*G.factors, b) if G.factors else None
         if subgroups is None:
             subgroups = _enumerate_subgroups(G, b)
         lat = SubgroupLattice(G, subgroups)
@@ -518,18 +513,24 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
 
 AUTOMORPHISM_ORDER_CAP = 64
 
+_AUT_MEMO: Dict[str, Tuple[List[List[int]], int, int]] = cache.memo_table()
 
-def automorphisms(G: FiniteGroup, *, order_cap: int = AUTOMORPHISM_ORDER_CAP,
-                  budget: Optional[Budget] = None
+
+def automorphisms(G: FiniteGroup, *, budget: Optional[Budget] = None
                   ) -> Tuple[List[List[int]], int, int]:
-    """All automorphisms, |Inn|, and |Out| = |Aut| / |Inn|."""
-    if G.order > order_cap:
+    """All automorphisms, |Inn|, and |Out| = |Aut| / |Inn|.
+
+    A search cut short by ``budget`` raises and is not memoized."""
+    if G.order > AUTOMORPHISM_ORDER_CAP:
         raise PreconditionError(
-            f"automorphism search capped at order {order_cap}, group has {G.order}")
-    auts = _iso_search(G, G, find_all=True, budget=budget or NO_BUDGET)
-    inner = G.order // len(G.center())
-    out_order = len(auts) // inner
-    return auts, inner, out_order
+            f"automorphism search capped at order {AUTOMORPHISM_ORDER_CAP}, "
+            f"group has {G.order}")
+    hit = _AUT_MEMO.get(G.key)
+    if hit is None:
+        auts = _iso_search(G, G, find_all=True, budget=budget or NO_BUDGET)
+        inner = G.order // len(G.center())
+        hit = _AUT_MEMO[G.key] = auts, inner, len(auts) // inner
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,8 @@ def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
 
 
 def test_budget_reaches_the_automorphism_search(capsys, monkeypatch):
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()  # a memoized search would skip every check
     monkeypatch.setattr(cli, "Budget",
                         lambda seconds: ExpireAtCheck("isomorphism search", 1))
     assert run(capsys, "essential-out", "C2^2")[0] == 2

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dburnside import lattice
+from dburnside import catalog, lattice
 from dburnside.bisets import space
 from dburnside.cache import clear_memory_caches
 from dburnside.errors import (NO_BUDGET, Budget, BudgetExceeded,
@@ -63,10 +63,11 @@ def test_extraspecial_27():
 
 
 def test_symmetric_and_alternating_atoms_respect_the_cap():
+    # 7! = 5040 and 8!/2 = 20160 are above the cap 4096
     with pytest.raises(PreconditionError):
-        group_from_text("S4", cap=10)
+        group_from_text("S7")
     with pytest.raises(PreconditionError):
-        group_from_text("A5", cap=10)
+        group_from_text("A8")
     assert group_from_text("S4").order == 24
     assert group_from_text("A5").order == 60
     # the order is refused before n! grows past the cap, however large n is
@@ -154,6 +155,19 @@ def test_golden_keys_cover_the_catalog():
     assert set(CATALOG_SPECS) <= set(GOLDEN_KEYS)
 
 
+def test_recognize_lets_a_failed_candidate_build_propagate(monkeypatch):
+    """A crash while building a candidate is an error, never a missed name."""
+    c2_3 = g("C2^3")  # its candidates C8, C4xC2, C2xC2xC2 are built from text
+    clear_memory_caches()
+
+    def broken(text):
+        raise RuntimeError(f"cannot build {text}")
+
+    monkeypatch.setattr(catalog, "group_from_text", broken)
+    with pytest.raises(RuntimeError):
+        catalog.recognize(c2_3)
+
+
 @pytest.mark.parametrize("text", list(GOLDEN_KEYS))
 def test_golden_group_keys(text):
     G = group_from_text(text)
@@ -191,7 +205,7 @@ def test_product_encoding_round_trip():
 
 def test_product_cap_enforced():
     with pytest.raises(PreconditionError):
-        direct_product(g("C16"), g("C16"), cap=100)
+        direct_product(g("C64"), g("C128"))
     # atoms are refused before their table is built
     # C<n>^<k> checks n first: n^k of a 4000-digit n is too long to print
     for text in ("C5000", "D8194", "M(11,2)", "X(24389)", "C2^13",
@@ -345,14 +359,28 @@ def test_goursat_route_matches_zuppo_extension():
 
 @pytest.mark.parametrize("left,right", [("S4", "A4"), ("A4", "S4"),
                                         ("S4", "S4")])
-def test_goursat_lattice_matches_zuppo_extension(left, right):
-    clear_memory_caches()
+def test_goursat_lattice_matches_zuppo_extension(monkeypatch, left, right):
+    """A product carries its factors whether made by ``direct_product`` or
+    typed as text, so its lattice comes by Goursat's lemma: zuppo
+    extension sees the factors only, never the product."""
     G, H = g(left), g(right)
-    P = direct_product(G, H)
-    lat = get_lattice(P, factors=(G, H))
-    ref = SubgroupLattice(P, _enumerate_subgroups(P, NO_BUDGET))
-    assert lat.subgroups == ref.subgroups
-    assert lat.classes == ref.classes
+    real = lattice._enumerate_subgroups
+    made = direct_product(G, H)
+    ref = SubgroupLattice(made, real(made, NO_BUDGET))
+    enumerated = []
+
+    def spied(X, budget):
+        enumerated.append(X.order)
+        return real(X, budget)
+
+    monkeypatch.setattr(lattice, "_enumerate_subgroups", spied)
+    for P in (made, g(f"{left}x{right}")):
+        clear_memory_caches()
+        enumerated.clear()
+        lat = get_lattice(P)
+        assert set(enumerated) == {G.order, H.order}
+        assert lat.subgroups == ref.subgroups
+        assert lat.classes == ref.classes
 
 
 @pytest.mark.parametrize("left,right", [("C1", "S4"), ("S4", "C1")])
@@ -370,7 +398,8 @@ def test_trivial_factor_takes_zuppo_extension(monkeypatch, left, right):
     P = direct_product(G, H)
     s4 = g("S4")
     assert P.key == s4.key  # the product's table is S4's own
-    lat = get_lattice(P, factors=(G, H))
+    assert P.factors is None
+    lat = get_lattice(P)
     assert not calls
     assert lat.subgroups == _enumerate_subgroups(s4, NO_BUDGET)
     assert get_lattice(s4) is lat
@@ -592,7 +621,7 @@ def test_close_with_images_is_the_generated_homomorphism():
 
 def test_automorphism_cap():
     with pytest.raises(PreconditionError):
-        automorphisms(g("A4xC2"), order_cap=16)
+        automorphisms(g("C2^7"))  # order 128, above the cap 64
 
 
 def test_isomorphism_search_is_budgeted_and_not_memoized():
@@ -605,9 +634,26 @@ def test_isomorphism_search_is_budgeted_and_not_memoized():
     assert (c6.key, c2c3.key) in lattice._ISO_MEMO
 
 
-def test_automorphism_search_is_budgeted():
+def test_automorphism_search_is_budgeted(monkeypatch):
+    """A search cut short stores nothing; a completed one is memoized."""
+    clear_memory_caches()  # a memoized search would skip every check
+    searches = []
+    real = lattice._iso_search
+
+    def spied(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_iso_search", spied)
+    c2_4 = g("C2^4")
     with pytest.raises(BudgetExceeded):
-        automorphisms(g("C2^4"), budget=Budget(-1.0))
+        automorphisms(c2_4, budget=Budget(-1.0))
+    assert c2_4.key not in lattice._AUT_MEMO
+    first = automorphisms(c2_4)
+    assert len(searches) == 2
+    assert automorphisms(c2_4) is first
+    assert len(searches) == 2  # the second call ran no search
+    assert first[2] == 20160  # |GL(4,2)|
 
 
 # -- sections -----------------------------------------------------------------
