@@ -47,7 +47,8 @@ class FiniteGroup:
         self.name = name
         self.order = len(mul)
         self.mul = [list(map(int, row)) for row in mul]
-        # (G, H) when this is direct_product(G, H) of two nontrivial groups
+        # (G, H) when this is direct_product(G, H) of two nontrivial groups;
+        # with a trivial factor, the other factor's own
         self.factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
         self._key: Optional[str] = None
         self._orders: Optional[Tuple[int, ...]] = None
@@ -297,7 +298,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
         table.append([grow[b1] * hn + hrow[b2]
                       for b1 in range(G.order) for b2 in range(hn)])
     P = FiniteGroup(f"{G.name}x{H.name}", table, check_associativity=False)
-    P.factors = (G, H) if min(G.order, H.order) > 1 else None
+    P.factors = ((G, H) if min(G.order, H.order) > 1
+                 else G.factors or H.factors)
     return P
 
 

@@ -3,8 +3,9 @@
 A lattice is found by one of two routes, chosen by ``G.factors``; both
 give the same sorted list.
 
-A product G x H with ``factors`` set (``groups.direct_product`` sets them
-unless a factor is trivial, so text like ``S4xS4`` has them too) takes
+A product G x H with ``factors`` set (``groups.direct_product`` sets them,
+so text like ``S4xS4`` has them too; a product with a trivial factor has
+the other factor's table and carries that factor's ``factors``) takes
 Goursat's lemma: each subgroup is one section K1 <| P1 of G, one section
 K2 <| P2 of H and one isomorphism P2/K2 -> P1/K1, read off the factors'
 own lattices and the automorphisms of each quotient type the factors
@@ -17,9 +18,7 @@ contains, so starting from the trivial group it suffices to extend each
 found subgroup H by one generator of each such zuppo, and only by one per
 right coset Hx, since <H,x> = <H,hx>.  Each extension <H,x> is built by
 Dimino's coset closure as a union of right cosets of H, and subgroups are
-deduplicated by their element-flag bytes.  A product with a trivial factor
-has no factors and the other factor's table, so its lattice is that
-factor's and comes this way too.
+deduplicated by their element-flag bytes.
 
 Results are deterministic and do not depend on the route: subgroups are
 sorted by (order, element list), conjugacy classes (of subgroups and of
@@ -176,10 +175,11 @@ def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup,
     """
     hn = H.order
     sections = []
-    for X in (G, H):
+    for X, Y in ((G, H), (H, G)):
+        # a quotient of X pairs only with one of Y, whose order divides |Y|
         lat = get_lattice(X, budget)
         sections.append([(lat.subgroups[t], lat.subgroups[s])
-                         for t, s in _normal_pairs(X, lat, budget)])
+                         for t, s in _normal_pairs(X, lat, budget, Y.order)])
     shared = ({len(t) // len(s) for t, s in sections[0]}
               & {len(t) // len(s) for t, s in sections[1]})
     types: List[FiniteGroup] = []
@@ -338,21 +338,29 @@ def double_coset_reps(A: Iterable[int], G: FiniteGroup,
 # Sections
 # ---------------------------------------------------------------------------
 
-def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice,
-                  budget: Budget) -> List[Tuple[int, int]]:
-    """All (T, S) subgroup index pairs with S normal in T."""
+def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, budget: Budget,
+                  divides: int = 0) -> List[Tuple[int, int]]:
+    """All (T, S) subgroup index pairs with S normal in T, sorted; given
+    ``divides``, only those whose |T/S| divides it."""
     pairs: List[Tuple[int, int]] = []
     sets = [frozenset(s) for s in lat.subgroups]
+    by_order: Dict[int, List[int]] = {}  # ascending, as the lattice is
+    for si, s in enumerate(lat.subgroups):
+        by_order.setdefault(len(s), []).append(si)
     mul, inv = G.mul, G.inv
+    abelian = G.is_abelian()
     for ti, t in enumerate(lat.subgroups):
         budget.check("section enumeration", len(pairs))
         tset = sets[ti]
-        for si, s in enumerate(lat.subgroups):
-            if len(s) > len(t) or len(t) % len(s) or not sets[si] <= tset:
+        for order, members in by_order.items():
+            if len(t) % order or divides % (len(t) // order):
                 continue
-            sset = sets[si]
-            if all(mul[mul[g][x]][inv[g]] in sset for g in t for x in s):
-                pairs.append((ti, si))
+            for si in members:
+                sset = sets[si]
+                if sset <= tset and (abelian or all(
+                        mul[mul[g][x]][inv[g]] in sset
+                        for g in t for x in lat.subgroups[si])):
+                    pairs.append((ti, si))
     return pairs
 
 

@@ -477,16 +477,23 @@ def test_run_without_cache_dir_leaves_earlier_one_alone(tmp_path, capsys,
 
 def test_goursat_lattice_file_matches_zuppo_extension(tmp_path, monkeypatch):
     """The basis of kB(A4, S3) finds the product's lattice by Goursat's
-    lemma, a bare get_lattice by zuppo extension: the files are the same."""
+    lemma; the file is the one written from zuppo extension on the same
+    table."""
     from dburnside import cache as cache_mod
     from dburnside.bisets import space
+    from dburnside.errors import NO_BUDGET
     from dburnside.groups import direct_product
-    from dburnside.lattice import get_lattice
+    from dburnside.lattice import SubgroupLattice, _enumerate_subgroups
     a4, s3 = group_from_text("A4"), group_from_text("S3")
     product = direct_product(a4, s3)
+
+    def zuppo():
+        cache_mod.save_lattice(tmp_path / "zuppo", SubgroupLattice(
+            product, _enumerate_subgroups(product, NO_BUDGET)))
+
     written = []
     for name, build in [("goursat", lambda: space(a4, s3).basis()),
-                        ("zuppo", lambda: get_lattice(product))]:
+                        ("zuppo", zuppo)]:
         monkeypatch.setattr(cache_mod, "cache_dir", tmp_path / name)
         cache_mod.clear_memory_caches()
         build()

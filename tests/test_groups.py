@@ -16,6 +16,7 @@ from dburnside.groups import (FiniteGroup, Section, Subgroup, build_cyclic,
                               section_quotient)
 from dburnside.lattice import (SubgroupLattice, _close_with_images,
                                _enumerate_subgroups, _goursat_subgroups,
+                               _normal_pairs,
                                all_subgroups, automorphisms,
                                double_coset_reps, get_lattice, is_isomorphic,
                                section_classes, subgroup_conjugacy_classes,
@@ -319,10 +320,13 @@ def reference_classes(group, subgroups):
     ("D8xD8", 389, 214), ("C4^2", 15, 15), ("C2^5", 374, 374),
     ("C3xS3", 14, 9), ("X(27)", 19, 11)])
 def test_lattice_matches_reference(name, n_subgroups, n_classes):
+    """Both routes: a product's lattice comes by Goursat's lemma, so zuppo
+    extension is checked on its table directly."""
     grp = g(name)
     lat = get_lattice(grp)
     subgroups = reference_subgroups(grp)
     assert lat.subgroups == subgroups
+    assert _enumerate_subgroups(grp, NO_BUDGET) == subgroups
     assert lat.classes == reference_classes(grp, subgroups)
     assert (len(lat.subgroups), len(lat.classes)) == (n_subgroups, n_classes)
 
@@ -403,6 +407,15 @@ def test_trivial_factor_takes_zuppo_extension(monkeypatch, left, right):
     assert not calls
     assert lat.subgroups == _enumerate_subgroups(s4, NO_BUDGET)
     assert get_lattice(s4) is lat
+
+
+def test_trivial_factor_keeps_the_other_factors():
+    """A product with a trivial factor has the other factor's table, so it
+    carries that factor's factors and takes the same route."""
+    G, c1 = g("A4xC2"), g("C1")
+    for P in (direct_product(G, c1), direct_product(c1, G)):
+        assert P.key == G.key
+        assert P.factors is G.factors
 
 
 def test_product_basis_is_budgeted():
@@ -679,6 +692,23 @@ def test_full_section_class_is_unique():
         full = [c for c in classes
                 if len(c[0][0]) == grp.order and len(c[0][1]) == 1]
         assert len(full) == 1
+
+
+@pytest.mark.parametrize("name", ["S4", "D8xC2", "C2^3"])
+def test_normal_pairs_match_the_definition(name):
+    """Every (T, S) with S normal in T; a divisor keeps those whose
+    quotient order divides it, in the same order."""
+    grp = g(name)
+    lat = get_lattice(grp)
+    subs = lat.subgroups
+    full = [(ti, si) for ti, t in enumerate(subs) for si, s in enumerate(subs)
+            if set(s) <= set(t) and all(grp.conj(x, y) in s
+                                        for x in t for y in s)]
+    assert _normal_pairs(grp, lat, NO_BUDGET) == full
+    for n in (2, 6):
+        assert _normal_pairs(grp, lat, NO_BUDGET, n) == [
+            (ti, si) for ti, si in full
+            if n % (len(subs[ti]) // len(subs[si])) == 0]
 
 
 @pytest.mark.parametrize("name", ["S4", "D8xC2", "A4xC2", "C3xS3"])
