@@ -1,11 +1,10 @@
 """Exact computations in double Burnside algebras of small finite groups."""
 
 from .errors import Budget, BudgetExceeded, GroupSpecError, PreconditionError
-from .groups import (FiniteGroup, Section, Subgroup, direct_product,
-                     group_from_text, quotient_group)
-from .lattice import (all_subgroups, automorphisms, double_coset_reps,
-                      is_isomorphic, section_classes,
-                      subgroup_conjugacy_classes, subquotients_up_to_iso)
+from .groups import (FiniteGroup, direct_product, group_from_text,
+                     quotient_group, subgroup)
+from .lattice import (automorphisms, double_coset_reps, get_lattice,
+                      is_isomorphic, section_classes, subquotients_up_to_iso)
 from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
 from .bisets import (BisetElement, BisetLabel, ElementaryBiset,
                      ProductInvariants, butterfly_factorize, canonical_basis,

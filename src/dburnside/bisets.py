@@ -16,8 +16,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import memo_table
 from .errors import Budget, NO_BUDGET, PreconditionError
-from .groups import (FiniteGroup, Subgroup, direct_product, quotient_group,
-                     section_quotient)
+from .groups import (FiniteGroup, direct_product, quotient_group,
+                     section_quotient, subgroup)
 from .lattice import double_coset_reps, get_lattice, memoized_lattice
 from .linalg import Field, FieldSpec
 
@@ -74,7 +74,7 @@ class BisetSpace:
 
     # -- canonical basis --------------------------------------------------
 
-    def basis(self, budget: Optional[Budget] = None) -> List[LabelTuple]:
+    def basis(self, budget: Budget = NO_BUDGET) -> List[LabelTuple]:
         if self._basis is None:
             lat = get_lattice(self.product, budget)
             self._basis = lat.class_reps()
@@ -156,10 +156,10 @@ class BisetLabel:
 
 @dataclass(frozen=True)
 class ProductInvariants:
-    p1: Subgroup
-    p2: Subgroup
-    k1: Subgroup
-    k2: Subgroup
+    p1: LabelTuple  # of left
+    p2: LabelTuple  # of right
+    k1: LabelTuple  # of left
+    k2: LabelTuple  # of right
     q: FiniteGroup
 
 
@@ -167,8 +167,7 @@ def make_label(left: FiniteGroup, right: FiniteGroup,
                elements: Iterable[int]) -> BisetLabel:
     """Canonicalize and validate a subgroup of the product into a label."""
     sp = space(left, right)
-    sub = Subgroup(sp.product, elements)  # validates closure
-    return BisetLabel(left, right, sp.canonical(sub.elements))
+    return BisetLabel(left, right, sp.canonical(subgroup(sp.product, elements)))
 
 
 def identity_label(G: FiniteGroup) -> BisetLabel:
@@ -192,13 +191,9 @@ def _goursat(label: BisetLabel) -> Tuple[LabelTuple, LabelTuple,
 
 
 def product_invariants(label: BisetLabel) -> ProductInvariants:
-    G, H = label.left, label.right
     p1, k1, p2, k2 = _goursat(label)
-    q, _ = section_quotient(G, p1, k1)
-    return ProductInvariants(Subgroup(G, p1, validate=False),
-                             Subgroup(H, p2, validate=False),
-                             Subgroup(G, k1, validate=False),
-                             Subgroup(H, k2, validate=False), q)
+    q, _ = section_quotient(label.left, p1, k1)
+    return ProductInvariants(p1, p2, k1, k2, q)
 
 
 def is_left_free(label: BisetLabel) -> bool:
@@ -359,7 +354,7 @@ def compose(x: BisetElement, y: BisetElement) -> BisetElement:
     return BisetElement(x.left, y.right, x.field, out)
 
 
-def star(L: BisetLabel, M: BisetLabel) -> Subgroup:
+def star(L: BisetLabel, M: BisetLabel) -> LabelTuple:
     """The composition subgroup {(g,k) : exists h, (g,h) in L, (h,k) in M}."""
     if L.right != M.left:
         raise PreconditionError("middle groups do not match")
@@ -369,11 +364,11 @@ def star(L: BisetLabel, M: BisetLabel) -> Subgroup:
     fib_l, _ = sp_gh.fibers_second(L.elements)
     fib_m, _ = sp_hk.fibers_first(M.elements)
     elems = _star(L.right, fib_l, fib_m, M.right.order)
-    return Subgroup(sp_gk.product, elems)  # validates closure
+    return subgroup(sp_gk.product, elems)
 
 
 def canonical_basis(G: FiniteGroup, H: FiniteGroup,
-                    budget: Optional[Budget] = None) -> List[BisetLabel]:
+                    budget: Budget = NO_BUDGET) -> List[BisetLabel]:
     """One label per conjugacy class of subgroups of G x H, in fixed order."""
     sp = space(G, H)
     return [BisetLabel(G, H, t) for t in sp.basis(budget)]
@@ -397,23 +392,25 @@ def _elementary(kind: str, left: FiniteGroup, right: FiniteGroup,
     return ElementaryBiset(kind, BisetLabel(left, right, sp.canonical(elems)))
 
 
-def elementary_ind(G: FiniteGroup, sub: Subgroup) -> ElementaryBiset:
+def elementary_ind(G: FiniteGroup, sub: Iterable[int]) -> ElementaryBiset:
     """Ind from a subgroup: the (G, sub)-biset G with both actions by product."""
-    P, pos = section_quotient(G, sub.elements, (0,))
-    return _elementary("Ind", G, P, ((g, pos[g]) for g in sub.elements))
+    sub = subgroup(G, sub)
+    P, pos = section_quotient(G, sub, (0,))
+    return _elementary("Ind", G, P, ((g, pos[g]) for g in sub))
 
 
-def elementary_res(G: FiniteGroup, sub: Subgroup) -> ElementaryBiset:
-    P, pos = section_quotient(G, sub.elements, (0,))
-    return _elementary("Res", P, G, ((pos[g], g) for g in sub.elements))
+def elementary_res(G: FiniteGroup, sub: Iterable[int]) -> ElementaryBiset:
+    sub = subgroup(G, sub)
+    P, pos = section_quotient(G, sub, (0,))
+    return _elementary("Res", P, G, ((pos[g], g) for g in sub))
 
 
-def elementary_inf(G: FiniteGroup, normal: Subgroup) -> ElementaryBiset:
+def elementary_inf(G: FiniteGroup, normal: Iterable[int]) -> ElementaryBiset:
     Q, proj = quotient_group(G, normal)
     return _elementary("Inf", G, Q, ((g, proj[g]) for g in range(G.order)))
 
 
-def elementary_def(G: FiniteGroup, normal: Subgroup) -> ElementaryBiset:
+def elementary_def(G: FiniteGroup, normal: Iterable[int]) -> ElementaryBiset:
     Q, proj = quotient_group(G, normal)
     return _elementary("Def", Q, G, ((proj[g], g) for g in range(G.order)))
 
@@ -498,7 +495,7 @@ class _Realization:
 
 
 def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
-                               budget: Optional[Budget] = None) -> BisetElement:
+                               budget: Budget = NO_BUDGET) -> BisetElement:
     """Ground-truth composite: orbit count on the explicit coset sets.
 
     Builds U x V, quotients by the diagonal middle action, and decomposes
@@ -507,7 +504,6 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
     """
     if U.right != V.left:
         raise PreconditionError("middle groups do not match")
-    b = budget or NO_BUDGET
     G, H, K = U.left, U.right, V.right
     sp_gh = space(G, H)
     sp_hk = space(H, K)
@@ -523,7 +519,7 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
     for start in range(nu * nv):
         if orbit[start] >= 0:
             continue
-        b.check("oracle orbit enumeration", n_orbits)
+        budget.check("oracle orbit enumeration", n_orbits)
         oid = n_orbits
         n_orbits += 1
         orbit_rep.append(start)
@@ -546,7 +542,7 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
     for o in range(n_orbits):
         if seen[o]:
             continue
-        b.check("oracle transitive decomposition", o)
+        budget.check("oracle transitive decomposition", o)
         comp = [o]
         seen[o] = True
         stack = [o]

@@ -112,10 +112,10 @@ def cmd_basis(args, budget):
         entries.append({
             "index": i,
             "subgroup": _label_json(lab.elements),
-            "p1": _label_json(inv.p1.elements),
-            "p2": _label_json(inv.p2.elements),
-            "k1": _label_json(inv.k1.elements),
-            "k2": _label_json(inv.k2.elements),
+            "p1": _label_json(inv.p1),
+            "p2": _label_json(inv.p2),
+            "k1": _label_json(inv.k1),
+            "k2": _label_json(inv.k2),
             "q_order": inv.q.order,
         })
     inputs = {"G": args.G, "H": args.H}
@@ -242,7 +242,7 @@ def cmd_semisimple(args, budget):
 
 def cmd_ssd(args, budget):
     G = group_from_text(args.G)
-    rep = is_s_self_dual(G)
+    rep = is_s_self_dual(G, budget)
     inputs = {"G": args.G}
     result = {
         "s_self_dual": rep.result,

@@ -79,10 +79,10 @@ def verify_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     return total == identity_element(H, fieldspec)
 
 
-def _quotient_certificate(H: FiniteGroup, G: FiniteGroup,
-                          fieldspec: FieldSpec) -> Optional[List[CertificateTerm]]:
+def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
+                          budget: Budget) -> Optional[List[CertificateTerm]]:
     """One-term certificate through a quotient G/N isomorphic to H."""
-    epi = find_quotient_isomorphic_to(G, H)
+    epi = find_quotient_isomorphic_to(G, H, budget)
     if epi is None:
         return None
     sp_hg = space(H, G)
@@ -97,7 +97,7 @@ _GENERATES_MEMO: Dict[Tuple[str, str, int], GeneratesReport] = memo_table()
 
 
 def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-              budget: Optional[Budget] = None, *,
+              budget: Budget = NO_BUDGET, *,
               skip_subquotient_check: bool = False) -> GeneratesReport:
     """Decide whether the identity of kB(H,H) factors through G.
 
@@ -119,28 +119,32 @@ def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
 
 
 def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                        budget: Optional[Budget] = None, *,
+                        budget: Budget = NO_BUDGET, *,
                         skip_subquotient_check: bool = False) -> GeneratesReport:
-    b = budget or NO_BUDGET
     if not skip_subquotient_check:
         try:
-            subqs = subquotients_up_to_iso(G, b)
+            found = any(is_isomorphic(H, Q, budget) is not None
+                        for Q, _ in subquotients_up_to_iso(G, budget))
         except BudgetExceeded:
             return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                    "budget during subquotient enumeration",
                                    None, 0, 0)
-        if not any(is_isomorphic(H, Q) is not None for Q, _ in subqs):
+        if not found:
             return GeneratesReport(H, G, fieldspec, False, "not-generated",
                                    "not a subquotient", None, 0, 0)
 
-    cert = _quotient_certificate(H, G, fieldspec)
+    try:
+        cert = _quotient_certificate(H, G, fieldspec, budget)
+    except BudgetExceeded:
+        # the span search stops at its first budget check and reports it
+        cert = None
     if cert is not None:
         if not verify_certificate(H, G, fieldspec, cert):
             raise AssertionError("quotient certificate failed to recompose")
         return GeneratesReport(H, G, fieldspec, True, "generated", "quotient",
                                cert, 0, 0)
 
-    return _generates_by_span(H, G, fieldspec, b)
+    return _generates_by_span(H, G, fieldspec, budget)
 
 
 def _pair_products(sp_hg: BisetSpace, sp_gh: BisetSpace, sp_hh: BisetSpace,
@@ -177,7 +181,7 @@ def _pair_products(sp_hg: BisetSpace, sp_gh: BisetSpace, sp_hh: BisetSpace,
 
 
 def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                       b: Budget) -> GeneratesReport:
+                       budget: Budget) -> GeneratesReport:
     """Insert every distinct product into one span; stop once it holds 1_H.
 
     Products are tried in a fixed low-complexity-first order.  Running out
@@ -186,8 +190,8 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     """
     sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
     try:
-        basis_hg, basis_gh = sp_hg.basis(b), sp_gh.basis(b)
-        dim = len(sp_hh.basis(b))
+        basis_hg, basis_gh = sp_hg.basis(budget), sp_gh.basis(budget)
+        dim = len(sp_hh.basis(budget))
     except BudgetExceeded:
         return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                "budget during basis enumeration", None, 0, 0)
@@ -208,7 +212,7 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     for x in order:
         if tried % 64 == 0:
             try:
-                b.check("product span", tried)
+                budget.check("product span", tried)
             except BudgetExceeded:
                 return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                        "budget during product span", None,
@@ -255,7 +259,7 @@ class NvReport:
 
 
 def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
-          budget: Optional[Budget] = None, *,
+          budget: Budget = NO_BUDGET, *,
           short_circuit: bool = True) -> NvReport:
     """Check that every subquotient of G is generated by G.
 
@@ -265,18 +269,16 @@ def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
     reduction order.
     """
     from .catalog import recognize
-    b = budget or NO_BUDGET
     try:
-        subqs = subquotients_up_to_iso(G, b)
+        subqs = subquotients_up_to_iso(G, budget)
     except BudgetExceeded:
         return NvReport(G, fieldspec, None, [])
     verdicts: List[SubquotientVerdict] = []
     confirmed: List[FiniteGroup] = []
     failed = False
     inconclusive = False
-    for Q, sec in reversed(subqs):
+    for Q, (wit_t, wit_s) in reversed(subqs):
         name = recognize(Q) or f"order{Q.order}"
-        wit_t, wit_s = sec.T.elements, sec.S.elements
         if failed and short_circuit:
             verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
                                                "skipped", "short-circuit"))
@@ -292,7 +294,7 @@ def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
                     f"transitivity({bname})"))
                 confirmed.append(Q)
                 continue
-        rep = generates(Q, G, fieldspec, b, skip_subquotient_check=True)
+        rep = generates(Q, G, fieldspec, budget, skip_subquotient_check=True)
         verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
                                            rep.status, rep.via, rep))
         if rep.result is True:
@@ -317,7 +319,7 @@ def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
 # ---------------------------------------------------------------------------
 
 def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup,
-                        budget: Optional[Budget] = None) -> Tuple[int, int]:
+                        budget: Budget = NO_BUDGET) -> Tuple[int, int]:
     """(dimension, raw section-class count) for the quotient type P.
 
     Valid in characteristic zero.  Counts conjugacy classes of sections
@@ -347,31 +349,31 @@ class SsdReport:
     agree: bool
 
 
-def is_s_self_dual(G: FiniteGroup) -> SsdReport:
+def is_s_self_dual(G: FiniteGroup, budget: Budget = NO_BUDGET) -> SsdReport:
     """Direct check that every subgroup is isomorphic to a quotient.
 
     Alongside, evaluates the structural classification (nilpotent with
     every Sylow abelian, or of one of the two extra families) and reports
     agreement.
     """
-    lat = get_lattice(G)
+    lat = get_lattice(G, budget)
     result = True
     failing: Optional[LabelTuple] = None
     for cls in lat.classes:
         rep = lat.subgroups[cls[0]]
         sub_g, _ = section_quotient(G, rep, (0,))
-        if find_quotient_isomorphic_to(G, sub_g) is None:
+        if find_quotient_isomorphic_to(G, sub_g, budget) is None:
             result = False
             failing = rep
             break
     full = tuple(range(G.order))
     nilp = is_nilpotent_section(G, full)
-    classification = nilp and _sylows_in_ssd_families(G)
+    classification = nilp and _sylows_in_ssd_families(G, budget)
     return SsdReport(G, result, failing, nilp, classification,
                      classification == result)
 
 
-def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
+def _sylows_in_ssd_families(G: FiniteGroup, budget: Budget) -> bool:
     full = tuple(range(G.order))
     for p, m in factorize(G.order):
         syl = sylow_subgroup(G, full, p)
@@ -383,7 +385,7 @@ def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
             cand = build_extraspecial(p)
             for _ in range(m - 3):
                 cand = direct_product(cand, build_cyclic(p))
-            ok = is_isomorphic(P, cand) is not None
+            ok = is_isomorphic(P, cand, budget) is not None
         if not ok:
             for nn in range(2, m // 2 + 1):
                 rest = m - 2 * nn
@@ -391,7 +393,7 @@ def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
                     cand = build_modular(p, nn)
                     for a in parts:
                         cand = direct_product(cand, build_cyclic(p ** a))
-                    if is_isomorphic(P, cand) is not None:
+                    if is_isomorphic(P, cand, budget) is not None:
                         ok = True
                         break
                 if ok:
@@ -414,7 +416,7 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 # ---------------------------------------------------------------------------
 
 def _gram(G: FiniteGroup, entry: Callable[[Items, int], int],
-          budget: Optional[Budget] = None) -> List[List[int]]:
+          budget: Budget = NO_BUDGET) -> List[List[int]]:
     """The matrix ``[[entry(u_i∘u_j, j) for j] for i]`` over the basis u of
     kB(G, G), with u_i∘u_j as its ``_pair_products`` items.
 
@@ -422,14 +424,13 @@ def _gram(G: FiniteGroup, entry: Callable[[Items, int], int],
     table is ever held; a product shared with a later row's dual pair waits
     for that row.
     """
-    b = budget or NO_BUDGET
     sp = space(G, G)
-    n = len(sp.basis(b))
+    n = len(sp.basis(budget))
     products = _pair_products(sp, sp, sp,
                               ((i, j) for i in range(n) for j in range(n)))
     gram = []
     for i in range(n):
-        b.check("trace form", i * n)
+        budget.check("trace form", i * n)
         gram.append([entry(next(products), j) for j in range(n)])
     return gram
 
@@ -439,7 +440,7 @@ def _weighted(weight: Sequence[int]):
     return lambda items, _: sum(c * weight[k] for k, c in items)
 
 
-def radical_dim_char0(G: FiniteGroup, budget: Optional[Budget] = None) -> int:
+def radical_dim_char0(G: FiniteGroup, budget: Budget = NO_BUDGET) -> int:
     """Nullity of the regular trace form of the label algebra over Q.
 
     Zero exactly when the algebra is semisimple in characteristic zero.
@@ -453,7 +454,7 @@ def radical_dim_char0(G: FiniteGroup, budget: Optional[Budget] = None) -> int:
 
 
 def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec,
-                    budget: Optional[Budget] = None) -> Tuple[int, int]:
+                    budget: Budget = NO_BUDGET) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
     basis = space(G, G).basis(budget)
     tr = [trace_of_label(BisetLabel(G, G, t)) for t in basis]
@@ -477,19 +478,18 @@ _TRIVIAL = build_cyclic(1)
 
 
 def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec,
-                             budget: Optional[Budget] = None) -> ModuleActionSet:
+                             budget: Budget = NO_BUDGET) -> ModuleActionSet:
     """Action of every (G, G) basis label on the coordinate space of kB(G).
 
     Computed through the identification of kB(G) with kB(G, 1): the
     composite of a label with a transitive G-set is again a sum of
     transitive G-sets.
     """
-    b = budget or NO_BUDGET
     f = Field(fieldspec)
     sp_gg = space(G, G)
     sp_g1 = space(G, _TRIVIAL)
-    labels = sp_gg.basis(b)
-    lat = get_lattice(G, b)
+    labels = sp_gg.basis(budget)
+    lat = get_lattice(G, budget)
     module_basis = lat.class_reps()
     mod_index = {t: i for i, t in enumerate(module_basis)}
     d = len(module_basis)
@@ -506,17 +506,16 @@ def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec,
 
 
 def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec,
-                                     budget: Optional[Budget] = None
+                                     budget: Budget = NO_BUDGET
                                      ) -> ModuleActionSet:
     """Direct formula for abelian G: coefficient |p2(H)\\G/L| on G/(H.L),
     with H.L the image under H of L in the first coordinate."""
     if not G.is_abelian():
         raise PreconditionError("the closed-form action needs an abelian group")
-    b = budget or NO_BUDGET
     f = Field(fieldspec)
     sp_gg = space(G, G)
-    labels = sp_gg.basis(b)
-    lat = get_lattice(G, b)
+    labels = sp_gg.basis(budget)
+    lat = get_lattice(G, budget)
     module_basis = lat.class_reps()
     mod_index = {t: i for i, t in enumerate(module_basis)}
     d = len(module_basis)
@@ -547,7 +546,7 @@ class SubmoduleReport:
 
 
 def check_submodules(G: FiniteGroup, fieldspec: FieldSpec,
-                     budget: Optional[Budget] = None) -> SubmoduleReport:
+                     budget: Budget = NO_BUDGET) -> SubmoduleReport:
     """Invariance of the two distinguished subspaces of kB(G).
 
     For a cyclic p-group: the coefficient-sum-zero subspace (codimension
@@ -584,7 +583,7 @@ def check_submodules(G: FiniteGroup, fieldspec: FieldSpec,
 # ---------------------------------------------------------------------------
 
 def essential_quotient_dim(H: FiniteGroup,
-                           budget: Optional[Budget] = None) -> int:
+                           budget: Budget = NO_BUDGET) -> int:
     """Dimension of kB(H,H) modulo labels factoring through smaller groups.
 
     A label factors through a strictly smaller group exactly when its

@@ -5,11 +5,13 @@ multiplication is a table lookup.  All target orders are small enough
 (every order is capped at 4096) that this beats any structured
 representation.
 
-Subgroups are sorted element tuples of their parent.  Every subquotient
+A subgroup is a sorted tuple of its elements, and a section T/S is the pair
+(T, S) of such tuples; no other representation exists.  Every subquotient
 T/S, and with S trivial every subgroup T as a group of its own, comes from
 one routine, :func:`section_quotient`, which numbers the cosets of S in T
-by their least element.  ``Subgroup``, ``Section`` and ``quotient_group``
-validate what a caller hands in and then build through it.
+by their least element.  A subgroup handed in by a caller is checked once,
+by :func:`subgroup`; the engine's own subgroups come from lattices and are
+not checked again.
 
 Grammar text (``A4xC2``, ``C2^3``, ``X(27)``) is parsed and checked atom by
 atom, and :func:`group_from_text` then builds each atom straight into its
@@ -21,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -154,80 +155,26 @@ class FiniteGroup:
                      if all(mul[z][g] == mul[g][z] for g in range(n)))
 
 
-class Subgroup:
-    """Closed subset of a parent group, held as a sorted element tuple."""
-
-    __slots__ = ("parent", "elements", "eset")
-
-    def __init__(self, parent: FiniteGroup, elements: Iterable[int], *,
-                 validate: bool = True):
-        self.parent = parent
-        self.elements = tuple(sorted(set(int(x) for x in elements)))
-        self.eset = frozenset(self.elements)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        G = self.parent
-        if 0 not in self.eset:
-            raise PreconditionError("subgroup must contain the identity")
-        for x in (self.elements[0], self.elements[-1]):  # sorted
-            if x < 0 or x >= G.order:
-                raise PreconditionError(f"element {x} outside parent group")
-        for x in self.elements:
-            if G.inv[x] not in self.eset:
-                raise PreconditionError("subset not closed under inversion")
-            row = G.mul[x]
-            for y in self.elements:
-                if row[y] not in self.eset:
-                    raise PreconditionError("subset not closed under multiplication")
-        if len(self.elements) == 0 or self.parent.order % len(self.elements) != 0:
-            raise PreconditionError("subgroup order must divide the group order")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.eset
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.parent == other.parent and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.parent.key, self.elements))
-
-    def __repr__(self) -> str:
-        return f"Subgroup(order={len(self.elements)} of {self.parent.name})"
-
-    def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conj(g, x) in self.eset
-                   for g in range(G.order) for x in self.elements)
-
-
-@dataclass(frozen=True)
-class Section:
-    """Pair (T, S) with S normal in T; the subquotient is T/S."""
-
-    T: Subgroup
-    S: Subgroup
-
-    def __post_init__(self):
-        if self.T.parent != self.S.parent:
-            raise PreconditionError("section parts must share a parent group")
-        if not self.S.eset <= self.T.eset:
-            raise PreconditionError("S must be contained in T")
-        G = self.T.parent
-        for t in self.T.elements:
-            for s in self.S.elements:
-                if G.conj(t, s) not in self.S.eset:
-                    raise PreconditionError("S must be normal in T")
-
-    def quotient(self) -> FiniteGroup:
-        return section_quotient(self.T.parent, self.T.elements,
-                                self.S.elements)[0]
+def subgroup(G: FiniteGroup, elements: Iterable[int]) -> Tuple[int, ...]:
+    """The elements as a sorted tuple, refused unless they form a subgroup
+    of G: the one check for a subgroup that a caller hands in."""
+    elems = tuple(sorted(set(int(x) for x in elements)))
+    eset = frozenset(elems)
+    if 0 not in eset:
+        raise PreconditionError("subgroup must contain the identity")
+    for x in (elems[0], elems[-1]):  # sorted
+        if x < 0 or x >= G.order:
+            raise PreconditionError(f"element {x} outside parent group")
+    for x in elems:
+        if G.inv[x] not in eset:
+            raise PreconditionError("subset not closed under inversion")
+        row = G.mul[x]
+        for y in elems:
+            if row[y] not in eset:
+                raise PreconditionError("subset not closed under multiplication")
+    if G.order % len(elems) != 0:
+        raise PreconditionError("subgroup order must divide the group order")
+    return elems
 
 
 def section_quotient(G: FiniteGroup, T: Sequence[int], S: Sequence[int]
@@ -254,17 +201,18 @@ def section_quotient(G: FiniteGroup, T: Sequence[int], S: Sequence[int]
     return FiniteGroup(name, table, check_associativity=False), proj
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup) -> Tuple[FiniteGroup, List[int]]:
+def quotient_group(G: FiniteGroup, N: Iterable[int]
+                   ) -> Tuple[FiniteGroup, List[int]]:
     """Coset group G/N with the projection map, for N normal in G.
 
     Cosets are labelled 0..|G/N|-1 in order of their least element, so the
     identity coset is index 0.  ``proj[g]`` is the coset index of g.
     """
-    if N.parent != G:
-        raise PreconditionError("subgroup belongs to a different group")
-    if not N.is_normal():
+    N = subgroup(G, N)
+    nset = frozenset(N)
+    if not all(G.conj(g, x) in nset for g in range(G.order) for x in N):
         raise PreconditionError("quotient requires a normal subgroup")
-    Q, proj = section_quotient(G, range(G.order), N.elements)
+    Q, proj = section_quotient(G, range(G.order), N)
     return Q, [proj[g] for g in range(G.order)]
 
 

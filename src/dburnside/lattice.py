@@ -26,9 +26,9 @@ sections) are orbits under a generating set of the group, singletons in
 an abelian group, and each class is represented by its lexicographically
 least member.  So memo and cache files stay keyed by the table hash alone.
 
-Subgroups and sections stay sorted element tuples of the group; each
-subquotient T/S is built from them by ``groups.section_quotient``, and the
-``Subgroup`` and ``Section`` wrappers are made only for public results.
+Subgroups are sorted element tuples of the group and sections are pairs
+(T, S) of them, in every result too; each subquotient T/S is built from
+them by ``groups.section_quotient``.
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache
 from .errors import Budget, NO_BUDGET, PreconditionError
-from .groups import FiniteGroup, Section, Subgroup, section_quotient
+from .groups import FiniteGroup, section_quotient
 from .numtheory import factorize
 
 ElementTuple = Tuple[int, ...]
+SectionPair = Tuple[ElementTuple, ElementTuple]  # (T, S), S normal in T
 
 
 def closure(G: FiniteGroup, gens: Sequence[int]) -> ElementTuple:
@@ -271,7 +272,7 @@ def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
 _LATTICE_MEMO: Dict[str, SubgroupLattice] = cache.memo_table()
 
 
-def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLattice:
+def get_lattice(G: FiniteGroup, budget: Budget = NO_BUDGET) -> SubgroupLattice:
     """The lattice of G: from the memo, else the cache file, else enumerated
     (and then written to the cache file).
 
@@ -285,10 +286,10 @@ def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLatt
     if cache_dir is not None:
         lat = cache.load_lattice(cache_dir, G)
     if lat is None:
-        b = budget or NO_BUDGET
-        subgroups = _goursat_subgroups(*G.factors, b) if G.factors else None
+        subgroups = (_goursat_subgroups(*G.factors, budget) if G.factors
+                     else None)
         if subgroups is None:
-            subgroups = _enumerate_subgroups(G, b)
+            subgroups = _enumerate_subgroups(G, budget)
         lat = SubgroupLattice(G, subgroups)
         if cache_dir is not None:
             cache.save_lattice(cache_dir, lat)
@@ -299,19 +300,6 @@ def get_lattice(G: FiniteGroup, budget: Optional[Budget] = None) -> SubgroupLatt
 def memoized_lattice(G: FiniteGroup) -> Optional[SubgroupLattice]:
     """The lattice of G if this run already holds it; never builds one."""
     return _LATTICE_MEMO.get(G.key)
-
-
-def all_subgroups(G: FiniteGroup, budget: Optional[Budget] = None) -> List[Subgroup]:
-    lat = get_lattice(G, budget)
-    return [Subgroup(G, s, validate=False) for s in lat.subgroups]
-
-
-def subgroup_conjugacy_classes(G: FiniteGroup,
-                               budget: Optional[Budget] = None
-                               ) -> List[List[Subgroup]]:
-    lat = get_lattice(G, budget)
-    return [[Subgroup(G, lat.subgroups[i], validate=False) for i in cls]
-            for cls in lat.classes]
 
 
 def double_coset_reps(A: Iterable[int], G: FiniteGroup,
@@ -364,18 +352,17 @@ def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, budget: Budget,
     return pairs
 
 
-def section_classes(G: FiniteGroup, budget: Optional[Budget] = None
-                    ) -> List[List[Tuple[ElementTuple, ElementTuple]]]:
+def section_classes(G: FiniteGroup, budget: Budget = NO_BUDGET
+                    ) -> List[List[SectionPair]]:
     """Conjugacy classes of sections (T, S) under simultaneous conjugation."""
-    b = budget or NO_BUDGET
-    lat = get_lattice(G, b)
-    pairs = _normal_pairs(G, lat, b)
+    lat = get_lattice(G, budget)
+    pairs = _normal_pairs(G, lat, budget)
     pair_key = {(lat.subgroups[t], lat.subgroups[s]): k
                 for k, (t, s) in enumerate(pairs)}
     mul = G.mul
     conjugators = _conjugators(G)
     seen = [False] * len(pairs)
-    classes: List[List[Tuple[ElementTuple, ElementTuple]]] = []
+    classes: List[List[SectionPair]] = []
     for k, (ti, si) in enumerate(pairs):
         if seen[k]:
             continue
@@ -398,12 +385,13 @@ def section_classes(G: FiniteGroup, budget: Optional[Budget] = None
 
 
 def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup,
-                                  budget: Optional[Budget] = None
-                                  ) -> List[List[Tuple[ElementTuple, ElementTuple]]]:
+                                  budget: Budget = NO_BUDGET
+                                  ) -> List[List[SectionPair]]:
     """The section classes of G whose subquotient T/S is isomorphic to P."""
     return [cls for cls in section_classes(G, budget)
             if len(cls[0][0]) == P.order * len(cls[0][1])
-            and is_isomorphic(section_quotient(G, *cls[0])[0], P) is not None]
+            and is_isomorphic(section_quotient(G, *cls[0])[0], P,
+                              budget) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +487,7 @@ _ISO_MEMO: Dict[Tuple[str, str], Optional[List[int]]] = cache.memo_table()
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
-                  budget: Optional[Budget] = None) -> Optional[List[int]]:
+                  budget: Budget = NO_BUDGET) -> Optional[List[int]]:
     """Explicit isomorphism G -> H as an image list, or None.
 
     A search cut short by ``budget`` raises and is not memoized."""
@@ -513,7 +501,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
     result: Optional[List[int]] = None
     if (G.order_histogram() == H.order_histogram()
             and G.is_abelian() == H.is_abelian()):
-        found = _iso_search(G, H, find_all=False, budget=budget or NO_BUDGET)
+        found = _iso_search(G, H, find_all=False, budget=budget)
         result = found[0] if found else None
     _ISO_MEMO[memo_key] = result
     return result
@@ -524,7 +512,7 @@ AUTOMORPHISM_ORDER_CAP = 64
 _AUT_MEMO: Dict[str, Tuple[List[List[int]], int, int]] = cache.memo_table()
 
 
-def automorphisms(G: FiniteGroup, *, budget: Optional[Budget] = None
+def automorphisms(G: FiniteGroup, *, budget: Budget = NO_BUDGET
                   ) -> Tuple[List[List[int]], int, int]:
     """All automorphisms, |Inn|, and |Out| = |Aut| / |Inn|.
 
@@ -535,7 +523,7 @@ def automorphisms(G: FiniteGroup, *, budget: Optional[Budget] = None
             f"group has {G.order}")
     hit = _AUT_MEMO.get(G.key)
     if hit is None:
-        auts = _iso_search(G, G, find_all=True, budget=budget or NO_BUDGET)
+        auts = _iso_search(G, G, find_all=True, budget=budget)
         inner = G.order // len(G.center())
         hit = _AUT_MEMO[G.key] = auts, inner, len(auts) // inner
     return hit
@@ -545,35 +533,37 @@ def automorphisms(G: FiniteGroup, *, budget: Optional[Budget] = None
 # Subquotients and structural predicates
 # ---------------------------------------------------------------------------
 
-_SUBQ_MEMO: Dict[str, List[Tuple[FiniteGroup, Section]]] = cache.memo_table()
+_SUBQ_MEMO: Dict[str, List[Tuple[FiniteGroup, SectionPair]]] = \
+    cache.memo_table()
 
 
-def subquotients_up_to_iso(G: FiniteGroup, budget: Optional[Budget] = None
-                           ) -> List[Tuple[FiniteGroup, Section]]:
-    """One group per isomorphism type of subquotient, with a witness section."""
+def subquotients_up_to_iso(G: FiniteGroup, budget: Budget = NO_BUDGET
+                           ) -> List[Tuple[FiniteGroup, SectionPair]]:
+    """One group per isomorphism type of subquotient, with a witness
+    section (T, S)."""
     hit = _SUBQ_MEMO.get(G.key)
     if hit is not None:
         return hit
-    b = budget or NO_BUDGET
-    out: List[Tuple[FiniteGroup, Section]] = []
-    for cls in section_classes(G, b):
-        t, s = cls[0]
-        q, _ = section_quotient(G, t, s)
-        if not any(is_isomorphic(q, known) is not None for known, _ in out):
-            out.append((q, Section(Subgroup(G, t, validate=False),
-                                   Subgroup(G, s, validate=False))))
+    out: List[Tuple[FiniteGroup, SectionPair]] = []
+    for cls in section_classes(G, budget):
+        q, _ = section_quotient(G, *cls[0])
+        if not any(is_isomorphic(q, known, budget) is not None
+                   for known, _ in out):
+            out.append((q, cls[0]))
     out.sort(key=lambda pair: (pair[0].order, pair[0].order_histogram()))
     _SUBQ_MEMO[G.key] = out
     return out
 
 
-def normal_subgroup_reps(G: FiniteGroup) -> List[ElementTuple]:
+def normal_subgroup_reps(G: FiniteGroup, budget: Budget = NO_BUDGET
+                         ) -> List[ElementTuple]:
     """Normal subgroups of G (each is a singleton conjugacy class)."""
-    lat = get_lattice(G)
+    lat = get_lattice(G, budget)
     return [lat.subgroups[cls[0]] for cls in lat.classes if len(cls) == 1]
 
 
-def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
+def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup,
+                                budget: Budget = NO_BUDGET
                                 ) -> Optional[List[int]]:
     """An epimorphism G -> H as the image of each element of G, or None.
 
@@ -584,11 +574,11 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
     target = G.order // H.order if H.order and G.order % H.order == 0 else None
     if target is None:
         return None
-    for n in normal_subgroup_reps(G):
+    for n in normal_subgroup_reps(G, budget):
         if len(n) != target:
             continue
         Q, proj = section_quotient(G, range(G.order), n)
-        phi = is_isomorphic(Q, H)
+        phi = is_isomorphic(Q, H, budget)
         if phi is not None:
             return [phi[proj[g]] for g in range(G.order)]
     return None

@@ -261,7 +261,7 @@ def test_criterion_11_extended_a4xc2(tmp_path):
     path.write_text(json.dumps(payload))
     assert cli_main(["verify", str(path)]) == 0
 
-    rep3 = generates(H, G, FieldSpec(3), budget=None)
+    rep3 = generates(H, G, FieldSpec(3))
     assert rep3.result is False
     n_pairs = (len(canonical_basis(H, G)) * len(canonical_basis(G, H)))
     assert rep3.products_tried == n_pairs  # complete search

@@ -16,9 +16,8 @@ from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
                               realize_and_compose_oracle, space, star,
                               trace_map, trace_of_label)
 from dburnside.errors import PreconditionError
-from dburnside.groups import Subgroup, group_from_text
-from dburnside.lattice import (all_subgroups, double_coset_reps, get_lattice,
-                               is_isomorphic)
+from dburnside.groups import group_from_text
+from dburnside.lattice import double_coset_reps, get_lattice, is_isomorphic
 from dburnside.linalg import FieldSpec
 
 Q = FieldSpec(0)
@@ -43,10 +42,10 @@ def test_invariants_of_diagonal():
     c4 = g("C4")
     lab = identity_label(c4)
     inv = product_invariants(lab)
-    assert inv.p1.elements == tuple(range(4))
-    assert inv.p2.elements == tuple(range(4))
-    assert inv.k1.elements == (0,)
-    assert inv.k2.elements == (0,)
+    assert inv.p1 == tuple(range(4))
+    assert inv.p2 == tuple(range(4))
+    assert inv.k1 == (0,)
+    assert inv.k2 == (0,)
     assert is_isomorphic(inv.q, c4) is not None
 
 
@@ -55,10 +54,10 @@ def test_invariants_of_full_product():
     sp = space(a, b)
     lab = BisetLabel(a, b, tuple(range(sp.product.order)))
     inv = product_invariants(lab)
-    assert inv.p1.elements == tuple(range(2))
-    assert inv.p2.elements == tuple(range(6))
-    assert inv.k1.elements == tuple(range(2))
-    assert inv.k2.elements == tuple(range(6))
+    assert inv.p1 == tuple(range(2))
+    assert inv.p2 == tuple(range(6))
+    assert inv.k1 == tuple(range(2))
+    assert inv.k2 == tuple(range(6))
     assert inv.q.order == 1
 
 
@@ -69,15 +68,14 @@ def test_invariants_of_graph():
     lab = make_label(c4, c4, [sp.encode((3 * x) % 4, x) for x in range(4)])
     inv = product_invariants(lab)
     assert inv.q.order == 4
-    assert inv.k1.elements == (0,)
+    assert inv.k1 == (0,)
 
 
 def test_index_identity_for_all_labels():
     for a, b in [("C4", "C4"), ("S3", "C2"), ("D8", "C2^2")]:
         for lab in basis_labels(a, b):
             inv = product_invariants(lab)
-            assert (len(inv.p1) * len(inv.k2.elements)
-                    == len(inv.p2) * len(inv.k1.elements))
+            assert len(inv.p1) * len(inv.k2) == len(inv.p2) * len(inv.k1)
             assert len(inv.p1) // len(inv.k1) == inv.q.order
 
 
@@ -86,17 +84,15 @@ def test_index_identity_for_all_labels():
 def test_star_with_diagonal_is_identity_sided():
     c4 = g("C4")
     for lab in basis_labels("C4", "C4"):
-        left = star(identity_label(c4), lab)
-        assert left.elements == lab.elements
-        right = star(lab, identity_label(c4))
-        assert right.elements == lab.elements
+        assert star(identity_label(c4), lab) == lab.elements
+        assert star(lab, identity_label(c4)) == lab.elements
 
 
 def test_star_full_products():
     v4 = g("C2^2")
     sp = space(v4, v4)
     full = BisetLabel(v4, v4, tuple(range(16)))
-    assert star(full, full).elements == tuple(range(16))
+    assert star(full, full) == tuple(range(16))
 
 
 def test_star_middle_mismatch():
@@ -118,10 +114,8 @@ def test_identity_composition():
 
 def test_res_then_ind_is_two_points():
     c2 = g("C2")
-    triv = Subgroup(c2, [0])
-    from dburnside.bisets import elementary_ind, elementary_res
-    ind = elementary_ind(c2, triv)
-    res = elementary_res(c2, triv)
+    ind = elementary_ind(c2, (0,))
+    res = elementary_res(c2, (0,))
     out = mackey_compose(res.label, ind.label)
     point = next(iter(out.coeffs))
     assert out.coeffs == {point: Fraction(2)}
@@ -131,10 +125,8 @@ def test_res_then_ind_is_two_points():
 
 def test_ind_then_res_is_free_orbit():
     c2 = g("C2")
-    triv = Subgroup(c2, [0])
-    from dburnside.bisets import elementary_ind, elementary_res
-    ind = elementary_ind(c2, triv)
-    res = elementary_res(c2, triv)
+    ind = elementary_ind(c2, (0,))
+    res = elementary_res(c2, (0,))
     out = mackey_compose(ind.label, res.label)
     assert out.coeffs == {(0,): Fraction(1)}
     assert realize_and_compose_oracle(ind.label, res.label) == out
@@ -227,10 +219,9 @@ def test_butterfly_identity_label():
 def test_butterfly_induction_label():
     # the label {(h,h) : h in H} with H < G composes back to itself
     d8 = g("D8")
-    c2sub = next(s for s in all_subgroups(d8) if len(s) == 2)
+    c2sub = next(s for s in get_lattice(d8).subgroups if len(s) == 2)
     sp = space(d8, g("C2"))
-    lab = make_label(d8, g("C2"),
-                     [sp.encode(c2sub.elements[i], i) for i in range(2)])
+    lab = make_label(d8, g("C2"), [sp.encode(c2sub[i], i) for i in range(2)])
     factors = butterfly_factorize(lab)
     assert compose_factors(factors) == element_from_label(lab, RATIONALS)
 
@@ -255,9 +246,8 @@ def test_butterfly_factors_are_the_elementary_bisets(a, b):
         ind, inf, _, dfl, res = butterfly_factorize(lab)
         inv = product_invariants(lab)
         P1, P2 = ind.label.right, res.label.left
-        p1, p2 = inv.p1.elements, inv.p2.elements
-        K1 = Subgroup(P1, [p1.index(x) for x in inv.k1.elements])
-        K2 = Subgroup(P2, [p2.index(x) for x in inv.k2.elements])
+        K1 = [inv.p1.index(x) for x in inv.k1]
+        K2 = [inv.p2.index(x) for x in inv.k2]
         assert ind == elementary_ind(g(a), inv.p1)
         assert inf == elementary_inf(P1, K1)
         assert dfl == elementary_def(P2, K2)
@@ -266,11 +256,24 @@ def test_butterfly_factors_are_the_elementary_bisets(a, b):
 
 def test_inflation_label_not_left_free():
     c4 = g("C4")
-    n = Subgroup(c4, [0, 2])
-    inf = elementary_inf(c4, n)
+    inf = elementary_inf(c4, [2, 0])
     inv = product_invariants(inf.label)
-    assert inv.k1.elements == (0, 2)
+    assert inv.k1 == (0, 2)
     assert not is_left_free(inf.label)
+
+
+def test_elementary_bisets_check_their_subgroups():
+    s3 = g("S3")
+    transposition = next(s for s in get_lattice(s3).subgroups if len(s) == 2)
+    assert elementary_ind(s3, transposition).label.right.order == 2
+    with pytest.raises(PreconditionError, match="requires a normal subgroup"):
+        elementary_inf(s3, transposition)
+    with pytest.raises(PreconditionError, match="requires a normal subgroup"):
+        elementary_def(s3, transposition)
+    with pytest.raises(PreconditionError, match="closed under multiplication"):
+        elementary_ind(s3, [0, 1, 2])  # two transpositions, not their product
+    with pytest.raises(PreconditionError, match="contain the identity"):
+        elementary_res(s3, [1])
 
 
 def test_left_free_classification():

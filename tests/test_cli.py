@@ -81,6 +81,13 @@ def test_budget_reaches_the_automorphism_search(capsys, monkeypatch):
     assert run(capsys, "essential-out", "C2^2")[0] == 2
 
 
+def test_ssd_budget_exhaustion_is_inconclusive(capsys):
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()  # a memoized lattice would skip every check
+    assert main(["ssd", "S4", "--budget", "0s"]) == 2
+    assert "inconclusive:" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     assert main(["generates", "C2(", "A4"]) == 3
     assert main(["generates", "Q8", "A4"]) == 3

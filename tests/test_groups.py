@@ -11,16 +11,16 @@ from dburnside.cache import clear_memory_caches
 from dburnside.errors import (NO_BUDGET, Budget, BudgetExceeded,
                               GroupSpecError, PreconditionError)
 from dburnside.catalog import CATALOG_SPECS, catalog_group
-from dburnside.groups import (FiniteGroup, Section, Subgroup, build_cyclic,
-                              direct_product, group_from_text, quotient_group,
-                              section_quotient)
+from dburnside.groups import (FiniteGroup, build_cyclic, direct_product,
+                              group_from_text, quotient_group,
+                              section_quotient, subgroup)
 from dburnside.lattice import (SubgroupLattice, _close_with_images,
                                _enumerate_subgroups, _goursat_subgroups,
-                               _normal_pairs,
-                               all_subgroups, automorphisms,
-                               double_coset_reps, get_lattice, is_isomorphic,
-                               section_classes, subgroup_conjugacy_classes,
-                               subquotients_up_to_iso)
+                               _normal_pairs, automorphisms,
+                               double_coset_reps,
+                               find_quotient_isomorphic_to, get_lattice,
+                               is_isomorphic,
+                               section_classes, subquotients_up_to_iso)
 
 
 def g(text):
@@ -237,14 +237,14 @@ def brute_force_subgroups(group):
 def test_subgroups_klein_four_against_brute_force():
     v4 = g("C2^2")
     expected = brute_force_subgroups(v4)
-    got = [s.elements for s in all_subgroups(v4)]
+    got = get_lattice(v4).subgroups
     assert got == expected
     assert len(got) == 5
 
 
 def test_subgroups_s3_against_brute_force():
     s3 = g("S3")
-    assert [s.elements for s in all_subgroups(s3)] == brute_force_subgroups(s3)
+    assert get_lattice(s3).subgroups == brute_force_subgroups(s3)
 
 
 def galois_number(n, q=2):
@@ -426,25 +426,54 @@ def test_product_basis_is_budgeted():
 
 
 def test_trivial_group_single_subgroup():
-    assert len(all_subgroups(g("1"))) == 1
+    assert get_lattice(g("1")).subgroups == [(0,)]
 
 
 def test_lagrange_and_validation():
     s4 = g("S4")
-    for sub in all_subgroups(s4):
+    for sub in get_lattice(s4).subgroups:
         assert s4.order % len(sub) == 0
-        Subgroup(s4, sub.elements)  # re-validate closure explicitly
+        assert subgroup(s4, sub) == sub  # re-validate closure explicitly
     with pytest.raises(PreconditionError):
-        Subgroup(s4, [0, 3])  # a 3-cycle without its square
+        subgroup(s4, [0, 3])  # a 3-cycle without its square
     with pytest.raises(PreconditionError):
-        Subgroup(s4, [3])  # missing identity
+        subgroup(s4, [3])  # missing identity
+
+
+# Not a group: a loop of order 5 (a Latin square with a two-sided identity
+# and inverses, not associative) whose subloop {0, 1} has order 2.
+_LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("group,elements,expected", [
+    ("S4", [3], "subgroup must contain the identity"),
+    ("C2xC4", [0, 99], "element 99 outside parent group"),
+    ("C2xC4", [-1, 0], "element -1 outside parent group"),
+    ("S3", [0, 3], "subset not closed under inversion"),
+    ("S3", [0, 1, 2], "subset not closed under multiplication"),
+    ("loop", [0, 1], "subgroup order must divide the group order"),
+    # accepted input is made int, deduplicated and sorted
+    ("S3", [4, 0, 3, 4, 0], (0, 3, 4)),
+    ("S3", (5.0, 0, "0"), (0, 5)),
+    ("S3", range(5, -1, -1), (0, 1, 2, 3, 4, 5)),
+])
+def test_subgroup_check(group, elements, expected):
+    grp = (FiniteGroup("loop", _LOOP5, check_associativity=False)
+           if group == "loop" else g(group))
+    if isinstance(expected, tuple):
+        assert subgroup(grp, elements) == expected
+        return
+    with pytest.raises(PreconditionError) as exc:
+        subgroup(grp, elements)
+    assert str(exc.value) == expected
 
 
 # -- conjugacy classes ------------------------------------------------------
 
 def conjugacy_oracle(group):
     """Oracle: exhaustive conjugation orbit partition of the subgroup list."""
-    subs = [s.elements for s in all_subgroups(group)]
+    subs = get_lattice(group).subgroups
     index = {s: i for i, s in enumerate(subs)}
     seen = set()
     classes = []
@@ -461,33 +490,31 @@ def conjugacy_oracle(group):
 
 
 def test_conjugacy_classes_a4():
-    a4 = g("A4")
-    classes = subgroup_conjugacy_classes(a4)
-    assert len(classes) == 5
-    orders = sorted(len(c[0]) for c in classes)
+    lat = get_lattice(g("A4"))
+    assert len(lat.classes) == 5
+    orders = sorted(len(lat.subgroups[c[0]]) for c in lat.classes)
     assert orders == [1, 2, 3, 4, 12]
-    assert sum(len(c) for c in classes) == len(all_subgroups(a4))
-    oracle = conjugacy_oracle(a4)
-    got = [[m.elements for m in c] for c in classes]
-    assert sorted(map(tuple, got)) == sorted(tuple(c) for c in oracle)
+    assert sum(len(c) for c in lat.classes) == len(lat.subgroups)
+    oracle = conjugacy_oracle(lat.group)
+    got = [tuple(lat.subgroups[i] for i in c) for c in lat.classes]
+    assert sorted(got) == sorted(tuple(c) for c in oracle)
 
 
 def test_conjugacy_classes_s4():
-    assert len(subgroup_conjugacy_classes(g("S4"))) == 11
+    assert len(get_lattice(g("S4")).classes) == 11
 
 
 def test_abelian_classes_are_singletons():
     for name in ["C8", "C2^3", "C12"]:
-        grp = g(name)
-        classes = subgroup_conjugacy_classes(grp)
-        assert all(len(c) == 1 for c in classes)
-        assert len(classes) == len(all_subgroups(grp))
+        lat = get_lattice(g(name))
+        assert all(len(c) == 1 for c in lat.classes)
+        assert len(lat.classes) == len(lat.subgroups)
 
 
 def test_class_sizes_divide_group_order():
     for name in ["A4", "S4", "D8", "D12"]:
         grp = g(name)
-        for cls in subgroup_conjugacy_classes(grp):
+        for cls in get_lattice(grp).classes:
             assert grp.order % len(cls) == 0
 
 
@@ -495,7 +522,7 @@ def test_class_sizes_divide_group_order():
 
 def test_quotient_a4_by_v4_is_c3():
     a4 = g("A4")
-    v4 = next(s for s in all_subgroups(a4) if len(s) == 4)
+    v4 = next(s for s in get_lattice(a4).subgroups if len(s) == 4)
     q, proj = quotient_group(a4, v4)
     assert q.order == 3
     assert q.is_cyclic()
@@ -504,27 +531,28 @@ def test_quotient_a4_by_v4_is_c3():
     for x in range(12):
         for y in range(12):
             assert proj[a4.mul[x][y]] == q.mul[proj[x]][proj[y]]
-    assert sorted(x for x in range(12) if proj[x] == 0) == list(v4.elements)
+    assert tuple(x for x in range(12) if proj[x] == 0) == v4
 
 
 def test_quotient_by_trivial_is_self():
     s3 = g("S3")
-    q, _ = quotient_group(s3, Subgroup(s3, [0]))
+    q, _ = quotient_group(s3, [0])
     assert is_isomorphic(q, s3) is not None
 
 
 def test_quotient_c4_by_c2():
     c4 = g("C4")
-    c2 = Subgroup(c4, [0, 2])
-    q, _ = quotient_group(c4, c2)
+    q, _ = quotient_group(c4, [2, 0])
     assert q.order == 2
 
 
 def test_quotient_requires_normal():
     s3 = g("S3")
-    sub = next(s for s in all_subgroups(s3) if len(s) == 2)
-    with pytest.raises(PreconditionError):
+    sub = next(s for s in get_lattice(s3).subgroups if len(s) == 2)
+    with pytest.raises(PreconditionError, match="requires a normal subgroup"):
         quotient_group(s3, sub)
+    with pytest.raises(PreconditionError, match="closed under inversion"):
+        quotient_group(s3, [0, 3])  # a 3-cycle without its square
 
 
 # -- isomorphism -------------------------------------------------------------
@@ -647,6 +675,13 @@ def test_isomorphism_search_is_budgeted_and_not_memoized():
     assert (c6.key, c2c3.key) in lattice._ISO_MEMO
 
 
+def test_quotient_search_is_budgeted():
+    clear_memory_caches()  # a memoized lattice would skip every check
+    with pytest.raises(BudgetExceeded):
+        find_quotient_isomorphic_to(g("S4"), g("S3"), Budget(0.0))
+    clear_memory_caches()
+
+
 def test_automorphism_search_is_budgeted(monkeypatch):
     """A search cut short stores nothing; a completed one is memoized."""
     clear_memory_caches()  # a memoized search would skip every check
@@ -743,23 +778,10 @@ def test_section_quotient_matches_quotient_of_subgroup_copy(name):
     for cls in section_classes(grp):
         for t, s in cls:
             T, pos = _subgroup_copy(grp, t)
-            ref, ref_proj = quotient_group(T, Subgroup(T, [pos[x] for x in s]))
+            ref, ref_proj = quotient_group(T, [pos[x] for x in s])
             q, proj = section_quotient(grp, t, s)
             assert q.mul == ref.mul
             assert proj == {x: ref_proj[pos[x]] for x in t}
-            sec = Section(Subgroup(grp, t), Subgroup(grp, s))
-            assert sec.quotient().mul == ref.mul
-
-
-def test_section_validation():
-    s3 = g("S3")
-    subs = all_subgroups(s3)
-    c3 = next(s for s in subs if len(s) == 3)
-    c2 = next(s for s in subs if len(s) == 2)
-    from dburnside.groups import Section
-    Section(Subgroup(s3, range(6)), c3)  # C3 normal in S3
-    with pytest.raises(PreconditionError):
-        Section(c3, c2)  # C2 not inside C3
 
 
 # -- subquotients -------------------------------------------------------------
@@ -772,8 +794,11 @@ def test_subquotients_a4xc2():
                       for n in expected_groups)
     assert keys == expected
     # every witness is a genuine section of the parent
-    for q, sec in subq:
-        assert len(sec.T.elements) == q.order * len(sec.S.elements)
+    grp = g("A4xC2")
+    for q, (t, s) in subq:
+        assert subgroup(grp, t) == t and subgroup(grp, s) == s
+        assert len(t) == q.order * len(s)
+        assert is_isomorphic(section_quotient(grp, t, s)[0], q) is not None
 
 
 def test_subquotients_prime_cyclic():
@@ -801,15 +826,15 @@ def test_double_cosets_full_group():
 
 def test_double_cosets_v4_a4_c3():
     a4 = g("A4")
-    v4 = next(s.elements for s in all_subgroups(a4) if len(s) == 4)
-    c3 = next(s.elements for s in all_subgroups(a4) if len(s) == 3)
+    v4 = next(s for s in get_lattice(a4).subgroups if len(s) == 4)
+    c3 = next(s for s in get_lattice(a4).subgroups if len(s) == 3)
     assert len(double_coset_reps(v4, a4, c3)) == 1
 
 
 def test_double_cosets_partition():
     rng = random.Random(11)
     s4 = g("S4")
-    subs = [s.elements for s in all_subgroups(s4)]
+    subs = get_lattice(s4).subgroups
     for _ in range(10):
         a = rng.choice(subs)
         bsub = rng.choice(subs)
@@ -852,7 +877,7 @@ def test_enumeration_budget_carries_partial_count():
     from dburnside.errors import Budget, BudgetExceeded
     clear_memory_caches()
     with pytest.raises(BudgetExceeded) as exc:
-        all_subgroups(g("C2^3xC2^3"), Budget(0.0))
+        get_lattice(g("C2^3xC2^3"), Budget(0.0))
     assert exc.value.partial_count >= 0
     clear_memory_caches()
 

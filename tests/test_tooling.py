@@ -82,3 +82,23 @@ def test_every_engine_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _module_imports(tree) if name not in named]
     assert unused == []
+
+
+def test_no_budget_parameter_defaults_to_none():
+    """A ``budget`` parameter defaults to ``NO_BUDGET``, never to None, so
+    "no budget" is said one way and no callee writes ``budget or ...``."""
+    found = []
+    for path in ENGINE:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITION[:2]):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaults = list(zip(positional[len(positional) - len(a.defaults):],
+                                a.defaults))
+            defaults += zip(a.kwonlyargs, a.kw_defaults)
+            found += [f"{path.name}:{node.lineno} {node.name}"
+                      for arg, d in defaults if arg.arg == "budget"
+                      and isinstance(d, ast.Constant) and d.value is None]
+    assert found == []
