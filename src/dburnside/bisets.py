@@ -11,11 +11,11 @@ Product-group elements are packed as g*|H| + h throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import errors
 from .cache import memo_table
-from .errors import Budget, NO_BUDGET, PreconditionError
+from .errors import PreconditionError
 from .groups import (FiniteGroup, direct_product, quotient_group,
                      section_quotient, subgroup)
 from .lattice import double_coset_reps, get_lattice, memoized_lattice
@@ -74,9 +74,9 @@ class BisetSpace:
 
     # -- canonical basis --------------------------------------------------
 
-    def basis(self, budget: Budget = NO_BUDGET) -> List[LabelTuple]:
+    def basis(self) -> List[LabelTuple]:
         if self._basis is None:
-            lat = get_lattice(self.product, budget)
+            lat = get_lattice(self.product)
             self._basis = lat.class_reps()
             self._basis_index = {t: i for i, t in enumerate(self._basis)}
         return self._basis
@@ -240,7 +240,7 @@ class BisetElement:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = [f"{Field(self.field).to_str(c)}*[{list(t)}]"
+        parts = [f"{c}*[{list(t)}]"
                  for t, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
 
@@ -323,14 +323,8 @@ def op_indices(sp: BisetSpace, sp_op: BisetSpace) -> List[int]:
 
 def mackey_compose(L: BisetLabel, M: BisetLabel) -> BisetElement:
     """Composite of two transitive labels as an integer element over (G, K)."""
-    if L.right != M.left:
-        raise PreconditionError("middle groups do not match")
-    sp_gh = space(L.left, L.right)
-    sp_hk = space(M.left, M.right)
-    sp_gk = space(L.left, M.right)
-    raw = mackey_tuples(sp_gh, sp_hk, sp_gk, L.elements, M.elements)
-    return BisetElement(L.left, M.right, RATIONALS,
-                        {t: Fraction(n) for t, n in raw.items()})
+    return compose(element_from_label(L, RATIONALS),
+                   element_from_label(M, RATIONALS))
 
 
 def compose(x: BisetElement, y: BisetElement) -> BisetElement:
@@ -367,11 +361,10 @@ def star(L: BisetLabel, M: BisetLabel) -> LabelTuple:
     return subgroup(sp_gk.product, elems)
 
 
-def canonical_basis(G: FiniteGroup, H: FiniteGroup,
-                    budget: Budget = NO_BUDGET) -> List[BisetLabel]:
+def canonical_basis(G: FiniteGroup, H: FiniteGroup) -> List[BisetLabel]:
     """One label per conjugacy class of subgroups of G x H, in fixed order."""
     sp = space(G, H)
-    return [BisetLabel(G, H, t) for t in sp.basis(budget)]
+    return [BisetLabel(G, H, t) for t in sp.basis()]
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +487,7 @@ class _Realization:
                       for r in reps]
 
 
-def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
-                               budget: Budget = NO_BUDGET) -> BisetElement:
+def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel) -> BisetElement:
     """Ground-truth composite: orbit count on the explicit coset sets.
 
     Builds U x V, quotients by the diagonal middle action, and decomposes
@@ -519,7 +511,7 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
     for start in range(nu * nv):
         if orbit[start] >= 0:
             continue
-        budget.check("oracle orbit enumeration", n_orbits)
+        errors.budget.check("oracle orbit enumeration")
         oid = n_orbits
         n_orbits += 1
         orbit_rep.append(start)
@@ -542,7 +534,7 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel,
     for o in range(n_orbits):
         if seen[o]:
             continue
-        budget.check("oracle transitive decomposition", o)
+        errors.budget.check("oracle transitive decomposition")
         comp = [o]
         seen[o] = True
         stack = [o]

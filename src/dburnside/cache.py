@@ -8,7 +8,8 @@ empties every registered table, which gives a true cold start.
 
 Lattice files.  :data:`cache_dir` is the directory subgroup lattices are
 persisted under, or None; ``cli.main`` sets it for the length of each call
-and then restores the value it found.
+and then restores the value it found, in the same ``finally`` that restores
+the run's budget ``errors.budget``.
 ``lattice.get_lattice`` looks in its memo, then reads the file, then
 enumerates the lattice and writes the file.  Files are keyed by the content
 hash of the Cayley table, carry a format version, and use a deterministic

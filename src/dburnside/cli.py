@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from . import cache as cache_mod
+from . import cache as cache_mod, errors
 from .bisets import (BisetLabel, canonical_basis, compose, compose_factors,
                      butterfly_factorize, element_from_label, make_label,
                      product_invariants)
@@ -56,18 +56,9 @@ def parse_duration(text: str) -> float:
     return value * unit
 
 
-def _scalar_str(fieldspec: FieldSpec, value) -> str:
-    return Field(fieldspec).to_str(value)
-
-
-def _label_json(t) -> List[int]:
-    return list(t)
-
-
-def _certificate_json(fieldspec: FieldSpec,
-                      terms: List[CertificateTerm]) -> List[Dict]:
-    return [{"u": _label_json(t.u), "w": _label_json(t.w),
-             "coeff": _scalar_str(fieldspec, t.coeff)} for t in terms]
+def _certificate_json(terms: List[CertificateTerm]) -> List[Dict]:
+    return [{"u": list(t.u), "w": list(t.w), "coeff": str(t.coeff)}
+            for t in terms]
 
 
 def _generates_result_json(rep: GeneratesReport,
@@ -85,7 +76,7 @@ def _generates_result_json(rep: GeneratesReport,
             "H": h_name or rep.H.name,
             "G": g_name or rep.G.name,
             "char": rep.field.characteristic,
-            "terms": _certificate_json(rep.field, rep.certificate),
+            "terms": _certificate_json(rep.certificate),
         }
     return out
 
@@ -102,20 +93,20 @@ def _verdict_exit(result: Optional[bool]) -> int:
 # Command handlers: each returns (exit_code, inputs, result, text_lines)
 # ---------------------------------------------------------------------------
 
-def cmd_basis(args, budget):
+def cmd_basis(args):
     G = group_from_text(args.G)
     H = group_from_text(args.H)
-    labels = canonical_basis(G, H, budget)
+    labels = canonical_basis(G, H)
     entries = []
     for i, lab in enumerate(labels):
         inv = product_invariants(lab)
         entries.append({
             "index": i,
-            "subgroup": _label_json(lab.elements),
-            "p1": _label_json(inv.p1),
-            "p2": _label_json(inv.p2),
-            "k1": _label_json(inv.k1),
-            "k2": _label_json(inv.k2),
+            "subgroup": list(lab.elements),
+            "p1": list(inv.p1),
+            "p2": list(inv.p2),
+            "k1": list(inv.k1),
+            "k2": list(inv.k2),
             "q_order": inv.q.order,
         })
     inputs = {"G": args.G, "H": args.H}
@@ -139,22 +130,22 @@ def _parse_label_arg(sp_left, sp_right, text, labels) -> BisetLabel:
     return make_label(sp_left, sp_right, [int(x) for x in text.split(",")])
 
 
-def cmd_compose(args, budget):
+def cmd_compose(args):
     G, H, K = (group_from_text(args.G), group_from_text(args.H),
                group_from_text(args.K))
     fieldspec = FieldSpec(args.char)
-    basis_gh = canonical_basis(G, H, budget)
-    basis_hk = canonical_basis(H, K, budget)
+    basis_gh = canonical_basis(G, H)
+    basis_hk = canonical_basis(H, K)
     left = _parse_label_arg(G, H, args.left, basis_gh)
     right = _parse_label_arg(H, K, args.right, basis_hk)
     x = element_from_label(left, fieldspec)
     y = element_from_label(right, fieldspec)
     z = compose(x, y)
-    terms = [{"subgroup": _label_json(t), "coeff": _scalar_str(fieldspec, c)}
+    terms = [{"subgroup": list(t), "coeff": str(c)}
              for t, c in sorted(z.coeffs.items())]
     inputs = {"G": args.G, "H": args.H, "K": args.K,
-              "left": _label_json(left.elements),
-              "right": _label_json(right.elements),
+              "left": list(left.elements),
+              "right": list(right.elements),
               "char": fieldspec.characteristic}
     result = {"terms": terms}
     lines = [f"compose over middle {args.H}: {len(terms)} terms"]
@@ -162,19 +153,19 @@ def cmd_compose(args, budget):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_butterfly(args, budget):
+def cmd_butterfly(args):
     G, H = group_from_text(args.G), group_from_text(args.H)
-    labels = canonical_basis(G, H, budget)
+    labels = canonical_basis(G, H)
     lab = _parse_label_arg(G, H, args.label, labels)
     factors = butterfly_factorize(lab)
     composite = compose_factors(factors)
     ok = composite == element_from_label(lab, composite.field)
-    inputs = {"G": args.G, "H": args.H, "label": _label_json(lab.elements)}
+    inputs = {"G": args.G, "H": args.H, "label": list(lab.elements)}
     result = {
         "factors": [{"kind": f.kind,
                      "left_order": f.label.left.order,
                      "right_order": f.label.right.order,
-                     "subgroup": _label_json(f.label.elements)}
+                     "subgroup": list(f.label.elements)}
                     for f in factors],
         "recomposes": ok,
     }
@@ -184,11 +175,11 @@ def cmd_butterfly(args, budget):
     return (EXIT_TRUE if ok else EXIT_FALSE), inputs, result, lines
 
 
-def cmd_generates(args, budget):
+def cmd_generates(args):
     H = group_from_text(args.H)
     G = group_from_text(args.G)
     fieldspec = FieldSpec(args.char)
-    rep = generates(H, G, fieldspec, budget)
+    rep = generates(H, G, fieldspec)
     inputs = {"H": args.H, "G": args.G, "char": fieldspec.characteristic}
     result = _generates_result_json(rep, args.H, args.G)
     lines = [f"{args.H} generated by {args.G} over {fieldspec}: "
@@ -200,17 +191,17 @@ def cmd_generates(args, budget):
     return _verdict_exit(rep.result), inputs, result, lines
 
 
-def cmd_nv(args, budget):
+def cmd_nv(args):
     G = group_from_text(args.G)
     fieldspec = FieldSpec(args.char)
-    rep = is_nv(G, fieldspec, budget, short_circuit=not args.full)
+    rep = is_nv(G, fieldspec, short_circuit=not args.full)
     verdicts = []
     for v in rep.verdicts:
         entry = {
             "subquotient": v.name,
             "order": v.group.order,
-            "witness_T": _label_json(v.witness_T),
-            "witness_S": _label_json(v.witness_S),
+            "witness_T": list(v.witness_T),
+            "witness_S": list(v.witness_S),
             "status": v.status,
             "via": v.via,
         }
@@ -219,7 +210,7 @@ def cmd_nv(args, budget):
                 "H": v.name,
                 "G": args.G,
                 "char": fieldspec.characteristic,
-                "terms": _certificate_json(fieldspec, v.report.certificate),
+                "terms": _certificate_json(v.report.certificate),
             }
         verdicts.append(entry)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
@@ -230,7 +221,7 @@ def cmd_nv(args, budget):
     return _verdict_exit(rep.overall), inputs, result, lines
 
 
-def cmd_semisimple(args, budget):
+def cmd_semisimple(args):
     G = group_from_text(args.G)
     fieldspec = FieldSpec(args.char)
     res = is_semisimple(G, fieldspec)
@@ -240,14 +231,14 @@ def cmd_semisimple(args, budget):
     return (EXIT_TRUE if res else EXIT_FALSE), inputs, result, lines
 
 
-def cmd_ssd(args, budget):
+def cmd_ssd(args):
     G = group_from_text(args.G)
-    rep = is_s_self_dual(G, budget)
+    rep = is_s_self_dual(G)
     inputs = {"G": args.G}
     result = {
         "s_self_dual": rep.result,
         "failing_subgroup": (None if rep.failing_subgroup is None
-                             else _label_json(rep.failing_subgroup)),
+                             else list(rep.failing_subgroup)),
         "nilpotent": rep.nilpotent,
         "classification": rep.classification,
         "agree": rep.agree,
@@ -259,10 +250,10 @@ def cmd_ssd(args, budget):
     return (EXIT_TRUE if rep.result else EXIT_FALSE), inputs, result, lines
 
 
-def cmd_simple_dim(args, budget):
+def cmd_simple_dim(args):
     P = group_from_text(args.P)
     G = group_from_text(args.G)
-    dim, raw = simple_dim_with_raw(P, G, budget)
+    dim, raw = simple_dim_with_raw(P, G)
     inputs = {"P": args.P, "G": args.G}
     result = {"dim": dim, "raw_section_classes": raw, "excluded": raw - dim}
     lines = [f"simple dimension for quotient type {args.P} at {args.G}: {dim} "
@@ -270,14 +261,14 @@ def cmd_simple_dim(args, budget):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_sections(args, budget):
+def cmd_sections(args):
     G = group_from_text(args.G)
     if args.quotient:
         classes = section_classes_with_quotient(
-            G, group_from_text(args.quotient), budget)
+            G, group_from_text(args.quotient))
     else:
-        classes = section_classes(G, budget)
-    entries = [{"T": _label_json(cls[0][0]), "S": _label_json(cls[0][1]),
+        classes = section_classes(G)
+    entries = [{"T": list(cls[0][0]), "S": list(cls[0][1]),
                 "class_size": len(cls)} for cls in classes]
     inputs = {"G": args.G, "quotient": args.quotient}
     result = {"count": len(entries), "classes": entries}
@@ -286,10 +277,10 @@ def cmd_sections(args, budget):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_trace_gram(args, budget):
+def cmd_trace_gram(args):
     G = group_from_text(args.G)
     fieldspec = FieldSpec(args.char)
-    rank, dim = trace_gram_rank(G, fieldspec, budget)
+    rank, dim = trace_gram_rank(G, fieldspec)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {"rank": rank, "dim": dim, "degenerate": rank < dim}
     lines = [f"trace form on kB({args.G},{args.G}) over {fieldspec}: "
@@ -297,20 +288,20 @@ def cmd_trace_gram(args, budget):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_burnside_module(args, budget):
+def cmd_burnside_module(args):
     G = group_from_text(args.G)
     fieldspec = FieldSpec(args.char)
-    actions = burnside_module_matrices(G, fieldspec, budget)
+    actions = burnside_module_matrices(G, fieldspec)
     agree = None
     if G.is_abelian():
-        direct = burnside_module_matrices_abelian(G, fieldspec, budget)
+        direct = burnside_module_matrices_abelian(G, fieldspec)
         agree = direct.matrices == actions.matrices
-    mats = [{"label": _label_json(lab),
-             "matrix": [[_scalar_str(fieldspec, x) for x in row] for row in mat]}
+    mats = [{"label": list(lab),
+             "matrix": [[str(x) for x in row] for row in mat]}
             for lab, mat in zip(actions.labels, actions.matrices)]
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {
-        "module_basis": [_label_json(t) for t in actions.module_basis],
+        "module_basis": [list(t) for t in actions.module_basis],
         "algebra_dim": len(actions.labels),
         "closed_form_agrees": agree,
         "matrices": mats,
@@ -321,10 +312,10 @@ def cmd_burnside_module(args, budget):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_essential_out(args, budget):
+def cmd_essential_out(args):
     H = group_from_text(args.H)
-    dim = essential_quotient_dim(H, budget)
-    _, inner, out_order = automorphisms(H, budget=budget)
+    dim = essential_quotient_dim(H)
+    _, inner, out_order = automorphisms(H)
     inputs = {"H": args.H}
     result = {"essential_dim": dim, "out_order": out_order,
               "inner_order": inner, "agree": dim == out_order}
@@ -333,7 +324,7 @@ def cmd_essential_out(args, budget):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_verify(args, budget):
+def cmd_verify(args):
     path = Path(args.report)
     try:
         payload = json.loads(path.read_text())
@@ -473,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cache_dir = args.cache_dir or cache_mod.default_cache_dir()
     args.cache_dir = str(cache_dir) if cache_dir else None
     # the directory holds for this call only; a library caller's is restored
-    previous_cache_dir = cache_mod.cache_dir
+    previous_cache_dir, previous_budget = cache_mod.cache_dir, errors.budget
     cache_mod.cache_dir = Path(cache_dir) if cache_dir else None
 
     budget_s = DEFAULT_BUDGET_SECONDS
@@ -481,8 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.budget is not None:
             budget_s = parse_duration(args.budget)
-        budget = Budget(budget_s)
-        code, inputs, result, lines = args.handler(args, budget)
+        errors.budget = Budget(budget_s)
+        code, inputs, result, lines = args.handler(args)
     except GroupSpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -501,6 +492,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INTERNAL
     finally:
         cache_mod.cache_dir = previous_cache_dir
+        errors.budget = previous_budget
 
     elapsed = time.monotonic() - start
     if args.format == "json":

@@ -1,4 +1,10 @@
-"""Shared exceptions and the wall-clock computation budget."""
+"""Shared exceptions and the wall-clock budget of a run.
+
+:data:`budget` is the one deadline every search of the run checks, or
+:data:`NO_BUDGET`; ``cli.main`` sets it for the length of each call and
+then restores the value it found.  A library caller sets it the same way.
+Searches read it where they check it, never at import time.
+"""
 
 from __future__ import annotations
 
@@ -14,15 +20,7 @@ class PreconditionError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """An enumeration ran past its allotted budget.
-
-    ``partial_count`` reports how many items had been produced when the
-    budget ran out, so callers can distinguish "no" from "gave up".
-    """
-
-    def __init__(self, message: str, partial_count: int = 0):
-        super().__init__(message)
-        self.partial_count = partial_count
+    """A search ran past the deadline of the run."""
 
 
 class Budget:
@@ -34,15 +32,14 @@ class Budget:
     """
 
     def __init__(self, seconds: float | None = None):
-        self.seconds = seconds
         self._deadline = None if seconds is None else time.monotonic() + seconds
 
-    def expired(self) -> bool:
-        return self._deadline is not None and time.monotonic() > self._deadline
-
-    def check(self, what: str, partial: int = 0) -> None:
-        if self.expired():
-            raise BudgetExceeded(f"budget exhausted during {what}", partial)
+    def check(self, what: str) -> None:
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise BudgetExceeded(f"budget exhausted during {what}")
 
 
 NO_BUDGET = Budget(None)
+
+# the deadline of the current run
+budget: Budget = NO_BUDGET

@@ -17,8 +17,9 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 from .bisets import (BisetElement, BisetLabel, BisetSpace, compose,
                      element_from_label, identity_element, identity_label,
                      mackey_tuples, op_indices, space, trace_of_label)
+from . import errors
 from .cache import memo_table
-from .errors import Budget, BudgetExceeded, NO_BUDGET, PreconditionError
+from .errors import BudgetExceeded, PreconditionError
 from .groups import (FiniteGroup, build_cyclic, build_extraspecial,
                      build_modular, direct_product, section_quotient)
 from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
@@ -79,10 +80,10 @@ def verify_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     return total == identity_element(H, fieldspec)
 
 
-def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                          budget: Budget) -> Optional[List[CertificateTerm]]:
+def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
+                          ) -> Optional[List[CertificateTerm]]:
     """One-term certificate through a quotient G/N isomorphic to H."""
-    epi = find_quotient_isomorphic_to(G, H, budget)
+    epi = find_quotient_isomorphic_to(G, H)
     if epi is None:
         return None
     sp_hg = space(H, G)
@@ -96,22 +97,22 @@ def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
 _GENERATES_MEMO: Dict[Tuple[str, str, int], GeneratesReport] = memo_table()
 
 
-def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-              budget: Budget = NO_BUDGET, *,
+def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec, *,
               skip_subquotient_check: bool = False) -> GeneratesReport:
     """Decide whether the identity of kB(H,H) factors through G.
 
     Tries the free quotient certificate first, then decides membership of
     the identity in the span of all pairwise products of basis labels.
     A negative answer is only reported after the full product span has
-    been exhausted; running out of budget yields an inconclusive report.
+    been exhausted; running out of the run's budget yields an inconclusive
+    report.
     Conclusive answers are memoized for the session.
     """
     memo_key = (H.key, G.key, fieldspec.characteristic)
     hit = _GENERATES_MEMO.get(memo_key)
     if hit is not None:
         return hit
-    rep = _generates_uncached(H, G, fieldspec, budget,
+    rep = _generates_uncached(H, G, fieldspec,
                               skip_subquotient_check=skip_subquotient_check)
     if rep.result is not None:
         _GENERATES_MEMO[memo_key] = rep
@@ -119,12 +120,12 @@ def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
 
 
 def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                        budget: Budget = NO_BUDGET, *,
-                        skip_subquotient_check: bool = False) -> GeneratesReport:
+                        *, skip_subquotient_check: bool = False
+                        ) -> GeneratesReport:
     if not skip_subquotient_check:
         try:
-            found = any(is_isomorphic(H, Q, budget) is not None
-                        for Q, _ in subquotients_up_to_iso(G, budget))
+            found = any(is_isomorphic(H, Q) is not None
+                        for Q, _ in subquotients_up_to_iso(G))
         except BudgetExceeded:
             return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                    "budget during subquotient enumeration",
@@ -134,7 +135,7 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
                                    "not a subquotient", None, 0, 0)
 
     try:
-        cert = _quotient_certificate(H, G, fieldspec, budget)
+        cert = _quotient_certificate(H, G, fieldspec)
     except BudgetExceeded:
         # the span search stops at its first budget check and reports it
         cert = None
@@ -144,7 +145,7 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
         return GeneratesReport(H, G, fieldspec, True, "generated", "quotient",
                                cert, 0, 0)
 
-    return _generates_by_span(H, G, fieldspec, budget)
+    return _generates_by_span(H, G, fieldspec)
 
 
 def _pair_products(sp_hg: BisetSpace, sp_gh: BisetSpace, sp_hh: BisetSpace,
@@ -180,8 +181,8 @@ def _pair_products(sp_hg: BisetSpace, sp_gh: BisetSpace, sp_hh: BisetSpace,
         yield items
 
 
-def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                       budget: Budget) -> GeneratesReport:
+def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
+                       ) -> GeneratesReport:
     """Insert every distinct product into one span; stop once it holds 1_H.
 
     Products are tried in a fixed low-complexity-first order.  Running out
@@ -190,8 +191,8 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     """
     sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
     try:
-        basis_hg, basis_gh = sp_hg.basis(budget), sp_gh.basis(budget)
-        dim = len(sp_hh.basis(budget))
+        basis_hg, basis_gh = sp_hg.basis(), sp_gh.basis()
+        dim = len(sp_hh.basis())
     except BudgetExceeded:
         return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                "budget during basis enumeration", None, 0, 0)
@@ -212,7 +213,7 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     for x in order:
         if tried % 64 == 0:
             try:
-                budget.check("product span", tried)
+                errors.budget.check("product span")
             except BudgetExceeded:
                 return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                        "budget during product span", None,
@@ -258,47 +259,57 @@ class NvReport:
     verdicts: List[SubquotientVerdict] = dc_field(default_factory=list)
 
 
-def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
-          budget: Budget = NO_BUDGET, *,
+def is_nv(G: FiniteGroup, fieldspec: FieldSpec, *,
           short_circuit: bool = True) -> NvReport:
     """Check that every subquotient of G is generated by G.
 
     Subquotients are processed largest first: quotients of G are free,
     and anything that is a quotient of an already-confirmed subquotient
     is confirmed by transitivity, which mirrors the cheapest known
-    reduction order.
+    reduction order.  A step cut short by the run's budget makes that
+    subquotient inconclusive; a name search cut short falls back to
+    ``order<n>``.
     """
     from .catalog import recognize
     try:
-        subqs = subquotients_up_to_iso(G, budget)
+        subqs = subquotients_up_to_iso(G)
     except BudgetExceeded:
         return NvReport(G, fieldspec, None, [])
     verdicts: List[SubquotientVerdict] = []
-    confirmed: List[FiniteGroup] = []
+    confirmed: List[Tuple[FiniteGroup, str]] = []  # (group, name)
     failed = False
     inconclusive = False
     for Q, (wit_t, wit_s) in reversed(subqs):
-        name = recognize(Q) or f"order{Q.order}"
+        try:
+            name = recognize(Q) or f"order{Q.order}"
+        except BudgetExceeded:
+            name = f"order{Q.order}"
         if failed and short_circuit:
             verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
                                                "skipped", "short-circuit"))
             continue
-        if find_quotient_isomorphic_to(G, Q) is None:
-            via_b = next((B for B in confirmed
-                          if find_quotient_isomorphic_to(B, Q) is not None),
-                         None)
-            if via_b is not None:
-                bname = recognize(via_b) or f"order{via_b.order}"
-                verdicts.append(SubquotientVerdict(
-                    Q, name, wit_t, wit_s, "generated",
-                    f"transitivity({bname})"))
-                confirmed.append(Q)
-                continue
-        rep = generates(Q, G, fieldspec, budget, skip_subquotient_check=True)
+        try:
+            bname = None
+            if find_quotient_isomorphic_to(G, Q) is None:
+                bname = next((n for B, n in confirmed if
+                              find_quotient_isomorphic_to(B, Q) is not None),
+                             None)
+        except BudgetExceeded:
+            verdicts.append(SubquotientVerdict(
+                Q, name, wit_t, wit_s, "inconclusive",
+                "budget during transitivity check"))
+            inconclusive = True
+            continue
+        if bname is not None:
+            verdicts.append(SubquotientVerdict(
+                Q, name, wit_t, wit_s, "generated", f"transitivity({bname})"))
+            confirmed.append((Q, name))
+            continue
+        rep = generates(Q, G, fieldspec, skip_subquotient_check=True)
         verdicts.append(SubquotientVerdict(Q, name, wit_t, wit_s,
                                            rep.status, rep.via, rep))
         if rep.result is True:
-            confirmed.append(Q)
+            confirmed.append((Q, name))
         elif rep.result is False:
             failed = True
         else:
@@ -318,8 +329,7 @@ def is_nv(G: FiniteGroup, fieldspec: FieldSpec,
 # Dimension counts and structural predicates
 # ---------------------------------------------------------------------------
 
-def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup,
-                        budget: Budget = NO_BUDGET) -> Tuple[int, int]:
+def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup) -> Tuple[int, int]:
     """(dimension, raw section-class count) for the quotient type P.
 
     Valid in characteristic zero.  Counts conjugacy classes of sections
@@ -334,7 +344,7 @@ def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup,
         raise PreconditionError(
             "the rank-two elementary abelian case is excluded by the "
             "dimension theorem hypothesis")
-    classes = section_classes_with_quotient(G, P, budget)
+    classes = section_classes_with_quotient(G, P)
     dim = sum(1 for cls in classes if is_p_group_times_cyclic(G, cls[0][0], p))
     return dim, len(classes)
 
@@ -349,31 +359,31 @@ class SsdReport:
     agree: bool
 
 
-def is_s_self_dual(G: FiniteGroup, budget: Budget = NO_BUDGET) -> SsdReport:
+def is_s_self_dual(G: FiniteGroup) -> SsdReport:
     """Direct check that every subgroup is isomorphic to a quotient.
 
     Alongside, evaluates the structural classification (nilpotent with
     every Sylow abelian, or of one of the two extra families) and reports
     agreement.
     """
-    lat = get_lattice(G, budget)
+    lat = get_lattice(G)
     result = True
     failing: Optional[LabelTuple] = None
     for cls in lat.classes:
         rep = lat.subgroups[cls[0]]
         sub_g, _ = section_quotient(G, rep, (0,))
-        if find_quotient_isomorphic_to(G, sub_g, budget) is None:
+        if find_quotient_isomorphic_to(G, sub_g) is None:
             result = False
             failing = rep
             break
     full = tuple(range(G.order))
     nilp = is_nilpotent_section(G, full)
-    classification = nilp and _sylows_in_ssd_families(G, budget)
+    classification = nilp and _sylows_in_ssd_families(G)
     return SsdReport(G, result, failing, nilp, classification,
                      classification == result)
 
 
-def _sylows_in_ssd_families(G: FiniteGroup, budget: Budget) -> bool:
+def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
     full = tuple(range(G.order))
     for p, m in factorize(G.order):
         syl = sylow_subgroup(G, full, p)
@@ -385,7 +395,7 @@ def _sylows_in_ssd_families(G: FiniteGroup, budget: Budget) -> bool:
             cand = build_extraspecial(p)
             for _ in range(m - 3):
                 cand = direct_product(cand, build_cyclic(p))
-            ok = is_isomorphic(P, cand, budget) is not None
+            ok = is_isomorphic(P, cand) is not None
         if not ok:
             for nn in range(2, m // 2 + 1):
                 rest = m - 2 * nn
@@ -393,7 +403,7 @@ def _sylows_in_ssd_families(G: FiniteGroup, budget: Budget) -> bool:
                     cand = build_modular(p, nn)
                     for a in parts:
                         cand = direct_product(cand, build_cyclic(p ** a))
-                    if is_isomorphic(P, cand, budget) is not None:
+                    if is_isomorphic(P, cand) is not None:
                         ok = True
                         break
                 if ok:
@@ -415,8 +425,8 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 # Trace forms and the regular radical
 # ---------------------------------------------------------------------------
 
-def _gram(G: FiniteGroup, entry: Callable[[Items, int], int],
-          budget: Budget = NO_BUDGET) -> List[List[int]]:
+def _gram(G: FiniteGroup, entry: Callable[[Items, int], int]
+          ) -> List[List[int]]:
     """The matrix ``[[entry(u_i∘u_j, j) for j] for i]`` over the basis u of
     kB(G, G), with u_i∘u_j as its ``_pair_products`` items.
 
@@ -425,12 +435,12 @@ def _gram(G: FiniteGroup, entry: Callable[[Items, int], int],
     for that row.
     """
     sp = space(G, G)
-    n = len(sp.basis(budget))
+    n = len(sp.basis())
     products = _pair_products(sp, sp, sp,
                               ((i, j) for i in range(n) for j in range(n)))
     gram = []
     for i in range(n):
-        budget.check("trace form", i * n)
+        errors.budget.check("trace form")
         gram.append([entry(next(products), j) for j in range(n)])
     return gram
 
@@ -440,25 +450,23 @@ def _weighted(weight: Sequence[int]):
     return lambda items, _: sum(c * weight[k] for k, c in items)
 
 
-def radical_dim_char0(G: FiniteGroup, budget: Budget = NO_BUDGET) -> int:
+def radical_dim_char0(G: FiniteGroup) -> int:
     """Nullity of the regular trace form of the label algebra over Q.
 
     Zero exactly when the algebra is semisimple in characteristic zero.
     Two passes over the products: the trace of left multiplication by each
     label (the diagonal of its row), then the gram rows weighted by them.
     """
-    diagonals = _gram(G, lambda items, j: sum(c for k, c in items if k == j),
-                      budget)
+    diagonals = _gram(G, lambda items, j: sum(c for k, c in items if k == j))
     lt = [sum(row) for row in diagonals]
-    return len(lt) - matrix_rank(_gram(G, _weighted(lt), budget), FieldSpec(0))
+    return len(lt) - matrix_rank(_gram(G, _weighted(lt)), FieldSpec(0))
 
 
-def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec,
-                    budget: Budget = NO_BUDGET) -> Tuple[int, int]:
+def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
-    basis = space(G, G).basis(budget)
+    basis = space(G, G).basis()
     tr = [trace_of_label(BisetLabel(G, G, t)) for t in basis]
-    return matrix_rank(_gram(G, _weighted(tr), budget), fieldspec), len(basis)
+    return matrix_rank(_gram(G, _weighted(tr)), fieldspec), len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +485,8 @@ class ModuleActionSet:
 _TRIVIAL = build_cyclic(1)
 
 
-def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec,
-                             budget: Budget = NO_BUDGET) -> ModuleActionSet:
+def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec
+                             ) -> ModuleActionSet:
     """Action of every (G, G) basis label on the coordinate space of kB(G).
 
     Computed through the identification of kB(G) with kB(G, 1): the
@@ -488,8 +496,8 @@ def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec,
     f = Field(fieldspec)
     sp_gg = space(G, G)
     sp_g1 = space(G, _TRIVIAL)
-    labels = sp_gg.basis(budget)
-    lat = get_lattice(G, budget)
+    labels = sp_gg.basis()
+    lat = get_lattice(G)
     module_basis = lat.class_reps()
     mod_index = {t: i for i, t in enumerate(module_basis)}
     d = len(module_basis)
@@ -505,8 +513,7 @@ def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec,
     return ModuleActionSet(G, fieldspec, labels, module_basis, mats)
 
 
-def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec,
-                                     budget: Budget = NO_BUDGET
+def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec
                                      ) -> ModuleActionSet:
     """Direct formula for abelian G: coefficient |p2(H)\\G/L| on G/(H.L),
     with H.L the image under H of L in the first coordinate."""
@@ -514,8 +521,8 @@ def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec,
         raise PreconditionError("the closed-form action needs an abelian group")
     f = Field(fieldspec)
     sp_gg = space(G, G)
-    labels = sp_gg.basis(budget)
-    lat = get_lattice(G, budget)
+    labels = sp_gg.basis()
+    lat = get_lattice(G)
     module_basis = lat.class_reps()
     mod_index = {t: i for i, t in enumerate(module_basis)}
     d = len(module_basis)
@@ -545,8 +552,7 @@ class SubmoduleReport:
     codim2_invariant: bool
 
 
-def check_submodules(G: FiniteGroup, fieldspec: FieldSpec,
-                     budget: Budget = NO_BUDGET) -> SubmoduleReport:
+def check_submodules(G: FiniteGroup, fieldspec: FieldSpec) -> SubmoduleReport:
     """Invariance of the two distinguished subspaces of kB(G).
 
     For a cyclic p-group: the coefficient-sum-zero subspace (codimension
@@ -556,7 +562,7 @@ def check_submodules(G: FiniteGroup, fieldspec: FieldSpec,
     pp = _prime_power(G.order)
     if pp is None or not G.is_cyclic():
         raise PreconditionError("submodule analysis needs a cyclic p-group")
-    actions = burnside_module_matrices(G, fieldspec, budget)
+    actions = burnside_module_matrices(G, fieldspec)
     f = Field(fieldspec)
     d = len(actions.module_basis)
     assert len(actions.module_basis[-1]) == G.order  # the free orbit G/G is last
@@ -582,8 +588,7 @@ def check_submodules(G: FiniteGroup, fieldspec: FieldSpec,
 # Essential quotient
 # ---------------------------------------------------------------------------
 
-def essential_quotient_dim(H: FiniteGroup,
-                           budget: Budget = NO_BUDGET) -> int:
+def essential_quotient_dim(H: FiniteGroup) -> int:
     """Dimension of kB(H,H) modulo labels factoring through smaller groups.
 
     A label factors through a strictly smaller group exactly when its
@@ -591,7 +596,7 @@ def essential_quotient_dim(H: FiniteGroup,
     remaining labels.
     """
     sp = space(H, H)
-    basis = sp.basis(budget)
+    basis = sp.basis()
     hn = H.order
     count = 0
     for t in basis:

@@ -38,8 +38,8 @@ from itertools import chain, compress
 from operator import getitem
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import cache
-from .errors import Budget, NO_BUDGET, PreconditionError
+from . import cache, errors
+from .errors import PreconditionError
 from .groups import FiniteGroup, section_quotient
 from .numtheory import factorize
 
@@ -118,7 +118,7 @@ def _zuppo_generators(G: FiniteGroup) -> List[int]:
     return gens
 
 
-def _enumerate_subgroups(G: FiniteGroup, budget: Budget) -> List[ElementTuple]:
+def _enumerate_subgroups(G: FiniteGroup) -> List[ElementTuple]:
     mul = G.mul
     order = G.order
     zuppos = _zuppo_generators(G)
@@ -129,7 +129,7 @@ def _enumerate_subgroups(G: FiniteGroup, budget: Budget) -> List[ElementTuple]:
         ((0,), triv, ())]
     while queue:
         elems, flags, gens = queue.pop()
-        budget.check("subgroup enumeration", len(found))
+        errors.budget.check("subgroup enumeration")
         if len(elems) == order:
             continue
         rows = [mul[h] for h in elems]
@@ -161,8 +161,8 @@ def _enumerate_subgroups(G: FiniteGroup, budget: Budget) -> List[ElementTuple]:
     return sorted(found.values(), key=lambda t: (len(t), t))
 
 
-def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup,
-                       budget: Budget) -> Optional[List[ElementTuple]]:
+def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup
+                       ) -> Optional[List[ElementTuple]]:
     """The sorted subgroups of G x H (elements g*|H| + h) by Goursat's lemma,
     or None when a quotient type both factors share is above the
     automorphism cap.
@@ -178,9 +178,9 @@ def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup,
     sections = []
     for X, Y in ((G, H), (H, G)):
         # a quotient of X pairs only with one of Y, whose order divides |Y|
-        lat = get_lattice(X, budget)
+        lat = get_lattice(X)
         sections.append([(lat.subgroups[t], lat.subgroups[s])
-                         for t, s in _normal_pairs(X, lat, budget, Y.order)])
+                         for t, s in _normal_pairs(X, lat, Y.order)])
     shared = ({len(t) // len(s) for t, s in sections[0]}
               & {len(t) // len(s) for t, s in sections[1]})
     types: List[FiniteGroup] = []
@@ -194,8 +194,7 @@ def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup,
                 continue
             Q, proj = section_quotient(X, t, s)
             for k, R in enumerate(types):
-                psi = (is_isomorphic(R, Q, budget) if R.order == Q.order
-                       else None)
+                psi = is_isomorphic(R, Q) if R.order == Q.order else None
                 if psi is not None:
                     break
             else:
@@ -220,12 +219,12 @@ def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup,
         return None
     found: List[ElementTuple] = []
     for k in common:
-        auts, _, _ = automorphisms(types[k], budget=budget)
+        auts, _, _ = automorphisms(types[k])
         for psi, shifted in sides[1][k]:
             # gK1 = psi1(r) pairs with the coset psi2(beta(r)) of K2
             twisted = [[psi[b] for b in beta] for beta in auts]
             for p1, r_of in sides[0][k]:
-                budget.check("subgroup enumeration", len(found))
+                errors.budget.check("subgroup enumeration")
                 rows = [shifted[g] for g in p1]
                 for tw in twisted:
                     found.append(tuple(chain.from_iterable(
@@ -272,7 +271,7 @@ def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
 _LATTICE_MEMO: Dict[str, SubgroupLattice] = cache.memo_table()
 
 
-def get_lattice(G: FiniteGroup, budget: Budget = NO_BUDGET) -> SubgroupLattice:
+def get_lattice(G: FiniteGroup) -> SubgroupLattice:
     """The lattice of G: from the memo, else the cache file, else enumerated
     (and then written to the cache file).
 
@@ -286,10 +285,9 @@ def get_lattice(G: FiniteGroup, budget: Budget = NO_BUDGET) -> SubgroupLattice:
     if cache_dir is not None:
         lat = cache.load_lattice(cache_dir, G)
     if lat is None:
-        subgroups = (_goursat_subgroups(*G.factors, budget) if G.factors
-                     else None)
+        subgroups = _goursat_subgroups(*G.factors) if G.factors else None
         if subgroups is None:
-            subgroups = _enumerate_subgroups(G, budget)
+            subgroups = _enumerate_subgroups(G)
         lat = SubgroupLattice(G, subgroups)
         if cache_dir is not None:
             cache.save_lattice(cache_dir, lat)
@@ -326,8 +324,8 @@ def double_coset_reps(A: Iterable[int], G: FiniteGroup,
 # Sections
 # ---------------------------------------------------------------------------
 
-def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, budget: Budget,
-                  divides: int = 0) -> List[Tuple[int, int]]:
+def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, divides: int = 0
+                  ) -> List[Tuple[int, int]]:
     """All (T, S) subgroup index pairs with S normal in T, sorted; given
     ``divides``, only those whose |T/S| divides it."""
     pairs: List[Tuple[int, int]] = []
@@ -338,7 +336,7 @@ def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, budget: Budget,
     mul, inv = G.mul, G.inv
     abelian = G.is_abelian()
     for ti, t in enumerate(lat.subgroups):
-        budget.check("section enumeration", len(pairs))
+        errors.budget.check("section enumeration")
         tset = sets[ti]
         for order, members in by_order.items():
             if len(t) % order or divides % (len(t) // order):
@@ -352,11 +350,10 @@ def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, budget: Budget,
     return pairs
 
 
-def section_classes(G: FiniteGroup, budget: Budget = NO_BUDGET
-                    ) -> List[List[SectionPair]]:
+def section_classes(G: FiniteGroup) -> List[List[SectionPair]]:
     """Conjugacy classes of sections (T, S) under simultaneous conjugation."""
-    lat = get_lattice(G, budget)
-    pairs = _normal_pairs(G, lat, budget)
+    lat = get_lattice(G)
+    pairs = _normal_pairs(G, lat)
     pair_key = {(lat.subgroups[t], lat.subgroups[s]): k
                 for k, (t, s) in enumerate(pairs)}
     mul = G.mul
@@ -384,14 +381,12 @@ def section_classes(G: FiniteGroup, budget: Budget = NO_BUDGET
     return classes
 
 
-def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup,
-                                  budget: Budget = NO_BUDGET
+def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup
                                   ) -> List[List[SectionPair]]:
     """The section classes of G whose subquotient T/S is isomorphic to P."""
-    return [cls for cls in section_classes(G, budget)
+    return [cls for cls in section_classes(G)
             if len(cls[0][0]) == P.order * len(cls[0][1])
-            and is_isomorphic(section_quotient(G, *cls[0])[0], P,
-                              budget) is not None]
+            and is_isomorphic(section_quotient(G, *cls[0])[0], P) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +446,9 @@ def _close_with_images(G: FiniteGroup, H: FiniteGroup,
     return phi
 
 
-def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool,
-                budget: Budget = NO_BUDGET) -> List[List[int]]:
+def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool
+                ) -> List[List[int]]:
+    errors.budget.check("isomorphism search")
     gens = generating_sequence(G)
     inv_g = _element_invariants(G)
     inv_h = _element_invariants(H)
@@ -466,7 +462,7 @@ def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool,
     def extend(i: int, phi: Dict[int, int]) -> bool:
         # phi is an injective homomorphism on <gens[:i]>; the gens generate
         # G and |G| = |H|, so at full depth it is an isomorphism
-        budget.check("isomorphism search", len(results))
+        errors.budget.check("isomorphism search")
         if i == len(gens):
             results.append([phi[x] for x in range(G.order)])
             return not find_all
@@ -486,11 +482,10 @@ def _iso_search(G: FiniteGroup, H: FiniteGroup, *, find_all: bool,
 _ISO_MEMO: Dict[Tuple[str, str], Optional[List[int]]] = cache.memo_table()
 
 
-def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
-                  budget: Budget = NO_BUDGET) -> Optional[List[int]]:
+def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> Optional[List[int]]:
     """Explicit isomorphism G -> H as an image list, or None.
 
-    A search cut short by ``budget`` raises and is not memoized."""
+    A search cut short by the run's budget raises and is not memoized."""
     if G.order != H.order:
         return None
     if G.key == H.key:
@@ -501,7 +496,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup,
     result: Optional[List[int]] = None
     if (G.order_histogram() == H.order_histogram()
             and G.is_abelian() == H.is_abelian()):
-        found = _iso_search(G, H, find_all=False, budget=budget)
+        found = _iso_search(G, H, find_all=False)
         result = found[0] if found else None
     _ISO_MEMO[memo_key] = result
     return result
@@ -512,18 +507,17 @@ AUTOMORPHISM_ORDER_CAP = 64
 _AUT_MEMO: Dict[str, Tuple[List[List[int]], int, int]] = cache.memo_table()
 
 
-def automorphisms(G: FiniteGroup, *, budget: Budget = NO_BUDGET
-                  ) -> Tuple[List[List[int]], int, int]:
+def automorphisms(G: FiniteGroup) -> Tuple[List[List[int]], int, int]:
     """All automorphisms, |Inn|, and |Out| = |Aut| / |Inn|.
 
-    A search cut short by ``budget`` raises and is not memoized."""
+    A search cut short by the run's budget raises and is not memoized."""
     if G.order > AUTOMORPHISM_ORDER_CAP:
         raise PreconditionError(
             f"automorphism search capped at order {AUTOMORPHISM_ORDER_CAP}, "
             f"group has {G.order}")
     hit = _AUT_MEMO.get(G.key)
     if hit is None:
-        auts = _iso_search(G, G, find_all=True, budget=budget)
+        auts = _iso_search(G, G, find_all=True)
         inner = G.order // len(G.center())
         hit = _AUT_MEMO[G.key] = auts, inner, len(auts) // inner
     return hit
@@ -537,7 +531,7 @@ _SUBQ_MEMO: Dict[str, List[Tuple[FiniteGroup, SectionPair]]] = \
     cache.memo_table()
 
 
-def subquotients_up_to_iso(G: FiniteGroup, budget: Budget = NO_BUDGET
+def subquotients_up_to_iso(G: FiniteGroup
                            ) -> List[Tuple[FiniteGroup, SectionPair]]:
     """One group per isomorphism type of subquotient, with a witness
     section (T, S)."""
@@ -545,25 +539,22 @@ def subquotients_up_to_iso(G: FiniteGroup, budget: Budget = NO_BUDGET
     if hit is not None:
         return hit
     out: List[Tuple[FiniteGroup, SectionPair]] = []
-    for cls in section_classes(G, budget):
+    for cls in section_classes(G):
         q, _ = section_quotient(G, *cls[0])
-        if not any(is_isomorphic(q, known, budget) is not None
-                   for known, _ in out):
+        if not any(is_isomorphic(q, known) is not None for known, _ in out):
             out.append((q, cls[0]))
     out.sort(key=lambda pair: (pair[0].order, pair[0].order_histogram()))
     _SUBQ_MEMO[G.key] = out
     return out
 
 
-def normal_subgroup_reps(G: FiniteGroup, budget: Budget = NO_BUDGET
-                         ) -> List[ElementTuple]:
+def normal_subgroup_reps(G: FiniteGroup) -> List[ElementTuple]:
     """Normal subgroups of G (each is a singleton conjugacy class)."""
-    lat = get_lattice(G, budget)
+    lat = get_lattice(G)
     return [lat.subgroups[cls[0]] for cls in lat.classes if len(cls) == 1]
 
 
-def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup,
-                                budget: Budget = NO_BUDGET
+def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
                                 ) -> Optional[List[int]]:
     """An epimorphism G -> H as the image of each element of G, or None.
 
@@ -574,11 +565,12 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup,
     target = G.order // H.order if H.order and G.order % H.order == 0 else None
     if target is None:
         return None
-    for n in normal_subgroup_reps(G, budget):
+    for n in normal_subgroup_reps(G):
         if len(n) != target:
             continue
+        errors.budget.check("quotient search")
         Q, proj = section_quotient(G, range(G.order), n)
-        phi = is_isomorphic(Q, H, budget)
+        phi = is_isomorphic(Q, H)
         if phi is not None:
             return [phi[proj[g]] for g in range(G.order)]
     return None

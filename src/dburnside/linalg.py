@@ -42,7 +42,6 @@ class Field:
     """Scalar operations for a FieldSpec; scalars are Fraction or int mod p."""
 
     def __init__(self, spec: FieldSpec):
-        self.spec = spec
         self.p = spec.characteristic
         self.zero = Fraction(0) if self.p == 0 else 0
         self.one = Fraction(1) if self.p == 0 else 1
@@ -73,9 +72,6 @@ class Field:
 
     def is_zero(self, a) -> bool:
         return a == 0 if self.p == 0 else a % self.p == 0
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def parse(self, s: str):
         if self.p == 0:

@@ -50,12 +50,12 @@ class ExpireAtCheck(Budget):
         self.what = what
         self.left = n
 
-    def check(self, what, partial=0):
+    def check(self, what):
         if what == self.what:
             self.left -= 1
             if self.left == 0:
-                raise BudgetExceeded(f"budget exhausted during {what}", partial)
-        super().check(what, partial)
+                raise BudgetExceeded(f"budget exhausted during {what}")
+        super().check(what)
 
 
 def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
@@ -488,7 +488,6 @@ def test_goursat_lattice_file_matches_zuppo_extension(tmp_path, monkeypatch):
     table."""
     from dburnside import cache as cache_mod
     from dburnside.bisets import space
-    from dburnside.errors import NO_BUDGET
     from dburnside.groups import direct_product
     from dburnside.lattice import SubgroupLattice, _enumerate_subgroups
     a4, s3 = group_from_text("A4"), group_from_text("S3")
@@ -496,7 +495,7 @@ def test_goursat_lattice_file_matches_zuppo_extension(tmp_path, monkeypatch):
 
     def zuppo():
         cache_mod.save_lattice(tmp_path / "zuppo", SubgroupLattice(
-            product, _enumerate_subgroups(product, NO_BUDGET)))
+            product, _enumerate_subgroups(product)))
 
     written = []
     for name, build in [("goursat", lambda: space(a4, s3).basis()),

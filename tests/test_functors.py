@@ -123,12 +123,13 @@ def test_quotient_rule_for_every_normal_subgroup():
             assert len(rep.certificate) == 1
 
 
-def test_budget_gives_inconclusive():
+def test_budget_gives_inconclusive(monkeypatch):
+    from dburnside import errors
     from dburnside.cache import clear_memory_caches
-    from dburnside.errors import Budget
     clear_memory_caches()  # a memoized conclusive answer would short-circuit
-    spent = Budget(0.0)
-    rep = generates(g("C2^2"), g("A4"), Q, spent)
+    with monkeypatch.context() as m:
+        m.setattr(errors, "budget", errors.Budget(0.0))
+        rep = generates(g("C2^2"), g("A4"), Q)
     assert rep.result is None
     assert rep.status == "inconclusive"
     # and the memo never keeps an inconclusive answer
@@ -137,15 +138,52 @@ def test_budget_gives_inconclusive():
 
 
 def test_budget_during_basis_enumeration_reports_no_products(monkeypatch):
-    from dburnside import cache
-    from dburnside.errors import Budget
+    from dburnside import cache, errors
     cache.clear_memory_caches()  # the product lattice must be enumerated
     monkeypatch.setattr(cache, "cache_dir", None)
-    rep = generates(g("C2^3"), g("A4xC2"), F3, Budget(-1),
-                    skip_subquotient_check=True)
+    monkeypatch.setattr(errors, "budget", errors.Budget(-1))
+    rep = generates(g("C2^3"), g("A4xC2"), F3, skip_subquotient_check=True)
     assert rep.result is None
     assert rep.via == "budget during basis enumeration"
     assert (rep.products_tried, rep.rank_reached) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["S4", "A4xC2"])
+def test_nv_stops_every_search_at_the_deadline(monkeypatch, name):
+    """With the deadline passing right after the subquotients are found,
+    no later step of is_nv (names, transitivity checks, generates) finishes
+    an isomorphism search or a lattice enumeration, and every verdict is
+    inconclusive."""
+    from dburnside import cache, errors, functors, lattice
+    cache.clear_memory_caches()  # memoized searches would skip every check
+    monkeypatch.setattr(cache, "cache_dir", None)
+    real_subquotients = functors.subquotients_up_to_iso
+    expired, completed = [], []
+
+    def subquotients_then_expire(G):
+        out = real_subquotients(G)
+        monkeypatch.setattr(errors, "budget", errors.Budget(-1.0))
+        expired.append(True)
+        return out
+
+    def spied(fn):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if expired:
+                completed.append(fn.__name__)
+            return out
+        return run
+
+    monkeypatch.setattr(functors, "subquotients_up_to_iso",
+                        subquotients_then_expire)
+    for attr in ("_iso_search", "_enumerate_subgroups", "_goursat_subgroups"):
+        monkeypatch.setattr(lattice, attr, spied(getattr(lattice, attr)))
+    rep = is_nv(g(name), Q, short_circuit=False)
+    assert expired and completed == []
+    assert rep.verdicts
+    assert all(v.status == "inconclusive" for v in rep.verdicts)
+    assert rep.overall is None
+    cache.clear_memory_caches()
 
 
 # -- is_nv ----------------------------------------------------------------------

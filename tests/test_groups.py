@@ -8,8 +8,9 @@ import pytest
 from dburnside import catalog, lattice
 from dburnside.bisets import space
 from dburnside.cache import clear_memory_caches
-from dburnside.errors import (NO_BUDGET, Budget, BudgetExceeded,
-                              GroupSpecError, PreconditionError)
+from dburnside import errors
+from dburnside.errors import (Budget, BudgetExceeded, GroupSpecError,
+                              PreconditionError)
 from dburnside.catalog import CATALOG_SPECS, catalog_group
 from dburnside.groups import (FiniteGroup, build_cyclic, direct_product,
                               group_from_text, quotient_group,
@@ -326,7 +327,7 @@ def test_lattice_matches_reference(name, n_subgroups, n_classes):
     lat = get_lattice(grp)
     subgroups = reference_subgroups(grp)
     assert lat.subgroups == subgroups
-    assert _enumerate_subgroups(grp, NO_BUDGET) == subgroups
+    assert _enumerate_subgroups(grp) == subgroups
     assert lat.classes == reference_classes(grp, subgroups)
     assert (len(lat.subgroups), len(lat.classes)) == (n_subgroups, n_classes)
 
@@ -353,9 +354,9 @@ def test_goursat_route_matches_zuppo_extension():
             G, H = catalog_group(a), catalog_group(b)
             if G.order * H.order > 192:
                 continue
-            ref = _enumerate_subgroups(direct_product(G, H), NO_BUDGET)
-            assert _goursat_subgroups(G, H, NO_BUDGET) == ref, (a, b)
-            assert _goursat_subgroups(H, G, NO_BUDGET) == \
+            ref = _enumerate_subgroups(direct_product(G, H))
+            assert _goursat_subgroups(G, H) == ref, (a, b)
+            assert _goursat_subgroups(H, G) == \
                 swapped(ref, G, H), (b, a)
             checked += 1 if a == b else 2
     assert checked == 928
@@ -370,12 +371,12 @@ def test_goursat_lattice_matches_zuppo_extension(monkeypatch, left, right):
     G, H = g(left), g(right)
     real = lattice._enumerate_subgroups
     made = direct_product(G, H)
-    ref = SubgroupLattice(made, real(made, NO_BUDGET))
+    ref = SubgroupLattice(made, real(made))
     enumerated = []
 
-    def spied(X, budget):
+    def spied(X):
         enumerated.append(X.order)
-        return real(X, budget)
+        return real(X)
 
     monkeypatch.setattr(lattice, "_enumerate_subgroups", spied)
     for P in (made, g(f"{left}x{right}")):
@@ -405,7 +406,7 @@ def test_trivial_factor_takes_zuppo_extension(monkeypatch, left, right):
     assert P.factors is None
     lat = get_lattice(P)
     assert not calls
-    assert lat.subgroups == _enumerate_subgroups(s4, NO_BUDGET)
+    assert lat.subgroups == _enumerate_subgroups(s4)
     assert get_lattice(s4) is lat
 
 
@@ -418,10 +419,11 @@ def test_trivial_factor_keeps_the_other_factors():
         assert P.factors is G.factors
 
 
-def test_product_basis_is_budgeted():
+def test_product_basis_is_budgeted(monkeypatch):
     clear_memory_caches()  # memoized lattices would skip every check
+    monkeypatch.setattr(errors, "budget", Budget(0.0))
     with pytest.raises(BudgetExceeded):
-        space(g("S4"), g("S4")).basis(Budget(0.0))
+        space(g("S4"), g("S4")).basis()
     clear_memory_caches()
 
 
@@ -665,20 +667,23 @@ def test_automorphism_cap():
         automorphisms(g("C2^7"))  # order 128, above the cap 64
 
 
-def test_isomorphism_search_is_budgeted_and_not_memoized():
+def test_isomorphism_search_is_budgeted_and_not_memoized(monkeypatch):
     c6, c2c3 = g("C6"), g("C2xC3")
     clear_memory_caches()
-    with pytest.raises(BudgetExceeded):
-        is_isomorphic(c6, c2c3, budget=Budget(-1.0))
+    with monkeypatch.context() as m:
+        m.setattr(errors, "budget", Budget(-1.0))
+        with pytest.raises(BudgetExceeded):
+            is_isomorphic(c6, c2c3)
     assert (c6.key, c2c3.key) not in lattice._ISO_MEMO
     assert is_isomorphic(c6, c2c3) is not None
     assert (c6.key, c2c3.key) in lattice._ISO_MEMO
 
 
-def test_quotient_search_is_budgeted():
+def test_quotient_search_is_budgeted(monkeypatch):
     clear_memory_caches()  # a memoized lattice would skip every check
+    monkeypatch.setattr(errors, "budget", Budget(0.0))
     with pytest.raises(BudgetExceeded):
-        find_quotient_isomorphic_to(g("S4"), g("S3"), Budget(0.0))
+        find_quotient_isomorphic_to(g("S4"), g("S3"))
     clear_memory_caches()
 
 
@@ -694,8 +699,10 @@ def test_automorphism_search_is_budgeted(monkeypatch):
 
     monkeypatch.setattr(lattice, "_iso_search", spied)
     c2_4 = g("C2^4")
-    with pytest.raises(BudgetExceeded):
-        automorphisms(c2_4, budget=Budget(-1.0))
+    with monkeypatch.context() as m:
+        m.setattr(errors, "budget", Budget(-1.0))
+        with pytest.raises(BudgetExceeded):
+            automorphisms(c2_4)
     assert c2_4.key not in lattice._AUT_MEMO
     first = automorphisms(c2_4)
     assert len(searches) == 2
@@ -739,9 +746,9 @@ def test_normal_pairs_match_the_definition(name):
     full = [(ti, si) for ti, t in enumerate(subs) for si, s in enumerate(subs)
             if set(s) <= set(t) and all(grp.conj(x, y) in s
                                         for x in t for y in s)]
-    assert _normal_pairs(grp, lat, NO_BUDGET) == full
+    assert _normal_pairs(grp, lat) == full
     for n in (2, 6):
-        assert _normal_pairs(grp, lat, NO_BUDGET, n) == [
+        assert _normal_pairs(grp, lat, n) == [
             (ti, si) for ti, si in full
             if n % (len(subs[ti]) // len(subs[si])) == 0]
 
@@ -872,13 +879,11 @@ def test_broken_table_rejected():
         FiniteGroup("noident", [[1, 0], [0, 1]])
 
 
-def test_enumeration_budget_carries_partial_count():
-    from dburnside.cache import clear_memory_caches
-    from dburnside.errors import Budget, BudgetExceeded
+def test_enumeration_budget_carries_partial_count(monkeypatch):
     clear_memory_caches()
-    with pytest.raises(BudgetExceeded) as exc:
-        get_lattice(g("C2^3xC2^3"), Budget(0.0))
-    assert exc.value.partial_count >= 0
+    monkeypatch.setattr(errors, "budget", Budget(0.0))
+    with pytest.raises(BudgetExceeded, match="subgroup enumeration"):
+        get_lattice(g("C2^3xC2^3"))
     clear_memory_caches()
 
 

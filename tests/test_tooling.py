@@ -84,9 +84,10 @@ def test_every_engine_import_is_used():
     assert unused == []
 
 
-def test_no_budget_parameter_defaults_to_none():
-    """A ``budget`` parameter defaults to ``NO_BUDGET``, never to None, so
-    "no budget" is said one way and no callee writes ``budget or ...``."""
+def test_no_engine_function_takes_a_budget():
+    """The run's deadline is ``errors.budget``, read where it is checked, so
+    no engine function or method takes a ``budget`` parameter and no search
+    can be started with a deadline of its own."""
     found = []
     for path in ENGINE:
         tree = ast.parse(path.read_text(), str(path))
@@ -94,11 +95,8 @@ def test_no_budget_parameter_defaults_to_none():
             if not isinstance(node, DEFINITION[:2]):
                 continue
             a = node.args
-            positional = a.posonlyargs + a.args
-            defaults = list(zip(positional[len(positional) - len(a.defaults):],
-                                a.defaults))
-            defaults += zip(a.kwonlyargs, a.kw_defaults)
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None]
             found += [f"{path.name}:{node.lineno} {node.name}"
-                      for arg, d in defaults if arg.arg == "budget"
-                      and isinstance(d, ast.Constant) and d.value is None]
+                      for p in params if p.arg == "budget"]
     assert found == []
