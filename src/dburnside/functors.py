@@ -189,8 +189,9 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     of budget mid-span reports the products tried and the rank reached so
     far; running out while the bases are enumerated reports none.
     """
-    sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
     try:
+        errors.budget.check("basis enumeration")  # each space builds a table
+        sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
         basis_hg, basis_gh = sp_hg.basis(), sp_gh.basis()
         dim = len(sp_hh.basis())
     except BudgetExceeded:

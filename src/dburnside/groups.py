@@ -5,6 +5,13 @@ multiplication is a table lookup.  All target orders are small enough
 (every order is capped at 4096) that this beats any structured
 representation.
 
+A table becomes a group in one place, ``FiniteGroup.__init__``.  The
+constructions and :func:`direct_product` make their tables as one numpy
+array by index arithmetic; the constructor checks the table once, as one
+integer array, reads the inverses, the content hash and the abelian flag
+off the same array, and keeps the table as lists, which the engine's hot
+loops index.
+
 A subgroup is a sorted tuple of its elements, and a section T/S is the pair
 (T, S) of such tuples; no other representation exists.  Every subquotient
 T/S, and with S trivial every subgroup T as a group of its own, comes from
@@ -41,64 +48,55 @@ ASSOCIATIVITY_CHECK_LIMIT = 512
 class FiniteGroup:
     """Group on {0..order-1} given by a validated multiplication table."""
 
-    __slots__ = ("name", "order", "mul", "inv", "factors", "_key", "_orders", "_abelian")
+    __slots__ = ("name", "order", "mul", "inv", "key", "factors", "_orders",
+                 "_abelian")
 
     def __init__(self, name: str, mul: Sequence[Sequence[int]], *,
                  check_associativity: bool = True):
+        """Check the table as one integer array, then keep it as lists.
+
+        ``mul`` is nested rows or a numpy array.  The first failed check
+        raises GroupSpecError; the inverses, the content hash ``key`` and
+        the abelian flag are read off the same array.
+        """
         self.name = name
-        self.order = len(mul)
-        self.mul = [list(map(int, row)) for row in mul]
+        self.order = n = len(mul)
+        if n == 0:
+            raise GroupSpecError("empty multiplication table")
+        try:
+            m = np.asarray(mul)
+        except ValueError:  # rows of unequal length
+            m = None
+        if m is None or m.shape != (n, n) or m.min() < 0 or m.max() >= n:
+            raise GroupSpecError(f"{name}: malformed table row")
+        e = np.arange(n)
+        if (m[0] != e).any() or (m[:, 0] != e).any():
+            raise GroupSpecError(f"{name}: 0 is not a two-sided identity")
+        if check_associativity and n <= ASSOCIATIVITY_CHECK_LIMIT:
+            for a in range(n):  # (ab)c == a(bc) for all b, c: n^2 at a time
+                if not np.array_equal(m[m[a]], m[a][m]):
+                    raise GroupSpecError(f"{name}: multiplication not associative")
+        inv = (m == 0).argmax(axis=1)  # first 0 of each row, else 0
+        bad = m[e, inv] | m[inv, e]  # 0 where x inv[x] = inv[x] x = 0
+        if bad.any():
+            x = int(np.flatnonzero(bad)[0])
+            if m[x, inv[x]] != 0:
+                raise GroupSpecError(f"{name}: element {x} has no inverse")
+            raise GroupSpecError(f"{name}: one-sided inverse at {x}")
+        # content hash, used for caches and equality; entries fit two bytes
+        # because the product cap keeps orders below 2^16
+        h = hashlib.sha256(n.to_bytes(4, "little"))
+        h.update(m.astype("<u2", copy=False).tobytes())
+        self.key = h.hexdigest()
+        self._abelian = bool((m == m.T).all())
+        self.mul: List[List[int]] = m.tolist()
+        self.inv: List[int] = inv.tolist()
         # (G, H) when this is direct_product(G, H) of two nontrivial groups;
         # with a trivial factor, the other factor's own
         self.factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None
-        self._key: Optional[str] = None
         self._orders: Optional[Tuple[int, ...]] = None
-        self._abelian: Optional[bool] = None
-        self._validate(check_associativity)
-        self.inv = self._build_inverses()
-
-    def _validate(self, check_associativity: bool) -> None:
-        n = self.order
-        if n == 0:
-            raise GroupSpecError("empty multiplication table")
-        for row in self.mul:
-            if len(row) != n or any(x < 0 or x >= n for x in row):
-                raise GroupSpecError(f"{self.name}: malformed table row")
-        for x in range(n):
-            if self.mul[0][x] != x or self.mul[x][0] != x:
-                raise GroupSpecError(f"{self.name}: 0 is not a two-sided identity")
-        if check_associativity and n <= ASSOCIATIVITY_CHECK_LIMIT:
-            m = np.array(self.mul, dtype=np.int32)
-            for a in range(n):
-                if not np.array_equal(m[m[a]], m[a][m]):
-                    raise GroupSpecError(f"{self.name}: multiplication not associative")
-
-    def _build_inverses(self) -> List[int]:
-        n = self.order
-        inv = [-1] * n
-        for x in range(n):
-            row = self.mul[x]
-            for y in range(n):
-                if row[y] == 0:
-                    if self.mul[y][x] != 0:
-                        raise GroupSpecError(f"{self.name}: one-sided inverse at {x}")
-                    inv[x] = y
-                    break
-            if inv[x] < 0:
-                raise GroupSpecError(f"{self.name}: element {x} has no inverse")
-        return inv
 
     # -- identity and hashing -------------------------------------------
-
-    @property
-    def key(self) -> str:
-        """Content hash of the Cayley table; used for caches and equality."""
-        if self._key is None:
-            # entries fit two bytes: the product cap keeps orders below 2^16
-            h = hashlib.sha256(self.order.to_bytes(4, "little"))
-            h.update(np.asarray(self.mul, dtype="<u2").tobytes())
-            self._key = h.hexdigest()
-        return self._key
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -139,10 +137,6 @@ class FiniteGroup:
         return tuple(sorted(hist.items()))
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            mul = self.mul
-            self._abelian = all(mul[a][b] == mul[b][a]
-                                for a in range(self.order) for b in range(a))
         return self._abelian
 
     def is_cyclic(self) -> bool:
@@ -237,14 +231,10 @@ def _capped_factorial(n: int, divisor: int) -> None:
 def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Direct product with (g, h) encoded as g*|H| + h."""
     order = _capped(G.order * H.order)
-    hn = H.order
-    gmul, hmul = G.mul, H.mul
-    table = []
-    for a in range(order):
-        a1, a2 = divmod(a, hn)
-        grow, hrow = gmul[a1], hmul[a2]
-        table.append([grow[b1] * hn + hrow[b2]
-                      for b1 in range(G.order) for b2 in range(hn)])
+    # entry [a1*|H| + a2][b1*|H| + b2]; two bytes hold every capped order
+    g = np.array(G.mul, dtype=np.uint16)[:, None, :, None]
+    h = np.array(H.mul, dtype=np.uint16)[None, :, None, :]
+    table = (g * H.order + h).reshape(order, order)
     P = FiniteGroup(f"{G.name}x{H.name}", table, check_associativity=False)
     P.factors = ((G, H) if min(G.order, H.order) > 1
                  else G.factors or H.factors)
@@ -258,33 +248,29 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 def build_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupSpecError(f"cyclic order must be positive, got {n}")
-    return FiniteGroup(f"C{n}", [[(a + b) % n for b in range(n)] for a in range(n)],
-                       check_associativity=False)
+    a = np.arange(n)
+    return FiniteGroup(f"C{n}", (a[:, None] + a) % n, check_associativity=False)
 
 
 def build_dihedral(order: int) -> FiniteGroup:
     if order < 2 or order % 2:
         raise GroupSpecError(f"dihedral order must be even and >= 2, got {order}")
     n = order // 2
-    # element e*n + i is s^e r^i with s r s = r^-1
-    def mul(a: int, b: int) -> int:
-        e, i = divmod(a, n)
-        f, j = divmod(b, n)
-        rot = (j - i if f else i + j) % n
-        return ((e + f) % 2) * n + rot
-    table = [[mul(a, b) for b in range(order)] for a in range(order)]
-    return FiniteGroup(f"D{order}", table)
+    # element e*n + i is s^e r^i with s r s = r^-1:
+    # (s^e r^i)(s^f r^j) = s^{e+f} r^{j-i if f else i+j}
+    e, i = np.divmod(np.arange(order), n)
+    rot = np.where(e, i - i[:, None], i[:, None] + i) % n
+    return FiniteGroup(f"D{order}", (e[:, None] + e) % 2 * n + rot)
 
 
 def _perm_group(perms: List[Tuple[int, ...]], name: str) -> FiniteGroup:
-    index = {p: i for i, p in enumerate(perms)}
-    table = []
-    for p in perms:
-        row = []
-        for q in perms:
-            row.append(index[tuple(p[q[i]] for i in range(len(p)))])
-        table.append(row)
-    return FiniteGroup(name, table, check_associativity=False)
+    P = np.array(perms, dtype=np.intp)
+    d = P.shape[1]
+    code = d ** np.arange(d)  # a permutation's number, its images in base d
+    index = np.zeros(d ** d, dtype=np.intp)
+    index[P @ code] = np.arange(len(perms))
+    # P[:, P][a, b, i] = p_a(p_b(i)), the composition p_a∘p_b
+    return FiniteGroup(name, index[P[:, P] @ code], check_associativity=False)
 
 
 def _parity(p: Tuple[int, ...]) -> int:
@@ -321,13 +307,11 @@ def build_extraspecial(p: int) -> FiniteGroup:
     if not is_prime(p) or p == 2:
         raise GroupSpecError(f"extraspecial construction needs an odd prime, got {p}")
     n = p * p * p
-    def mul(x: int, y: int) -> int:
-        a, r = divmod(x, p * p)
-        b, c = divmod(r, p)
-        d, s = divmod(y, p * p)
-        e, f = divmod(s, p)
-        return ((a + d) % p) * p * p + ((b + e) % p) * p + (c + f + a * e) % p
-    table = [[mul(x, y) for y in range(n)] for x in range(n)]
+    # element a*p^2 + b*p + c is the matrix with a, b above the diagonal
+    # and c in the corner: (a, b, c)(d, e, f) = (a+d, b+e, c+f+a*e) mod p
+    a, b, c = (x.ravel() for x in np.indices((p, p, p)))
+    A, B, C = a[:, None], b[:, None], c[:, None]
+    table = (A + a) % p * p * p + (B + b) % p * p + (C + c + A * b) % p
     return FiniteGroup(f"X({n})", table)
 
 
@@ -339,15 +323,11 @@ def build_modular(p: int, n: int) -> FiniteGroup:
         raise GroupSpecError(f"modular construction needs n >= 2, got {n}")
     q = p ** n
     t = 1 + p ** (n - 1)
-    tpow = [1] * q
-    for j in range(1, q):
-        tpow[j] = (tpow[j - 1] * t) % q
+    tpow = np.array([pow(t, j, q) for j in range(q)])
     # element i*q + j is a^i b^j; (a^i b^j)(a^k b^l) = a^{i + k t^j} b^{j+l}
-    def mul(x: int, y: int) -> int:
-        i, j = divmod(x, q)
-        k, l = divmod(y, q)
-        return ((i + k * tpow[j]) % q) * q + (j + l) % q
-    table = [[mul(x, y) for y in range(q * q)] for x in range(q * q)]
+    i, j = np.divmod(np.arange(q * q), q)
+    I, J = i[:, None], j[:, None]
+    table = (I + i * tpow[J]) % q * q + (J + j) % q
     return FiniteGroup(f"M({p},{n})", table)
 
 

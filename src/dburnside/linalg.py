@@ -114,7 +114,11 @@ class IncrementalSpan:
         for idx, val in items:
             if not 0 <= idx < self.dim:
                 raise PreconditionError(f"coordinate {idx} outside dimension {self.dim}")
-            _axpy(f, v, f.from_int(val), {idx: f.one})
+            s = f.add(v.get(idx, f.zero), f.from_int(val))
+            if f.is_zero(s):
+                v.pop(idx, None)
+            else:
+                v[idx] = s
         return v
 
     def _reduce(self, v: Dict[int, object]) -> Dict[int, object]:

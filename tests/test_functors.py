@@ -138,11 +138,17 @@ def test_budget_gives_inconclusive(monkeypatch):
 
 
 def test_budget_during_basis_enumeration_reports_no_products(monkeypatch):
-    from dburnside import cache, errors
+    """An expired deadline is reported before any product table is built."""
+    from dburnside import bisets, cache, errors
+    H, G = g("C2^3"), g("A4xC2")
     cache.clear_memory_caches()  # the product lattice must be enumerated
     monkeypatch.setattr(cache, "cache_dir", None)
     monkeypatch.setattr(errors, "budget", errors.Budget(-1))
-    rep = generates(g("C2^3"), g("A4xC2"), F3, skip_subquotient_check=True)
+    built, real = [], bisets.direct_product
+    monkeypatch.setattr(bisets, "direct_product",
+                        lambda *args: built.append(args) or real(*args))
+    rep = generates(H, G, F3, skip_subquotient_check=True)
+    assert built == []
     assert rep.result is None
     assert rep.via == "budget during basis enumeration"
     assert (rep.products_tried, rep.rank_reached) == (0, 0)

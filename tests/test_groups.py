@@ -1,8 +1,10 @@
 """Group construction, lattice enumeration, and structure tests."""
 
+import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from dburnside import catalog, lattice
@@ -175,6 +177,83 @@ def test_golden_group_keys(text):
     G = group_from_text(text)
     assert (G.order, G.key) == GOLDEN_KEYS[text]
     assert G.name == text
+
+
+# -- constructions against their entry-by-entry definitions -----------------
+# The tables are built by array arithmetic; these oracles are the formulas
+# they replaced, evaluated one entry at a time, and the inverses, content
+# hash and abelian flag derived from the resulting lists.
+
+def _oracle_product(G, H):
+    hn = H.order
+    return [[G.mul[a1][b1] * hn + H.mul[a2][b2]
+             for b1 in range(G.order) for b2 in range(hn)]
+            for a1 in range(G.order) for a2 in range(hn)]
+
+
+def _oracle_dihedral(order):
+    n = order // 2
+
+    def mul(a, b):  # element e*n + i is s^e r^i with s r s = r^-1
+        e, i = divmod(a, n)
+        f, j = divmod(b, n)
+        rot = (j - i if f else i + j) % n
+        return ((e + f) % 2) * n + rot
+    return [[mul(a, b) for b in range(order)] for a in range(order)]
+
+
+def _oracle_extraspecial(p):
+    def mul(x, y):  # unitriangular 3x3 matrices over F_p
+        a, r = divmod(x, p * p)
+        b, c = divmod(r, p)
+        d, s = divmod(y, p * p)
+        e, f = divmod(s, p)
+        return ((a + d) % p) * p * p + ((b + e) % p) * p + (c + f + a * e) % p
+    return [[mul(x, y) for y in range(p ** 3)] for x in range(p ** 3)]
+
+
+def _oracle_modular(p, n):
+    q, t = p ** n, 1 + p ** (n - 1)
+
+    def mul(x, y):  # element i*q + j is a^i b^j
+        i, j = divmod(x, q)
+        k, l = divmod(y, q)
+        return ((i + k * pow(t, j, q)) % q) * q + (j + l) % q
+    return [[mul(x, y) for y in range(q * q)] for x in range(q * q)]
+
+
+def _assert_group_of(G, table):
+    n = len(table)
+    h = hashlib.sha256(n.to_bytes(4, "little"))
+    h.update(np.asarray(table, dtype="<u2").tobytes())
+    assert G.mul == table
+    assert G.inv == [row.index(0) for row in table]
+    assert G.key == h.hexdigest()
+    assert G.is_abelian() == all(table[a][b] == table[b][a]
+                                 for a in range(n) for b in range(a))
+
+
+@pytest.mark.parametrize("spec", CATALOG_SPECS)
+def test_direct_product_matches_entrywise_oracle(spec):
+    """Each catalog group times itself and every later one; C1 is first."""
+    G = catalog_group(spec)
+    for other in CATALOG_SPECS[CATALOG_SPECS.index(spec):]:
+        H = catalog_group(other)
+        _assert_group_of(direct_product(G, H), _oracle_product(G, H))
+
+
+_CONSTRUCTION_ORACLES = {
+    **{f"D{k}": (_oracle_dihedral, k) for k in range(2, 34, 2)},
+    "X(27)": (_oracle_extraspecial, 3), "X(125)": (_oracle_extraspecial, 5),
+    "M(2,2)": (_oracle_modular, 2, 2), "M(2,3)": (_oracle_modular, 2, 3),
+    "M(3,2)": (_oracle_modular, 3, 2),
+}
+
+
+@pytest.mark.parametrize("text", list(_CONSTRUCTION_ORACLES))
+def test_construction_matches_entrywise_oracle(text):
+    oracle, *args = _CONSTRUCTION_ORACLES[text]
+    _assert_group_of(group_from_text(text), oracle(*args))
 
 
 # -- direct products --------------------------------------------------------
@@ -877,6 +956,28 @@ def test_broken_table_rejected():
         FiniteGroup("broken", [[0, 1], [1, 1]])
     with pytest.raises(GroupSpecError):
         FiniteGroup("noident", [[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("table,check,expected", [
+    ([], True, "empty multiplication table"),
+    ([[0, 1], [1]], True, "t: malformed table row"),
+    ([[0], [1]], True, "t: malformed table row"),
+    ([[0, 1], [1, -1]], True, "t: malformed table row"),
+    ([[0, 1], [1, 2]], True, "t: malformed table row"),
+    ([[0, 1], [0, 1]], True, "t: 0 is not a two-sided identity"),
+    ([[0, 0], [1, 1]], True, "t: 0 is not a two-sided identity"),
+    (_LOOP5, True, "t: multiplication not associative"),
+    # a monoid (max on {0, 1, 2}): associative, but 1 and 2 are not units
+    ([[0, 1, 2], [1, 1, 2], [2, 2, 2]], True, "t: element 1 has no inverse"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], False, "t: one-sided inverse at 1"),
+    # the least element with either inverse fault is the one reported
+    ([[0, 1, 2], [1, 1, 1], [2, 0, 0]], False, "t: element 1 has no inverse"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 1]], False, "t: one-sided inverse at 1"),
+])
+def test_table_rejection_message(table, check, expected):
+    with pytest.raises(GroupSpecError) as exc:
+        FiniteGroup("t", table, check_associativity=check)
+    assert str(exc.value) == expected
 
 
 def test_enumeration_budget_carries_partial_count(monkeypatch):

@@ -100,3 +100,18 @@ def test_no_engine_function_takes_a_budget():
             found += [f"{path.name}:{node.lineno} {node.name}"
                       for p in params if p.arg == "budget"]
     assert found == []
+
+
+def test_only_groups_makes_group_tables():
+    """Every table becomes a group in ``groups.py``: no other engine module
+    calls ``FiniteGroup(...)``, so the table format and its checks live in
+    one module."""
+    found = []
+    for path in ENGINE:
+        if path.name == "groups.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "FiniteGroup" in _uses(node.func)]
+    assert found == []
