@@ -11,12 +11,14 @@ algebra over that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .bisets import (BisetElement, BisetLabel, BisetSpace, compose,
-                     element_from_label, identity_element, identity_label,
-                     mackey_tuples, op_indices, space, trace_of_label)
+import numpy as np
+
+from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
+                     identity_element, identity_label, mackey_tuples, space,
+                     trace_of_label)
 from . import errors
 from .cache import memo_table
 from .errors import BudgetExceeded, PreconditionError
@@ -27,22 +29,10 @@ from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
                       is_p_group_times_cyclic, section_classes_with_quotient,
                       subquotients_up_to_iso, sylow_subgroup)
 from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
-from .numtheory import factorize, partitions
+from .numtheory import euler_phi, factorize, partitions, prime_power
+from .orbits import PairOrbits, first_occurrences
 
 LabelTuple = Tuple[int, ...]
-Items = Tuple[Tuple[int, int], ...]  # sorted (basis index, multiplicity)
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    for p, _ in factorize(n):
-        out -= out // p
-    return out
-
-
-def _prime_power(n: int) -> Optional[Tuple[int, int]]:
-    f = factorize(n)
-    return f[0] if len(f) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -148,52 +138,21 @@ def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     return _generates_by_span(H, G, fieldspec)
 
 
-def _pair_products(sp_hg: BisetSpace, sp_gh: BisetSpace, sp_hh: BisetSpace,
-                   pairs: Iterable[Tuple[int, int]]) -> Iterator[Items]:
-    """Sorted (kB(H, H) index, multiplicity) items of u∘w for each basis-index
-    pair (iu, iw) of kB(H, G) × kB(G, H), in the order given.
-
-    Pair (iu, iw) and its dual partner (op iw, op iu) share one Mackey
-    product, since (u∘w)^op = w^op∘u^op (Bouc, LNM 1990, §2.3): the
-    partner's items are this pair's relabelled by the opposite on kB(H, H).
-    Whichever of the two comes first is computed, and the partner's items
-    are held until the partner arrives.  Products repeat heavily, so each
-    distinct one is kept once.
-    """
-    basis_hg, basis_gh = sp_hg.basis(), sp_gh.basis()
-    index_hh = sp_hh.basis_index()
-    op_hg, op_gh = op_indices(sp_hg, sp_gh), op_indices(sp_gh, sp_hg)
-    op_hh = op_indices(sp_hh, sp_hh)
-    n = len(basis_gh)
-    held: Dict[int, Items] = {}  # by pair iu * n + iw
-    interned: Dict[Items, Items] = {}
-    for iu, iw in pairs:
-        pair = iu * n + iw
-        items = held.pop(pair, None)
-        if items is None:
-            raw = mackey_tuples(sp_hg, sp_gh, sp_hh, basis_hg[iu], basis_gh[iw])
-            items = tuple(sorted((index_hh[t], c) for t, c in raw.items()))
-            items = interned.setdefault(items, items)
-            partner = op_gh[iw] * n + op_hg[iu]
-            if partner != pair:
-                dual = tuple(sorted((op_hh[i], c) for i, c in items))
-                held[partner] = interned.setdefault(dual, dual)
-        yield items
-
-
 def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
                        ) -> GeneratesReport:
     """Insert every distinct product into one span; stop once it holds 1_H.
 
     Products are tried in a fixed low-complexity-first order.  Running out
     of budget mid-span reports the products tried and the rank reached so
-    far; running out while the bases are enumerated reports none.
+    far; running out while the bases or the pair orbits are built reports
+    none.
     """
     try:
         errors.budget.check("basis enumeration")  # each space builds a table
         sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
         basis_hg, basis_gh = sp_hg.basis(), sp_gh.basis()
         dim = len(sp_hh.basis())
+        orbits = PairOrbits(sp_hg, sp_gh, sp_hh)
     except BudgetExceeded:
         return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                "budget during basis enumeration", None, 0, 0)
@@ -201,26 +160,35 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     # pair (iu, iw) is x = iu * n + iw, sorted by a cheap proxy for the
     # support size of its product, the coset count; ties keep (iu, iw) order
     n = len(basis_gh)
+    n_pairs = len(basis_hg) * n
     cosets_hg = [sp_hg.product.order // len(u) for u in basis_hg]
     cosets_gh = [sp_gh.product.order // len(w) for w in basis_gh]
-    order = sorted(range(len(basis_hg) * n),
-                   key=lambda x: cosets_hg[x // n] * cosets_gh[x % n])
-    products = _pair_products(sp_hg, sp_gh, sp_hh,
-                              (divmod(x, n) for x in order))
+    order = np.argsort(np.multiply.outer(cosets_hg, cosets_gh).ravel(),
+                       kind="stable").astype(np.int32)
+    # a pair that differs from an earlier one by the middle Out(G) alone
+    # has the same product: only the first pair of each class is looked at
+    if orbits.trivial_middle:
+        positions = np.arange(n_pairs, dtype=np.int32)
+    else:
+        positions = first_occurrences(orbits.classes(order))
+        order = order[positions]
+    products = orbits.products(order)
     span = IncrementalSpan(dim, fieldspec)
-    inserted: List[int] = []
+    inserted: List[int] = []  # pair of each span row
     seen = set()
-    tried = 0
-    for x in order:
-        if tried % 64 == 0:
-            try:
-                errors.budget.check("product span")
-            except BudgetExceeded:
+    check = 0  # the budget is checked before pairs 0, 64, 128, ...
+    # the closing (n_pairs, -1) makes the checks after the last pair looked at
+    for pos, x in chain(zip(_ints(positions), _ints(order)), [(n_pairs, -1)]):
+        if pos >= check:
+            expired = _budget_expired(check, min(pos + 1, n_pairs))
+            if expired is not None:
                 return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                        "budget during product span", None,
-                                       tried, span.rank)
+                                       expired, span.rank)
+            check = pos - pos % 64 + 64
+        if x < 0:
+            break
         items = next(products)
-        tried += 1
         if items in seen:
             continue
         seen.add(items)
@@ -232,9 +200,26 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
             if not verify_certificate(H, G, fieldspec, terms):
                 raise AssertionError("span certificate failed to recompose")
             return GeneratesReport(H, G, fieldspec, True, "generated", "span",
-                                   terms, tried, span.rank)
+                                   terms, pos + 1, span.rank)
     return GeneratesReport(H, G, fieldspec, False, "not-generated", "span",
-                           None, tried, span.rank)
+                           None, n_pairs, span.rank)
+
+
+def _budget_expired(start: int, stop: int) -> Optional[int]:
+    """The first of the pair counts start, start + 64, ... below stop at
+    which the run's budget is found spent, checking at each; None if none."""
+    for tried in range(start, stop, 64):
+        try:
+            errors.budget.check("product span")
+        except BudgetExceeded:
+            return tried
+    return None
+
+
+def _ints(values: np.ndarray) -> Iterator[int]:
+    """The entries of an integer array as Python ints, a chunk at a time."""
+    for s in range(0, len(values), 1 << 12):
+        yield from values[s:s + (1 << 12)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +322,7 @@ def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup) -> Tuple[int, int]:
     (T, S) with T/S isomorphic to P; the dimension keeps only those whose
     T is a direct product of a p-group and a cyclic group.
     """
-    pp = _prime_power(P.order)
+    pp = prime_power(P.order)
     if pp is None:
         raise PreconditionError("dimension count needs a nontrivial p-group")
     p, k = pp
@@ -426,29 +411,19 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 # Trace forms and the regular radical
 # ---------------------------------------------------------------------------
 
-def _gram(G: FiniteGroup, entry: Callable[[Items, int], int]
-          ) -> List[List[int]]:
-    """The matrix ``[[entry(u_i∘u_j, j) for j] for i]`` over the basis u of
-    kB(G, G), with u_i∘u_j as its ``_pair_products`` items.
-
-    Each product is dropped as soon as its entry is read, so no composition
-    table is ever held; a product shared with a later row's dual pair waits
-    for that row.
-    """
+def _square(G: FiniteGroup) -> PairOrbits:
+    """The pairs of basis labels of kB(G, G) under Out(G)³ and the
+    opposite: ``table()`` gives every product u_i∘u_j a row at a time, for
+    one Mackey product per orbit, and no composition table is kept."""
     sp = space(G, G)
-    n = len(sp.basis())
-    products = _pair_products(sp, sp, sp,
-                              ((i, j) for i in range(n) for j in range(n)))
-    gram = []
-    for i in range(n):
-        errors.budget.check("trace form")
-        gram.append([entry(next(products), j) for j in range(n)])
-    return gram
+    return PairOrbits(sp, sp, sp)
 
 
-def _weighted(weight: Sequence[int]):
-    """The entry Σ_k [u∘w]_k · weight[k] of a trace form."""
-    return lambda items, _: sum(c * weight[k] for k, c in items)
+def _gram(square: PairOrbits, weight: Sequence[int]) -> List[List[int]]:
+    """The trace form ``[[Σ_k [u_i∘u_j]_k · weight[k] for j] for i]`` over
+    the basis u of kB(G, G)."""
+    w = np.array(weight, dtype=np.int64)
+    return [(C * w[K]).sum(axis=1).tolist() for K, C in square.table()]
 
 
 def radical_dim_char0(G: FiniteGroup) -> int:
@@ -456,18 +431,20 @@ def radical_dim_char0(G: FiniteGroup) -> int:
 
     Zero exactly when the algebra is semisimple in characteristic zero.
     Two passes over the products: the trace of left multiplication by each
-    label (the diagonal of its row), then the gram rows weighted by them.
+    label (the sum of the diagonal entries [u_i∘u_j]_j of its row), then
+    the gram rows weighted by them.
     """
-    diagonals = _gram(G, lambda items, j: sum(c for k, c in items if k == j))
-    lt = [sum(row) for row in diagonals]
-    return len(lt) - matrix_rank(_gram(G, _weighted(lt)), FieldSpec(0))
+    square = _square(G)
+    lt = [int((C * (K == np.arange(len(K))[:, None])).sum())
+          for K, C in square.table()]
+    return len(lt) - matrix_rank(_gram(square, lt), FieldSpec(0))
 
 
 def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
     basis = space(G, G).basis()
     tr = [trace_of_label(BisetLabel(G, G, t)) for t in basis]
-    return matrix_rank(_gram(G, _weighted(tr)), fieldspec), len(basis)
+    return matrix_rank(_gram(_square(G), tr), fieldspec), len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +537,7 @@ def check_submodules(G: FiniteGroup, fieldspec: FieldSpec) -> SubmoduleReport:
     one) and its intersection with the vanishing of the G/G coordinate
     (codimension two).  Invariance depends on the characteristic.
     """
-    pp = _prime_power(G.order)
+    pp = prime_power(G.order)
     if pp is None or not G.is_cyclic():
         raise PreconditionError("submodule analysis needs a cyclic p-group")
     actions = burnside_module_matrices(G, fieldspec)

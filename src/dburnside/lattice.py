@@ -523,6 +523,70 @@ def automorphisms(G: FiniteGroup) -> Tuple[List[List[int]], int, int]:
     return hit
 
 
+# the most image tuples of a generating sequence that the automorphism search
+# may try for ``outer_automorphism_generators``: C2^3 has 343, S4xC2 1728,
+# C3^3 17,576 and C2^4 50,625
+AUTOMORPHISM_SEARCH_CAP = 10_000
+
+_OUT_GENS_MEMO: Dict[str, List[List[int]]] = cache.memo_table()
+
+
+def outer_automorphism_generators(G: FiniteGroup) -> List[List[int]]:
+    """A few automorphisms (image lists) that generate Aut(G) together with
+    the inner ones, none when Out(G) is trivial.
+
+    None either when G is above the automorphism cap or when the search
+    could try more than ``AUTOMORPHISM_SEARCH_CAP`` image tuples: symmetry
+    is an optimization there, not worth a long search.  Each is chosen, in
+    the order ``automorphisms`` lists them, when the ones before it do not
+    generate it.
+    """
+    hit = _OUT_GENS_MEMO.get(G.key)
+    if hit is None:
+        hit = _OUT_GENS_MEMO[G.key] = _outer_generators(G)
+    return hit
+
+
+def _outer_generators(G: FiniteGroup) -> List[List[int]]:
+    if G.order > AUTOMORPHISM_ORDER_CAP:
+        return []
+    seq = generating_sequence(G)
+    invariants = _element_invariants(G)
+    tries = 1
+    for g in seq:
+        tries *= invariants.count(invariants[g])
+    if tries > AUTOMORPHISM_SEARCH_CAP:
+        return []
+    auts, _, n_out = automorphisms(G)
+    if n_out == 1:
+        return []
+    inner = [[G.conj(g, x) for x in range(G.order)] for g in seq]
+    out: List[List[int]] = []
+    group = _generated(inner)
+    for a in auts:
+        if len(group) == len(auts):
+            break
+        if tuple(a) not in group:
+            out.append(a)
+            group = _generated(inner + out)
+    return out
+
+
+def _generated(perms: List[List[int]]) -> set:
+    """The group of image tuples generated by ``perms`` (at least one)."""
+    ident = tuple(range(len(perms[0])))
+    found = {ident}
+    stack = [ident]
+    while stack:
+        f = stack.pop()
+        for p in perms:
+            h = tuple([p[x] for x in f])
+            if h not in found:
+                found.add(h)
+                stack.append(h)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # Subquotients and structural predicates
 # ---------------------------------------------------------------------------

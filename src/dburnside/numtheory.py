@@ -1,9 +1,10 @@
-"""Trial-division factorization of group orders, which are small, a
-Miller–Rabin primality test, integer cube roots and integer partitions."""
+"""Trial-division factorization of group orders, which are small, Euler's
+totient, a Miller–Rabin primality test, integer cube roots and integer
+partitions."""
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 
 def factorize(n: int) -> List[Tuple[int, int]]:
@@ -24,6 +25,20 @@ def factorize(n: int) -> List[Tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def euler_phi(n: int) -> int:
+    """The number of k in 1..n coprime to n."""
+    out = n
+    for p, _ in factorize(n):
+        out -= out // p
+    return out
+
+
+def prime_power(n: int) -> Optional[Tuple[int, int]]:
+    """(p, k) with n = p^k for a prime p, else None."""
+    f = factorize(n)
+    return f[0] if len(f) == 1 else None
 
 
 def is_prime(n: int) -> bool:

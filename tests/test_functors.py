@@ -3,13 +3,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dburnside.bisets import (compose, element_from_label, BisetLabel,
                               identity_element, mackey_compose, mackey_tuples,
                               space)
 from dburnside.errors import PreconditionError
-from dburnside.functors import (CertificateTerm, _gram, _pair_products,
+from dburnside.functors import (CertificateTerm, _gram, _square,
                                 burnside_module_matrices,
                                 burnside_module_matrices_abelian,
                                 check_submodules, essential_quotient_dim,
@@ -18,7 +19,8 @@ from dburnside.functors import (CertificateTerm, _gram, _pair_products,
                                 radical_dim_char0, simple_dim_with_raw,
                                 trace_gram_rank, verify_certificate)
 from dburnside.groups import group_from_text
-from dburnside.lattice import automorphisms
+from dburnside.lattice import AUTOMORPHISM_ORDER_CAP, automorphisms
+from dburnside.orbits import PairOrbits
 from dburnside.linalg import Field, FieldSpec
 
 Q = FieldSpec(0)
@@ -152,6 +154,38 @@ def test_budget_during_basis_enumeration_reports_no_products(monkeypatch):
     assert rep.result is None
     assert rep.via == "budget during basis enumeration"
     assert (rep.products_tried, rep.rank_reached) == (0, 0)
+
+
+@pytest.mark.parametrize("stage", ["isomorphism search", "pair orbits"])
+def test_budget_while_pair_orbits_are_built_reports_no_products(
+        monkeypatch, capsys, stage):
+    """The automorphisms and label permutations of the pair orbits are
+    checked against the deadline like the bases: an expiry there reports
+    no products, and the command exits 2."""
+    import json
+    from dburnside import cache, cli, errors
+
+    class ExpireAt(errors.Budget):
+        def check(self, what):
+            if what == stage:
+                raise errors.BudgetExceeded(f"budget exhausted during {what}")
+
+    cache.clear_memory_caches()  # memoized automorphisms skip the search
+    monkeypatch.setattr(cache, "cache_dir", None)
+    monkeypatch.setattr(errors, "budget", ExpireAt())
+    rep = generates(g("C2^2"), g("A4"), F3, skip_subquotient_check=True)
+    assert rep.result is None
+    assert rep.via == "budget during basis enumeration"
+    assert (rep.products_tried, rep.rank_reached) == (0, 0)
+    cache.clear_memory_caches()
+    monkeypatch.setattr(cli, "Budget", lambda seconds: ExpireAt())
+    code = cli.main(["generates", "C2^2", "A4", "--char", "3",
+                     "--format", "json"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 2
+    assert result["via"] == "budget during basis enumeration"
+    assert (result["products_tried"], result["rank_reached"]) == (0, 0)
+    cache.clear_memory_caches()
 
 
 @pytest.mark.parametrize("name", ["S4", "A4xC2"])
@@ -491,30 +525,33 @@ def test_trace_gram_modular_field():
     assert trace_gram_rank(g("C6"), big) == trace_gram_rank(g("C6"), Q) == (20, 30)
 
 
-# -- products shared by dual pairs ---------------------------------------------------
+# -- products shared by orbits of pairs ----------------------------------------------
 
 @pytest.mark.parametrize("name", ["S3", "D8", "C2xC4"])
 def test_form_rows_match_one_product_per_entry(name):
-    # the entry reads its second argument, so a partner entry read at the
-    # wrong position or from an unrelabelled product shows up
+    # distinct weights per label and the diagonal entries of each row, so a
+    # product read at the wrong position or from an unrelabelled orbit
+    # representative shows up
     G = g(name)
     sp = space(G, G)
     basis = sp.basis()
     pos = sp.basis_index()
-
-    def entry(items, j):
-        return sum(c * (k + 1) for k, c in items) * (j + 7)
-
-    expected = [[entry([(pos[t], c) for t, c in
-                        mackey_tuples(sp, sp, sp, u, w).items()], j)
-                 for j, w in enumerate(basis)] for u in basis]
-    assert _gram(G, entry) == expected
+    products = [[mackey_tuples(sp, sp, sp, u, w) for w in basis] for u in basis]
+    weight = [3 * k + 1 for k in range(len(basis))]
+    assert _gram(_square(G), weight) == [[sum(c * weight[pos[t]] for t, c in p.items())
+                                 for p in row] for row in products]
+    diagonal = [sum(c for t, c in p.items() if pos[t] == j)
+                for row in products for j, p in enumerate(row)]
+    assert [int((C * (K == np.arange(len(K))[:, None])).sum(axis=1)[j])
+            for K, C in _square(G).table() for j in range(len(basis))] == diagonal
 
 
 def _assert_pair_products(H, G, pairs):
     sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
     index = sp_hh.basis_index()
-    got = list(_pair_products(sp_hg, sp_gh, sp_hh, pairs))
+    n = len(sp_gh.basis())
+    got = list(PairOrbits(sp_hg, sp_gh, sp_hh).products(
+        np.array([iu * n + iw for iu, iw in pairs], dtype=np.int64)))
     assert len(got) == len(pairs)
     for (iu, iw), items in zip(pairs, got):
         raw = mackey_tuples(sp_hg, sp_gh, sp_hh,
@@ -527,13 +564,57 @@ def _all_pairs(H, G):
             for iw in range(len(space(G, H).basis()))]
 
 
-@pytest.mark.parametrize("h,gg", [("C2", "S3"), ("C2^2", "A4"), ("C4", "D8")])
+@pytest.mark.parametrize("h,gg", [("C2", "S3"), ("C2^2", "A4"), ("C4", "D8"),
+                                  ("S3", "S3"), ("C3^2", "C3^2")])
 def test_pair_products_match_their_own_mackey_product(h, gg):
     _assert_pair_products(g(h), g(gg), _all_pairs(g(h), g(gg)))
 
 
+def test_pair_products_match_on_a_sample_of_the_headline_pairs():
+    # Out(C2^3) = GL(3, 2) moves the kB(C2^3, C2^3) labels of most products
+    pairs = random.Random(5).sample(_all_pairs(g("C2^3"), g("A4xC2")), 300)
+    _assert_pair_products(g("C2^3"), g("A4xC2"), pairs)
+
+
+def test_pair_products_above_the_automorphism_cap():
+    # |C2 x S3 x C2 x S3| = 144: only the opposite acts
+    H, G = g("C2"), g("C2xS3xC2xS3")
+    assert G.order > AUTOMORPHISM_ORDER_CAP
+    orbits = PairOrbits(space(H, G), space(G, H), space(H, H))
+    assert orbits.trivial_middle and len(orbits.b_mul) == 1
+    pairs = random.Random(3).sample(_all_pairs(H, G), 300)
+    _assert_pair_products(H, G, pairs)
+
+
 def test_pair_products_in_shuffled_order():
-    # a partner may come before or after its pair, at any distance
+    # an orbit's pairs may come in any order, at any distance
     pairs = _all_pairs(g("C2^2"), g("A4"))
     random.Random(11).shuffle(pairs)
     _assert_pair_products(g("C2^2"), g("A4"), pairs)
+
+
+def _count_mackey_calls(monkeypatch):
+    from dburnside import bisets, functors, orbits
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mackey_tuples(*args)
+    for module in (bisets, functors, orbits):
+        monkeypatch.setattr(module, "mackey_tuples", counted)
+    return calls
+
+
+def test_one_mackey_product_per_orbit_of_pairs(monkeypatch):
+    # 45,369 pairs in 4,344 orbits, and 133 orbits among the 44,944 pairs
+    # of kB(C3^2)^2; more calls mean a symmetry was dropped
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()
+    calls = _count_mackey_calls(monkeypatch)
+    rep = generates(g("C4"), g("D8xC2"), Q, skip_subquotient_check=True)
+    assert (rep.result, rep.products_tried, rep.rank_reached) == \
+        (False, 45369, 14)
+    assert len(calls) <= 4344
+    calls.clear()
+    assert trace_gram_rank(g("C3^2"), Q) == (41, 212)
+    assert len(calls) <= 133
