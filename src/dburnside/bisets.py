@@ -19,7 +19,7 @@ from .errors import PreconditionError
 from .groups import (FiniteGroup, direct_product, quotient_group,
                      section_quotient, subgroup)
 from .lattice import double_coset_reps, get_lattice, memoized_lattice
-from .linalg import Field, FieldSpec
+from .linalg import FieldSpec
 
 LabelTuple = Tuple[int, ...]
 
@@ -50,25 +50,24 @@ class BisetSpace:
         """Lexicographically least conjugate of the subgroup element list."""
         if self._abelian:
             return tuple(sorted(elements))
-        key = frozenset(elements)
-        hit = self._canon_memo.get(key)
-        if hit is not None:
-            return hit
         # use the lattice only when it is already materialized; building it
         # here would turn a single canonicalization into a full enumeration
         lat = memoized_lattice(self.product)
         if lat is not None:
-            best = lat.canonical(key)
-        else:
-            X = self.product
-            mul, inv = X.mul, X.inv
-            elems = sorted(key)
-            best = tuple(elems)
-            for t in range(1, X.order):
-                ti = inv[t]
-                cand = tuple(sorted(mul[mul[t][s]][ti] for s in elems))
-                if cand < best:
-                    best = cand
+            return lat.canonical(elements)
+        key = frozenset(elements)
+        hit = self._canon_memo.get(key)
+        if hit is not None:
+            return hit
+        X = self.product
+        mul, inv = X.mul, X.inv
+        elems = sorted(key)
+        best = tuple(elems)
+        for t in range(1, X.order):
+            ti = inv[t]
+            cand = tuple(sorted(mul[mul[t][s]][ti] for s in elems))
+            if cand < best:
+                best = cand
         self._canon_memo[key] = best
         return best
 
@@ -196,14 +195,13 @@ def product_invariants(label: BisetLabel) -> ProductInvariants:
     return ProductInvariants(p1, p2, k1, k2, q)
 
 
-def is_left_free(label: BisetLabel) -> bool:
-    hn = label.right.order
-    return all(x % hn != 0 or x == 0 for x in label.elements)
-
-
 @dataclass
 class BisetElement:
-    """Finite k-linear combination of labels sharing (left, right)."""
+    """Finite k-linear combination of labels sharing (left, right).
+
+    Coefficients are reduced by the field on construction, and zero ones
+    are dropped, so arithmetic on them can use plain ``+`` and ``*``.
+    """
 
     left: FiniteGroup
     right: FiniteGroup
@@ -211,8 +209,8 @@ class BisetElement:
     coeffs: Dict[LabelTuple, object] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        f = Field(self.field)
-        self.coeffs = {t: c for t, c in self.coeffs.items() if not f.is_zero(c)}
+        red = self.field.reduce
+        self.coeffs = {t: r for t, c in self.coeffs.items() if (r := red(c)) != 0}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -226,16 +224,14 @@ class BisetElement:
     def __add__(self, other: "BisetElement") -> "BisetElement":
         if (self.left, self.right, self.field) != (other.left, other.right, other.field):
             raise PreconditionError("cannot add elements of different spaces")
-        f = Field(self.field)
         out = dict(self.coeffs)
         for t, c in other.coeffs.items():
-            out[t] = f.add(out.get(t, f.zero), c)
+            out[t] = out.get(t, 0) + c
         return BisetElement(self.left, self.right, self.field, out)
 
     def scale(self, c) -> "BisetElement":
-        f = Field(self.field)
         return BisetElement(self.left, self.right, self.field,
-                            {t: f.mul(c, v) for t, v in self.coeffs.items()})
+                            {t: c * v for t, v in self.coeffs.items()})
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -246,8 +242,7 @@ class BisetElement:
 
 
 def element_from_label(label: BisetLabel, field: FieldSpec) -> BisetElement:
-    f = Field(field)
-    return BisetElement(label.left, label.right, field, {label.elements: f.one})
+    return BisetElement(label.left, label.right, field, {label.elements: 1})
 
 
 def identity_element(G: FiniteGroup, field: FieldSpec) -> BisetElement:
@@ -321,30 +316,20 @@ def op_indices(sp: BisetSpace, sp_op: BisetSpace) -> List[int]:
             for L in sp.basis()]
 
 
-def mackey_compose(L: BisetLabel, M: BisetLabel) -> BisetElement:
-    """Composite of two transitive labels as an integer element over (G, K)."""
-    return compose(element_from_label(L, RATIONALS),
-                   element_from_label(M, RATIONALS))
-
-
 def compose(x: BisetElement, y: BisetElement) -> BisetElement:
     """Bilinear extension of the transitive composition."""
     if x.right != y.left:
         raise PreconditionError("middle groups do not match")
     if x.field != y.field:
         raise PreconditionError("elements live over different fields")
-    f = Field(x.field)
     sp_gh = space(x.left, x.right)
     sp_hk = space(y.left, y.right)
     sp_gk = space(x.left, y.right)
     out: Dict[LabelTuple, object] = {}
     for lx, cx in x.coeffs.items():
         for ly, cy in y.coeffs.items():
-            cxy = f.mul(cx, cy)
-            if f.is_zero(cxy):
-                continue
             for t, n in mackey_tuples(sp_gh, sp_hk, sp_gk, lx, ly).items():
-                out[t] = f.add(out.get(t, f.zero), f.mul(cxy, f.from_int(n)))
+                out[t] = out.get(t, 0) + cx * cy * n
     return BisetElement(x.left, y.right, x.field, out)
 
 
@@ -528,7 +513,6 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel) -> BisetElement:
                     stack.append(p2)
     # decompose the H-orbit set as a (G, K)-biset via (a, b).o = a o b^-1
     kinv = K.inv
-    f = Field(RATIONALS)
     seen = [False] * n_orbits
     coeffs: Dict[LabelTuple, object] = {}
     for o in range(n_orbits):
@@ -564,7 +548,7 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel) -> BisetElement:
                 if orbit[base + row[kinv[bb]]] == o:
                     stab.append(sp_gk.encode(a, bb))
         t = sp_gk.canonical(stab)
-        coeffs[t] = f.add(coeffs.get(t, f.zero), f.one)
+        coeffs[t] = coeffs.get(t, 0) + 1
     return BisetElement(G, K, RATIONALS, coeffs)
 
 
@@ -585,9 +569,7 @@ def trace_map(x: BisetElement) -> object:
     """Linear extension of the diagonal orbit count, in the element's field."""
     if x.left != x.right:
         raise PreconditionError("trace needs a square element")
-    f = Field(x.field)
-    total = f.zero
+    total = 0
     for t, c in x.coeffs.items():
-        n = trace_of_label(BisetLabel(x.left, x.right, t))
-        total = f.add(total, f.mul(c, f.from_int(n)))
-    return total
+        total += c * trace_of_label(BisetLabel(x.left, x.right, t))
+    return x.field.reduce(total)

@@ -31,7 +31,7 @@ from .functors import (CertificateTerm, GeneratesReport,
 from .groups import group_from_text
 from .lattice import (automorphisms, section_classes,
                       section_classes_with_quotient)
-from .linalg import Field, FieldSpec
+from .linalg import FieldSpec
 
 SCHEMA = "dburnside.report/1"
 
@@ -337,12 +337,11 @@ def cmd_verify(args):
         H = group_from_text(cert["H"])
         G = group_from_text(cert["G"])
         fieldspec = FieldSpec(int(cert["char"]))
-        f = Field(fieldspec)
         terms = []
         for t in cert["terms"]:
             u = make_label(H, G, t["u"]).elements
             w = make_label(G, H, t["w"]).elements
-            terms.append(CertificateTerm(u, w, f.parse(str(t["coeff"]))))
+            terms.append(CertificateTerm(u, w, fieldspec.parse(str(t["coeff"]))))
     except (GroupSpecError, PreconditionError):
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:

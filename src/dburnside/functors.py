@@ -28,7 +28,7 @@ from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
                       get_lattice, is_isomorphic, is_nilpotent_section,
                       is_p_group_times_cyclic, section_classes_with_quotient,
                       subquotients_up_to_iso, sylow_subgroup)
-from .linalg import Field, FieldSpec, IncrementalSpan, matrix_rank
+from .linalg import FieldSpec, IncrementalSpan, matrix_rank
 from .numtheory import euler_phi, factorize, partitions, prime_power
 from .orbits import PairOrbits, first_occurrences
 
@@ -43,7 +43,7 @@ LabelTuple = Tuple[int, ...]
 class CertificateTerm:
     u: LabelTuple      # label of kB(H, G)
     w: LabelTuple      # label of kB(G, H)
-    coeff: object      # Fraction or residue
+    coeff: object      # int or Fraction over Q, residue over F_p
 
 
 @dataclass
@@ -80,8 +80,7 @@ def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     sp_gh = space(G, H)
     u = sp_hg.canonical([sp_hg.encode(epi[g], g) for g in range(G.order)])
     w = sp_gh.canonical([sp_gh.encode(g, epi[g]) for g in range(G.order)])
-    one = Field(fieldspec).one
-    return [CertificateTerm(u, w, one)]
+    return [CertificateTerm(u, w, 1)]
 
 
 _GENERATES_MEMO: Dict[Tuple[str, str, int], GeneratesReport] = memo_table()
@@ -471,7 +470,7 @@ def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec
     composite of a label with a transitive G-set is again a sum of
     transitive G-sets.
     """
-    f = Field(fieldspec)
+    red = fieldspec.reduce
     sp_gg = space(G, G)
     sp_g1 = space(G, _TRIVIAL)
     labels = sp_gg.basis()
@@ -481,12 +480,11 @@ def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec
     d = len(module_basis)
     mats = []
     for lab in labels:
-        mat = [[f.zero] * d for _ in range(d)]
+        mat = [[0] * d for _ in range(d)]
         for col, sub in enumerate(module_basis):
             raw = mackey_tuples(sp_gg, sp_g1, sp_g1, lab, sub)
             for t, c in raw.items():
-                mat[mod_index[t]][col] = f.add(mat[mod_index[t]][col],
-                                               f.from_int(c))
+                mat[mod_index[t]][col] = red(mat[mod_index[t]][col] + c)
         mats.append(mat)
     return ModuleActionSet(G, fieldspec, labels, module_basis, mats)
 
@@ -497,7 +495,7 @@ def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec
     with H.L the image under H of L in the first coordinate."""
     if not G.is_abelian():
         raise PreconditionError("the closed-form action needs an abelian group")
-    f = Field(fieldspec)
+    red = fieldspec.reduce
     sp_gg = space(G, G)
     labels = sp_gg.basis()
     lat = get_lattice(G)
@@ -507,14 +505,14 @@ def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec
     mats = []
     for lab in labels:
         fib, p2 = sp_gg.fibers_second(lab)
-        mat = [[f.zero] * d for _ in range(d)]
+        mat = [[0] * d for _ in range(d)]
         for col, sub in enumerate(module_basis):
             sset = set(sub)
             coeff = len(double_coset_reps(p2, G, sub))
             bullet = tuple(sorted({g for h, gs in fib.items() if h in sset
                                    for g in gs}))
             row = mod_index[bullet]
-            mat[row][col] = f.add(mat[row][col], f.from_int(coeff))
+            mat[row][col] = red(mat[row][col] + coeff)
         mats.append(mat)
     return ModuleActionSet(G, fieldspec, labels, module_basis, mats)
 
@@ -541,19 +539,19 @@ def check_submodules(G: FiniteGroup, fieldspec: FieldSpec) -> SubmoduleReport:
     if pp is None or not G.is_cyclic():
         raise PreconditionError("submodule analysis needs a cyclic p-group")
     actions = burnside_module_matrices(G, fieldspec)
-    f = Field(fieldspec)
+    red = fieldspec.reduce
     d = len(actions.module_basis)
     assert len(actions.module_basis[-1]) == G.order  # the free orbit G/G is last
     # the sum-zero subspace is spanned by the e_i - e_{d-1}; it is invariant
     # exactly when every column of every matrix has the same sum
     col_sums = [[sum(col) for col in zip(*mat)] for mat in actions.matrices]
-    n_inv = all(f.is_zero(s[i] - s[d - 1])
+    n_inv = all(red(s[i] - s[d - 1]) == 0
                 for s in col_sums for i in range(d - 1))
     if d >= 3:
         # the e_i - e_{d-2} also keep the G/G coordinate zero: columns i and
         # d-2 need equal sums and equal entries in the last row
-        np_inv = all(f.is_zero(s[i] - s[d - 2])
-                     and f.is_zero(mat[d - 1][i] - mat[d - 1][d - 2])
+        np_inv = all(red(s[i] - s[d - 2]) == 0
+                     and red(mat[d - 1][i] - mat[d - 1][d - 2]) == 0
                      for mat, s in zip(actions.matrices, col_sums)
                      for i in range(d - 2))
         np_dim = d - 2

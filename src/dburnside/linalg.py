@@ -5,10 +5,13 @@ reduced echelon with provenance, for certificates over the insertion
 sequence.  :func:`matrix_rank` takes a dense integer matrix whole and
 returns its rank by one fraction-free echelon, the same for every field.
 
-Everything here is exact: rationals are ``fractions.Fraction``,
-prime-field scalars are ints reduced mod p, and dense matrices are numpy
-arrays of int64 residues or of Python ints.  No floating point is used
-anywhere.
+Everything here is exact.  A scalar over Q is a Python int or a
+``fractions.Fraction`` (whole numbers stay ints until an inverse or a
+parsed coefficient brings in a quotient), and a scalar over F_p is an
+int in [0, p).  Callers compute with ``+`` and ``*`` and pass each
+result through ``FieldSpec.reduce``, the one field-dependent step:
+identity over Q, ``% p`` over F_p.  Dense matrices are numpy arrays of
+int64 residues or of Python ints.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -37,46 +40,22 @@ class FieldSpec:
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"F{self.characteristic}"
 
+    def reduce(self, x):
+        """x as a scalar of the field: itself over Q, its residue mod p."""
+        p = self.characteristic
+        return x % p if p else x
 
-class Field:
-    """Scalar operations for a FieldSpec; scalars are Fraction or int mod p."""
-
-    def __init__(self, spec: FieldSpec):
-        self.p = spec.characteristic
-        self.zero = Fraction(0) if self.p == 0 else 0
-        self.one = Fraction(1) if self.p == 0 else 1
-
-    def from_int(self, n: int):
-        return Fraction(n) if self.p == 0 else n % self.p
-
-    def add(self, a, b):
-        return a + b if self.p == 0 else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p == 0 else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p == 0 else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p == 0 else (-a) % self.p
-
-    def inv(self, a):
-        if self.p == 0:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return Fraction(1) / a
-        if a % self.p == 0:
+    def inverse(self, a):
+        """1/a in the field; ZeroDivisionError for zero."""
+        p = self.characteristic
+        if self.reduce(a) == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a == 0 if self.p == 0 else a % self.p == 0
+        return pow(a, p - 2, p) if p else Fraction(1, a)
 
     def parse(self, s: str):
-        if self.p == 0:
-            return Fraction(s)
-        return int(s) % self.p
+        """A coefficient written as text: a fraction over Q, an integer mod p."""
+        p = self.characteristic
+        return int(s) % p if p else Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +78,6 @@ class IncrementalSpan:
     def __init__(self, dim: int, field: FieldSpec):
         self.dim = dim
         self.field = field
-        self._f = Field(field)
         self.inserted = 0
         self.rows: Dict[int, Dict[int, object]] = {}   # pivot -> row
         self.provs: Dict[int, Dict[int, object]] = {}  # pivot -> provenance
@@ -109,13 +87,13 @@ class IncrementalSpan:
         return len(self.rows)
 
     def _vector(self, items: Iterable[Tuple[int, int]]) -> Dict[int, object]:
-        f = self._f
+        red = self.field.reduce
         v: Dict[int, object] = {}
         for idx, val in items:
             if not 0 <= idx < self.dim:
                 raise PreconditionError(f"coordinate {idx} outside dimension {self.dim}")
-            s = f.add(v.get(idx, f.zero), f.from_int(val))
-            if f.is_zero(s):
+            s = red(v.get(idx, 0) + val)
+            if s == 0:
                 v.pop(idx, None)
             else:
                 v[idx] = s
@@ -127,15 +105,15 @@ class IncrementalSpan:
         Returns the coefficient of each row used.  Rows are zero at every
         other pivot column, so these are v's own entries at pivot columns.
         """
-        f = self._f
+        red = self.field.reduce
         used = {c: a for c, a in v.items() if c in self.rows}
         for c, a in used.items():
-            _axpy(f, v, f.neg(a), self.rows[c])
+            _axpy(red, v, -a, self.rows[c])
         return used
 
     def add(self, items: Iterable[Tuple[int, int]]) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        f = self._f
+        red = self.field.reduce
         v = self._vector(items)
         seq = self.inserted
         self.inserted += 1
@@ -143,17 +121,17 @@ class IncrementalSpan:
         if not v:
             return False
         lead = min(v)
-        inv = f.inv(v[lead])
-        row = {j: f.mul(inv, x) for j, x in v.items()}
+        inv = self.field.inverse(v[lead])
+        row = {j: red(inv * x) for j, x in v.items()}
         prov = {seq: inv}
         for c, a in used.items():
-            _axpy(f, prov, f.neg(f.mul(inv, a)), self.provs[c])
+            _axpy(red, prov, -inv * a, self.provs[c])
         # clear the new pivot column from every other row
         for c, other in self.rows.items():
             a = other.get(lead)
             if a is not None:
-                _axpy(f, other, f.neg(a), row)
-                _axpy(f, self.provs[c], f.neg(a), prov)
+                _axpy(red, other, -a, row)
+                _axpy(red, self.provs[c], -a, prov)
         self.rows[lead] = row
         self.provs[lead] = prov
         return True
@@ -171,17 +149,19 @@ class IncrementalSpan:
         used = self._solve(items)
         if used is None:
             raise PreconditionError("certificate requested for a non-member vector")
+        red = self.field.reduce
         out: Dict[int, object] = {}
         for c, a in used.items():
-            _axpy(self._f, out, a, self.provs[c])
+            _axpy(red, out, a, self.provs[c])
         return sorted(out.items())
 
 
-def _axpy(f: Field, y: Dict[int, object], a, x: Dict[int, object]) -> None:
-    """y += a * x on sparse vectors, dropping entries that become zero."""
+def _axpy(red, y: Dict[int, object], a, x: Dict[int, object]) -> None:
+    """y += a * x on sparse vectors, reducing each sum by ``red`` and
+    dropping entries that become zero."""
     for j, xj in x.items():
-        s = f.add(y.get(j, f.zero), f.mul(a, xj))
-        if f.is_zero(s):
+        s = red(y.get(j, 0) + a * xj)
+        if s == 0:
             y.pop(j, None)
         else:
             y[j] = s

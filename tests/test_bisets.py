@@ -10,11 +10,11 @@ from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
                               canonical_basis, compose, compose_factors,
                               element_from_label, elementary_def,
                               elementary_ind, elementary_inf, elementary_res,
-                              identity_element, identity_label, is_left_free,
-                              mackey_compose, mackey_tuples, make_label,
-                              op_indices, product_invariants,
+                              identity_element, identity_label, mackey_tuples,
+                              make_label, op_indices, product_invariants,
                               realize_and_compose_oracle, space, star,
                               trace_map, trace_of_label)
+from dburnside.cache import clear_memory_caches
 from dburnside.errors import PreconditionError
 from dburnside.groups import group_from_text
 from dburnside.lattice import double_coset_reps, get_lattice, is_isomorphic
@@ -34,6 +34,12 @@ def g(text):
 
 def basis_labels(a, b):
     return canonical_basis(g(a), g(b))
+
+
+def compose_labels(L, M):
+    """The composite of two transitive labels over Q."""
+    return compose(element_from_label(L, RATIONALS),
+                   element_from_label(M, RATIONALS))
 
 
 # -- product invariants --------------------------------------------------------
@@ -106,9 +112,9 @@ def test_identity_composition():
     for a, b in [("C2", "C2"), ("S3", "C4"), ("C2^2", "S3")]:
         ga, gb = g(a), g(b)
         for lab in basis_labels(a, b):
-            left = mackey_compose(identity_label(ga), lab)
+            left = compose_labels(identity_label(ga), lab)
             assert left == element_from_label(lab, RATIONALS)
-            right = mackey_compose(lab, identity_label(gb))
+            right = compose_labels(lab, identity_label(gb))
             assert right == element_from_label(lab, RATIONALS)
 
 
@@ -116,7 +122,7 @@ def test_res_then_ind_is_two_points():
     c2 = g("C2")
     ind = elementary_ind(c2, (0,))
     res = elementary_res(c2, (0,))
-    out = mackey_compose(res.label, ind.label)
+    out = compose_labels(res.label, ind.label)
     point = next(iter(out.coeffs))
     assert out.coeffs == {point: Fraction(2)}
     # and the oracle agrees on this explicit two-point biset
@@ -127,7 +133,7 @@ def test_ind_then_res_is_free_orbit():
     c2 = g("C2")
     ind = elementary_ind(c2, (0,))
     res = elementary_res(c2, (0,))
-    out = mackey_compose(ind.label, res.label)
+    out = compose_labels(ind.label, res.label)
     assert out.coeffs == {(0,): Fraction(1)}
     assert realize_and_compose_oracle(ind.label, res.label) == out
 
@@ -192,7 +198,7 @@ def test_basis_counts_elementary_abelian_cube():
 def test_oracle_of_identity():
     for name in ["C2", "S3"]:
         idl = identity_label(g(name))
-        assert realize_and_compose_oracle(idl, idl) == mackey_compose(idl, idl)
+        assert realize_and_compose_oracle(idl, idl) == compose_labels(idl, idl)
 
 
 def test_oracle_agreement_small_sweep():
@@ -202,7 +208,7 @@ def test_oracle_agreement_small_sweep():
             continue
         for L in basis_labels(a, b):
             for M in basis_labels(b, c):
-                assert mackey_compose(L, M) == realize_and_compose_oracle(L, M), \
+                assert compose_labels(L, M) == realize_and_compose_oracle(L, M), \
                     (a, b, c, L.elements, M.elements)
 
 
@@ -259,7 +265,6 @@ def test_inflation_label_not_left_free():
     inf = elementary_inf(c4, [2, 0])
     inv = product_invariants(inf.label)
     assert inv.k1 == (0, 2)
-    assert not is_left_free(inf.label)
 
 
 def test_elementary_bisets_check_their_subgroups():
@@ -277,11 +282,11 @@ def test_elementary_bisets_check_their_subgroups():
 
 
 def test_left_free_classification():
-    assert is_left_free(identity_label(g("S3")))
+    # a label is left free exactly when its left kernel k1 is trivial
+    assert product_invariants(identity_label(g("S3"))).k1 == (0,)
     v4 = g("C2^2")
-    sp = space(v4, v4)
     full = BisetLabel(v4, v4, tuple(range(16)))
-    assert not is_left_free(full)
+    assert product_invariants(full).k1 != (0,)
 
 
 # -- trace ------------------------------------------------------------------------
@@ -385,6 +390,25 @@ def test_op_indices_between_the_two_spaces_are_inverse_bijections(a, b):
     assert sorted(there) == list(range(len(sp_ba.basis())))
     assert [back[k] for k in there] == list(range(len(sp_ab.basis())))
     assert [there[k] for k in back] == list(range(len(sp_ba.basis())))
+
+
+def test_op_indices_over_lattices_memoize_nothing():
+    # with both lattices built, canonical forms come from the lattice, and
+    # only the conjugation search for a space without one fills the memo
+    clear_memory_caches()
+    sp, sp_op = space(g("C4"), g("D8xC6")), space(g("D8xC6"), g("C4"))
+    there, back = op_indices(sp, sp_op), op_indices(sp_op, sp)
+    assert sp._canon_memo == {} and sp_op._canon_memo == {}
+    # the reference: the least conjugate of each opposite, by brute force
+    for a, b, out in ((sp, sp_op, there), (sp_op, sp, back)):
+        an, bn = a.left.order, a.right.order
+        mul, inv = b.product.mul, b.product.inv
+        index = b.basis_index()
+        for L, k in zip(a.basis(), out):
+            op = [(x % bn) * an + x // bn for x in L]
+            least = min(tuple(sorted(mul[mul[t][x]][inv[t]] for x in op))
+                        for t in range(b.product.order))
+            assert index[least] == k
 
 
 def mackey_by_double_cosets(sp_gh, sp_hk, sp_gk, L, M):

@@ -259,6 +259,15 @@ def _cert_edit(edit):
     return edit_report
 
 
+def _coeff_edit(coeff, char=None):
+    """Set the first term's coefficient, after switching the field."""
+    def edit(cert):
+        if char is not None:
+            cert["char"] = char
+        cert["terms"][0]["coeff"] = coeff
+    return _cert_edit(edit)
+
+
 # report edits that must read as a usage error, not an internal one
 MALFORMED = {
     "no-G": _cert_edit(lambda cert: cert.pop("G")),
@@ -266,6 +275,9 @@ MALFORMED = {
     "coeff-abc": _cert_edit(lambda cert: cert["terms"][0].update(coeff="abc")),
     "coeff-1/0": _cert_edit(lambda cert: cert["terms"][0].update(coeff="1/0")),
     "char-x": _cert_edit(lambda cert: cert.update(char="x")),
+    "coeff-1/2-over-F2": _coeff_edit("1/2"),
+    "coeff-1/0-over-Q": _coeff_edit("1/0", char=0),
+    "coeff-abc-over-Q": _coeff_edit("abc", char=0),
     "report-list": lambda payload: [1, 2],
     "result-5": lambda payload: {"result": 5},
     "subquotients-5": lambda payload: {"result": {"subquotients": 5}},
@@ -596,6 +608,27 @@ GOLDEN_SUBQUOTIENTS = [
 ]
 
 
+# the same for the commands that print a scalar, recorded while every
+# scalar was a Fraction over Q; burnside-module of an abelian group also
+# pins the agreement with the closed form
+GOLDEN_SCALARS = [
+    (["compose", "S3", "C2", "S3", "--left", "2", "--right", "1",
+      "--char", "0"], 0,
+     "57c678d956f595d57c66c5bc095d473824661ad1b10786899dd53ab412582ea3"),
+    (["compose", "S3", "C2", "S3", "--left", "2", "--right", "1",
+      "--char", "5"], 0,
+     "8eb5720a9b684327cf7319ecc61c9c7c8dcf1f928fbfe51662b1d9c8e65014c2"),
+    (["compose", "D8", "C4", "D8", "--left", "7", "--right", "3"], 0,
+     "ddd332ddaad31cc7823672f63f79e608cc6696e80b640c4f1ef0faaa4b9be677"),
+    (["burnside-module", "S3"], 0,
+     "fec1a9e4d5156f14d8343fc3313361c8115c70b02775f2f7b6839ed899799bc3"),
+    (["burnside-module", "C4", "--char", "2"], 0,
+     "ee22bd8a951023180803fe42d3f6ecd31318ca03b61163cc11e0229a2f8499e7"),
+    (["burnside-module", "C2^2", "--char", "3"], 0,
+     "9dd9aad480a2a7c5b90676a8885e2c6701f794894189da0ab0b37ecf00d11e3e"),
+]
+
+
 def _argvs(argv):
     if argv[0] != "butterfly":
         return [argv]
@@ -603,9 +636,10 @@ def _argvs(argv):
     return [argv + ["--label", str(i)] for i in range(n)]
 
 
-@pytest.mark.parametrize("argv,exit_code,digest", GOLDEN + GOLDEN_SUBQUOTIENTS,
+@pytest.mark.parametrize("argv,exit_code,digest",
+                         GOLDEN + GOLDEN_SUBQUOTIENTS + GOLDEN_SCALARS,
                          ids=[" ".join(a) for a, _, _ in
-                              GOLDEN + GOLDEN_SUBQUOTIENTS])
+                              GOLDEN + GOLDEN_SUBQUOTIENTS + GOLDEN_SCALARS])
 def test_golden_span_output(capsys, argv, exit_code, digest):
     from dburnside.cache import clear_memory_caches
     clear_memory_caches()  # decide afresh instead of reading the memo

@@ -115,3 +115,29 @@ def test_only_groups_makes_group_tables():
                   if isinstance(node, ast.Call)
                   and "FiniteGroup" in _uses(node.func)]
     assert found == []
+
+
+def test_only_linalg_knows_the_field():
+    """Scalars are ints and Fractions over Q and residues over F_p, and
+    ``FieldSpec.reduce`` is the one step that tells them apart: no engine
+    module but ``linalg.py`` imports ``fractions`` or takes a remainder
+    (``%`` or ``%=``) by an expression that names ``characteristic``."""
+    found = []
+    for path in ENGINE:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module]
+            else:
+                imported = []
+            if "fractions" in imported:
+                found.append(f"{path.name}:{node.lineno} import fractions")
+            divisor = (node.right if isinstance(node, ast.BinOp) else
+                       node.value if isinstance(node, ast.AugAssign) else None)
+            if (divisor is not None and isinstance(node.op, ast.Mod)
+                    and "characteristic" in _uses(divisor)):
+                found.append(f"{path.name}:{node.lineno} % characteristic")
+    assert found == []
