@@ -39,7 +39,6 @@ class BisetSpace:
         self._fibers_second: Dict[LabelTuple, Tuple[Dict[int, Tuple[int, ...]], Tuple[int, ...]]] = {}
         self._fibers_first: Dict[LabelTuple, Tuple[Dict[int, Tuple[int, ...]], Tuple[int, ...]]] = {}
         self._realizations: Dict[LabelTuple, "_Realization"] = {}
-        self._canon_memo: Dict[frozenset, LabelTuple] = {}
 
     def encode(self, g: int, h: int) -> int:
         return g * self.right.order + h
@@ -55,20 +54,15 @@ class BisetSpace:
         lat = memoized_lattice(self.product)
         if lat is not None:
             return lat.canonical(elements)
-        key = frozenset(elements)
-        hit = self._canon_memo.get(key)
-        if hit is not None:
-            return hit
         X = self.product
         mul, inv = X.mul, X.inv
-        elems = sorted(key)
+        elems = sorted(set(elements))
         best = tuple(elems)
         for t in range(1, X.order):
             ti = inv[t]
             cand = tuple(sorted(mul[mul[t][s]][ti] for s in elems))
             if cand < best:
                 best = cand
-        self._canon_memo[key] = best
         return best
 
     # -- canonical basis --------------------------------------------------

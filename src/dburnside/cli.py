@@ -56,9 +56,15 @@ def parse_duration(text: str) -> float:
     return value * unit
 
 
-def _certificate_json(terms: List[CertificateTerm]) -> List[Dict]:
-    return [{"u": list(t.u), "w": list(t.w), "coeff": str(t.coeff)}
-            for t in terms]
+def _certificate_json(rep: GeneratesReport, h_name: str, g_name: str) -> Dict:
+    """The certificate object of a report that carries one."""
+    return {
+        "H": h_name,
+        "G": g_name,
+        "char": rep.field.characteristic,
+        "terms": [{"u": list(t.u), "w": list(t.w), "coeff": str(t.coeff)}
+                  for t in rep.certificate],
+    }
 
 
 def _generates_result_json(rep: GeneratesReport,
@@ -72,12 +78,8 @@ def _generates_result_json(rep: GeneratesReport,
         "rank_reached": rep.rank_reached,
     }
     if rep.certificate is not None:
-        out["certificate"] = {
-            "H": h_name or rep.H.name,
-            "G": g_name or rep.G.name,
-            "char": rep.field.characteristic,
-            "terms": _certificate_json(rep.certificate),
-        }
+        out["certificate"] = _certificate_json(rep, h_name or rep.H.name,
+                                               g_name or rep.G.name)
     return out
 
 
@@ -206,12 +208,7 @@ def cmd_nv(args):
             "via": v.via,
         }
         if v.report is not None and v.report.certificate is not None:
-            entry["certificate"] = {
-                "H": v.name,
-                "G": args.G,
-                "char": fieldspec.characteristic,
-                "terms": _certificate_json(v.report.certificate),
-            }
+            entry["certificate"] = _certificate_json(v.report, v.name, args.G)
         verdicts.append(entry)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {"overall": rep.overall, "subquotients": verdicts}

@@ -11,8 +11,7 @@ algebra over that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -166,59 +165,42 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
                        kind="stable").astype(np.int32)
     # a pair that differs from an earlier one by the middle Out(G) alone
     # has the same product: only the first pair of each class is looked at
-    if orbits.trivial_middle:
-        positions = np.arange(n_pairs, dtype=np.int32)
-    else:
-        positions = first_occurrences(orbits.classes(order))
-        order = order[positions]
+    positions = first_occurrences(orbits.classes(order))
+    order = order[positions]
     products = orbits.products(order)
     span = IncrementalSpan(dim, fieldspec)
     inserted: List[int] = []  # pair of each span row
     seen = set()
-    check = 0  # the budget is checked before pairs 0, 64, 128, ...
-    # the closing (n_pairs, -1) makes the checks after the last pair looked at
-    for pos, x in chain(zip(_ints(positions), _ints(order)), [(n_pairs, -1)]):
-        if pos >= check:
-            expired = _budget_expired(check, min(pos + 1, n_pairs))
-            if expired is not None:
-                return GeneratesReport(H, G, fieldspec, None, "inconclusive",
-                                       "budget during product span", None,
-                                       expired, span.rank)
-            check = pos - pos % 64 + 64
-        if x < 0:
-            break
-        items = next(products)
-        if items in seen:
-            continue
-        seen.add(items)
-        inserted.append(x)
-        if span.add(items) and span.contains(id_items):
-            terms = [CertificateTerm(basis_hg[inserted[seq] // n],
-                                     basis_gh[inserted[seq] % n], c)
-                     for seq, c in span.certificate(id_items)]
-            if not verify_certificate(H, G, fieldspec, terms):
-                raise AssertionError("span certificate failed to recompose")
-            return GeneratesReport(H, G, fieldspec, True, "generated", "span",
-                                   terms, pos + 1, span.rank)
-    return GeneratesReport(H, G, fieldspec, False, "not-generated", "span",
-                           None, n_pairs, span.rank)
-
-
-def _budget_expired(start: int, stop: int) -> Optional[int]:
-    """The first of the pair counts start, start + 64, ... below stop at
-    which the run's budget is found spent, checking at each; None if none."""
-    for tried in range(start, stop, 64):
+    # the budget is checked before pairs 0, 64, 128, ...: block b holds the
+    # pairs looked at among pairs 64b to 64b + 63
+    ends = np.searchsorted(positions, np.arange(64, n_pairs + 64, 64))
+    lo = 0
+    for block, hi in enumerate(ends.tolist()):
         try:
             errors.budget.check("product span")
+            for i, x in enumerate(order[lo:hi].tolist(), lo):
+                items = next(products)
+                if items in seen:
+                    continue
+                seen.add(items)
+                inserted.append(x)
+                if span.add(items) and span.contains(id_items):
+                    terms = [CertificateTerm(basis_hg[inserted[seq] // n],
+                                             basis_gh[inserted[seq] % n], c)
+                             for seq, c in span.certificate(id_items)]
+                    if not verify_certificate(H, G, fieldspec, terms):
+                        raise AssertionError(
+                            "span certificate failed to recompose")
+                    return GeneratesReport(H, G, fieldspec, True, "generated",
+                                           "span", terms,
+                                           int(positions[i]) + 1, span.rank)
         except BudgetExceeded:
-            return tried
-    return None
-
-
-def _ints(values: np.ndarray) -> Iterator[int]:
-    """The entries of an integer array as Python ints, a chunk at a time."""
-    for s in range(0, len(values), 1 << 12):
-        yield from values[s:s + (1 << 12)].tolist()
+            return GeneratesReport(H, G, fieldspec, None, "inconclusive",
+                                   "budget during product span", None,
+                                   64 * block, span.rank)
+        lo = hi
+    return GeneratesReport(H, G, fieldspec, False, "not-generated", "span",
+                           None, n_pairs, span.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +394,9 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 
 def _square(G: FiniteGroup) -> PairOrbits:
     """The pairs of basis labels of kB(G, G) under Out(G)³ and the
-    opposite: ``table()`` gives every product u_i∘u_j a row at a time, for
-    one Mackey product per orbit, and no composition table is kept."""
+    opposite: ``table()`` gives every product u_i∘u_j a row at a time from
+    the orbit table, one Mackey product per orbit, kept across passes; no
+    composition table is kept."""
     sp = space(G, G)
     return PairOrbits(sp, sp, sp)
 

@@ -21,7 +21,8 @@ arrays of pairs at once.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -158,9 +159,10 @@ class PairOrbits:
     Out(H) × Out(G) × Out(H) and the opposite, with each orbit's product.
 
     ``classes`` tells which pairs differ only by the middle Out(G): those
-    have the same product.  ``products`` and ``table`` give the product of
-    each pair, computing one Mackey product per orbit, for one
-    representative, and relabelling it on kB(H, H) for the others.
+    have the same product.  ``products`` (read by the span) and ``table``
+    (the rows of the trace forms) both read one orbit table: every orbit met
+    so far with its product, one Mackey product for one representative.  A
+    pair's product is its orbit's row relabelled on kB(H, H).
     """
 
     def __init__(self, sp_hg: BisetSpace, sp_gh: BisetSpace,
@@ -169,6 +171,9 @@ class PairOrbits:
         self.spaces = sp_hg, sp_gh, sp_hh
         self.basis_hg, self.basis_gh = sp_hg.basis(), sp_gh.basis()
         self.index_hh = sp_hh.basis_index()
+        # one int object per kB(H, H) index, shared by the items of every
+        # product: the span keeps up to hundreds of thousands of them
+        self.labels_hh = list(range(len(self.index_hh)))
         nu, nw, nh = len(self.basis_hg), len(self.basis_gh), len(sp_hh.basis())
         self.nw = nw
         self.op_u = np.array(op_indices(sp_hg, sp_gh))  # kB(H,G) -> kB(G,H)
@@ -200,8 +205,9 @@ class PairOrbits:
         # Out(G) on the Out(H)-orbits
         self.on_orbits = _Diagonal(self.orbit_u[self.a_u[:, self.reps_u]],
                                    self.orbit_w[self.a_w[:, self.reps_w]])
-        self.trivial_middle = len(self.a_u) == 1
-        self._table = None  # each orbit and its product, for ``table``
+        # the orbits met so far, sorted, and their products, as ``_rows``
+        self._orbits = np.zeros(0, np.int64)
+        self._K = self._C = np.zeros((0, 1), np.int32)
 
     # -- orbits ------------------------------------------------------------
 
@@ -238,75 +244,63 @@ class PairOrbits:
         return (np.where(op, key_op, key), op, np.where(op, lam_op, lam),
                 np.where(op, mu_op, mu))
 
-    def _mackey(self, orbit: int) -> Items:
-        """The product of the orbit's representative: one Mackey product."""
-        x0, y0 = divmod(orbit, len(self.reps_w))
-        raw = mackey_tuples(*self.spaces, self.basis_hg[self.reps_u[x0]],
-                            self.basis_gh[self.reps_w[y0]])
-        return tuple(sorted((self.index_hh[t], c) for t, c in raw.items()))
-
     # -- products ------------------------------------------------------------
+
+    def _rows(self, pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The product of each pair as a row of two arrays K, C: its kB(H, H)
+        indices and their multiplicities, padded with multiplicity 0.
+
+        The orbits of the pairs not met before are added to the orbit table
+        first, one Mackey product each, for the orbit's representative; every
+        pair's row is then its orbit's row relabelled on kB(H, H).
+        """
+        orbit, op, lam, mu = self.canonical(pairs)
+        met = _distinct(orbit)
+        new = met[np.searchsorted(self._orbits, met, "right") ==
+                  np.searchsorted(self._orbits, met)]  # not in the table
+        if len(new):
+            reps = []
+            for k in new.tolist():
+                errors.budget.check("pair products")
+                x0, y0 = divmod(k, len(self.reps_w))
+                raw = mackey_tuples(*self.spaces,
+                                    self.basis_hg[self.reps_u[x0]],
+                                    self.basis_gh[self.reps_w[y0]])
+                reps.append([(self.index_hh[t], c) for t, c in raw.items()])
+            n, width = self._K.shape
+            K = np.zeros((n + len(new), max(width, *map(len, reps))), np.int32)
+            C = np.zeros_like(K)
+            K[:n, :width], C[:n, :width] = self._K, self._C
+            for r, items in enumerate(reps, n):
+                for t, (k, c) in enumerate(items):
+                    K[r, t], C[r, t] = k, c
+            orbits = np.concatenate((self._orbits, new))
+            order = np.argsort(orbits)
+            self._orbits, self._K, self._C = orbits[order], K[order], C[order]
+        at = np.searchsorted(self._orbits, orbit)
+        ks = self.b_left[lam[:, None], self.b_right[mu[:, None], self._K[at]]]
+        return np.where(op[:, None], self.op_h[ks], ks), self._C[at]
 
     def products(self, pairs: np.ndarray) -> Iterator[Items]:
         """The sorted (kB(H, H) index, multiplicity) items of u∘w for each
-        pair iu * n + iw, in the order given, each orbit's Mackey product
-        computed once, when a pair of it first comes up."""
-        reps: Dict[int, Items] = {}  # by orbit, once met
-        interned: Dict[Items, Items] = {}
-        left = [memoryview(row) for row in self.b_left]
-        right = [memoryview(row) for row in self.b_right]
-        op_h = self.op_h.tolist()
+        pair iu * n + iw, in the order given, a chunk of pairs at a time."""
         for s in range(0, len(pairs), _CHUNK):
-            orbit, op, lam, mu = self.canonical(pairs[s:s + _CHUNK])
-            for k, o, l, m in zip(orbit.tolist(), op.tolist(), lam.tolist(),
-                                  mu.tolist()):
-                items = reps.get(k)
-                if items is None:
-                    items = self._mackey(k)
-                    items = reps[k] = interned.setdefault(items, items)
-                if o:
-                    pl, pr = left[l], right[m]
-                    items = tuple(sorted([(op_h[pl[pr[t]]], c)
-                                          for t, c in items]))
-                elif l or m:
-                    pl, pr = left[l], right[m]
-                    items = tuple(sorted([(pl[pr[t]], c) for t, c in items]))
-                yield items
+            K, C = self._rows(pairs[s:s + _CHUNK])
+            order = np.argsort(K, axis=1)
+            K = np.take_along_axis(K, order, axis=1)
+            C = np.take_along_axis(C, order, axis=1)
+            held = C > 0  # the items of all rows, row by row, then by index
+            items = zip(map(self.labels_hh.__getitem__, K[held].tolist()),
+                        C[held].tolist())
+            for n in held.sum(axis=1).tolist():
+                yield tuple(islice(items, n))
 
     def table(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Per u of kB(H, G), the products u∘w for every w of kB(G, H) as two
-        arrays K, C: row w holds the product's kB(H, H) indices and their
-        multiplicities, padded with multiplicity 0.
-
-        Every orbit is met, so on the first call all of them are found and
-        their Mackey products computed in one go; later calls reuse them.
-        """
-        starts = range(0, len(self.basis_hg) * self.nw, self.nw)
-        if self._table is None:
-            self._table = self._orbit_table(starts)
-        orbits, K, C = self._table
-        for s in starts:
+        """Per u of kB(H, G), the products u∘w for every w of kB(G, H) as
+        the rows w of two arrays K, C, as ``_rows`` gives them."""
+        for s in range(0, len(self.basis_hg) * self.nw, self.nw):
             errors.budget.check("trace form")
-            orbit, op, lam, mu = self.canonical(np.arange(s, s + self.nw))
-            at = np.searchsorted(orbits, orbit)
-            ks = self.b_left[lam[:, None], self.b_right[mu[:, None], K[at]]]
-            yield np.where(op[:, None], self.op_h[ks], ks), C[at]
-
-    def _orbit_table(self, starts: range):
-        """Every orbit (sorted) with its product as rows of arrays K, C."""
-        orbits = _distinct(np.concatenate(
-            [_distinct(self.canonical(np.arange(s, s + self.nw))[0])
-             for s in starts]))
-        reps = []
-        for k in orbits.tolist():
-            errors.budget.check("trace form")
-            reps.append(self._mackey(k))
-        K = np.zeros((len(reps), max(map(len, reps))), np.int32)
-        C = np.zeros_like(K)
-        for r, items in enumerate(reps):
-            for t, (k, c) in enumerate(items):
-                K[r, t], C[r, t] = k, c
-        return orbits, K, C
+            yield self._rows(np.arange(s, s + self.nw))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from dburnside.functors import (CertificateTerm, _gram, _square,
                                 trace_gram_rank, verify_certificate)
 from dburnside.groups import group_from_text
 from dburnside.lattice import AUTOMORPHISM_ORDER_CAP, automorphisms
+from dburnside import orbits as orbits_module
 from dburnside.orbits import PairOrbits
 from dburnside.linalg import FieldSpec
 
@@ -184,6 +185,28 @@ def test_budget_while_pair_orbits_are_built_reports_no_products(
     assert code == 2
     assert result["via"] == "budget during basis enumeration"
     assert (result["products_tried"], result["rank_reached"]) == (0, 0)
+    cache.clear_memory_caches()
+
+
+def test_budget_before_the_first_pair_product(monkeypatch):
+    """The deadline is checked before each orbit's Mackey product, so even
+    the first chunk of pairs stops there: the span reports no products,
+    and a trace form raises."""
+    from dburnside import cache, errors
+
+    class ExpireAtPairProducts(errors.Budget):
+        def check(self, what):
+            if what == "pair products":
+                raise errors.BudgetExceeded(f"budget exhausted during {what}")
+
+    cache.clear_memory_caches()
+    monkeypatch.setattr(errors, "budget", ExpireAtPairProducts())
+    rep = generates(g("C2^2"), g("A4"), F3, skip_subquotient_check=True)
+    assert rep.result is None
+    assert rep.via == "budget during product span"
+    assert (rep.products_tried, rep.rank_reached) == (0, 0)
+    with pytest.raises(errors.BudgetExceeded):
+        trace_gram_rank(g("S3"), Q)
     cache.clear_memory_caches()
 
 
@@ -580,7 +603,7 @@ def test_pair_products_above_the_automorphism_cap():
     H, G = g("C2"), g("C2xS3xC2xS3")
     assert G.order > AUTOMORPHISM_ORDER_CAP
     orbits = PairOrbits(space(H, G), space(G, H), space(H, H))
-    assert orbits.trivial_middle and len(orbits.b_mul) == 1
+    assert len(orbits.a_u) == 1 and len(orbits.b_mul) == 1
     pairs = random.Random(3).sample(_all_pairs(H, G), 300)
     _assert_pair_products(H, G, pairs)
 
@@ -590,6 +613,11 @@ def test_pair_products_in_shuffled_order():
     pairs = _all_pairs(g("C2^2"), g("A4"))
     random.Random(11).shuffle(pairs)
     _assert_pair_products(g("C2^2"), g("A4"), pairs)
+    # more pairs than one chunk: the orbit table grows from chunk to chunk,
+    # with orbits met out of order
+    pairs = random.Random(13).sample(_all_pairs(g("C2^2"), g("A4xC2")), 6000)
+    assert len(pairs) > orbits_module._CHUNK
+    _assert_pair_products(g("C2^2"), g("A4xC2"), pairs)
 
 
 def _count_mackey_calls(monkeypatch):
