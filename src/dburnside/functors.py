@@ -312,7 +312,10 @@ def simple_dim_with_raw(P: FiniteGroup, G: FiniteGroup) -> Tuple[int, int]:
             "the rank-two elementary abelian case is excluded by the "
             "dimension theorem hypothesis")
     classes = section_classes_with_quotient(G, P)
-    dim = sum(1 for cls in classes if is_p_group_times_cyclic(G, cls[0][0], p))
+    dim = 0
+    for cls in classes:
+        errors.budget.check("section classes")
+        dim += is_p_group_times_cyclic(G, cls[0][0], p)
     return dim, len(classes)
 
 
@@ -425,7 +428,10 @@ def radical_dim_char0(G: FiniteGroup) -> int:
 def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
     basis = space(G, G).basis()
-    tr = [trace_of_label(BisetLabel(G, G, t)) for t in basis]
+    tr = []
+    for t in basis:
+        errors.budget.check("trace form")
+        tr.append(trace_of_label(BisetLabel(G, G, t)))
     return matrix_rank(_gram(_square(G), tr), fieldspec), len(basis)
 
 
@@ -463,6 +469,7 @@ def burnside_module_matrices(G: FiniteGroup, fieldspec: FieldSpec
     d = len(module_basis)
     mats = []
     for lab in labels:
+        errors.budget.check("Burnside module")
         mat = [[0] * d for _ in range(d)]
         for col, sub in enumerate(module_basis):
             raw = mackey_tuples(sp_gg, sp_g1, sp_g1, lab, sub)
@@ -487,6 +494,7 @@ def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec
     d = len(module_basis)
     mats = []
     for lab in labels:
+        errors.budget.check("Burnside module")
         fib, p2 = sp_gg.fibers_second(lab)
         mat = [[0] * d for _ in range(d)]
         for col, sub in enumerate(module_basis):

@@ -21,10 +21,10 @@ Dimino's coset closure as a union of right cosets of H, and subgroups are
 deduplicated by their element-flag bytes.
 
 Results are deterministic and do not depend on the route: subgroups are
-sorted by (order, element list), conjugacy classes (of subgroups and of
-sections) are orbits under a generating set of the group, singletons in
-an abelian group, and each class is represented by its lexicographically
-least member.  So memo and cache files stay keyed by the table hash alone.
+sorted by (order, element list), conjugacy classes of subgroups and of
+sections (T, S) are orbits of ``SubgroupLattice.conjugation``, and each
+class is represented by its lexicographically least member.  So memo and
+cache files stay keyed by the table hash alone.
 
 Subgroups are sorted element tuples of the group and sections are pairs
 (T, S) of them, in every result too; each subquotient T/S is built from
@@ -67,16 +67,17 @@ def closure(G: FiniteGroup, gens: Sequence[int]) -> ElementTuple:
 class SubgroupLattice:
     """All subgroups of a group, with conjugacy classes and fast lookup.
 
-    Without ``classes`` the conjugacy classes are computed here.  The
-    index maps each subgroup's own sorted element tuple to its position; it
-    is built on first read, since an abelian lattice never needs it.
+    Without ``classes`` the conjugacy classes are the orbits of
+    ``conjugation``.  The index maps each subgroup's own sorted element
+    tuple to its position; it is built on first read, like ``conjugation``.
     """
 
     def __init__(self, group: FiniteGroup, subgroups: List[ElementTuple],
                  classes: Optional[List[List[int]]] = None):
         self.group = group
         self.subgroups = subgroups
-        self.classes = _conjugacy_classes(self) if classes is None else classes
+        self.classes = (_orbits(len(subgroups), self.conjugation)
+                        if classes is None else classes)
         self.rep_of = [0] * len(subgroups)
         for members in self.classes:
             for m in members:
@@ -86,12 +87,44 @@ class SubgroupLattice:
     def index(self) -> Dict[ElementTuple, int]:
         return {s: i for i, s in enumerate(self.subgroups)}
 
+    @cached_property
+    def conjugation(self) -> List[List[int]]:
+        """Per g of a generating sequence, the index of g S_i g^-1 for each
+        subgroup index i; none if the group is abelian.  Orbits under a
+        generating set are the full conjugation orbits."""
+        G, index = self.group, self.index
+        images = ([G.conj(g, x) for x in range(G.order)]
+                  for g in ([] if G.is_abelian() else generating_sequence(G)))
+        return [[index[tuple(sorted(map(c.__getitem__, s)))]
+                 for s in self.subgroups] for c in images]
+
     def class_reps(self) -> List[ElementTuple]:
         return [self.subgroups[c[0]] for c in self.classes]
 
     def canonical(self, elements: Iterable[int]) -> ElementTuple:
         idx = self.index[tuple(sorted(elements))]
         return self.subgroups[self.rep_of[idx]]
+
+
+def _orbits(n: int, perms: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The orbits of 0..n-1 under ``perms``, each sorted, in the order of
+    their least members."""
+    seen = bytearray(n)
+    orbits: List[List[int]] = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen[i] = 1
+        orbit = [i]
+        for m in orbit:
+            for p in perms:
+                j = p[m]
+                if not seen[j]:
+                    seen[j] = 1
+                    orbit.append(j)
+        orbit.sort()
+        orbits.append(orbit)
+    return orbits
 
 
 def _zuppo_generators(G: FiniteGroup) -> List[int]:
@@ -233,41 +266,6 @@ def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup
     return found
 
 
-def _conjugators(G: FiniteGroup) -> List[Tuple[List[int], int]]:
-    """(table row of g, g^-1) for each g of a generating set, none if G is
-    abelian: orbits under a generating set are the full conjugation orbits."""
-    if G.is_abelian():
-        return []
-    return [(G.mul[g], G.inv[g]) for g in generating_sequence(G)]
-
-
-def _conjugacy_classes(lat: SubgroupLattice) -> List[List[int]]:
-    G, subgroups = lat.group, lat.subgroups
-    if G.is_abelian():
-        return [[i] for i in range(len(subgroups))]
-    mul = G.mul
-    conjugators = _conjugators(G)
-    index = lat.index
-    seen = [False] * len(subgroups)
-    classes: List[List[int]] = []
-    for i in range(len(subgroups)):
-        if seen[i]:
-            continue
-        seen[i] = True
-        cls = [i]
-        for m in cls:
-            for row, gi in conjugators:
-                j = index[tuple(sorted(mul[row[x]][gi] for x in subgroups[m]))]
-                if not seen[j]:
-                    seen[j] = True
-                    cls.append(j)
-        # Subgroups are (order, lex)-sorted and i is the least unseen one, so
-        # each class starts at its least member and classes come out ordered.
-        cls.sort()
-        classes.append(cls)
-    return classes
-
-
 _LATTICE_MEMO: Dict[str, SubgroupLattice] = cache.memo_table()
 
 
@@ -351,32 +349,16 @@ def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, divides: int = 0
 
 
 def section_classes(G: FiniteGroup) -> List[List[SectionPair]]:
-    """Conjugacy classes of sections (T, S) under simultaneous conjugation."""
+    """Conjugacy classes of sections (T, S) under simultaneous conjugation:
+    the orbits of the normal pairs under the ``conjugation`` permutations."""
     lat = get_lattice(G)
+    subs = lat.subgroups
     pairs = _normal_pairs(G, lat)
-    pair_key = {(lat.subgroups[t], lat.subgroups[s]): k
-                for k, (t, s) in enumerate(pairs)}
-    mul = G.mul
-    conjugators = _conjugators(G)
-    seen = [False] * len(pairs)
-    classes: List[List[SectionPair]] = []
-    for k, (ti, si) in enumerate(pairs):
-        if seen[k]:
-            continue
-        first = (lat.subgroups[ti], lat.subgroups[si])
-        members = {first}
-        orbit = [first]
-        for t, s in orbit:
-            for row, gi in conjugators:
-                ct = tuple(sorted(mul[row[x]][gi] for x in t))
-                cs = tuple(sorted(mul[row[x]][gi] for x in s))
-                if (ct, cs) not in members:
-                    members.add((ct, cs))
-                    orbit.append((ct, cs))
-        cls = sorted(members)
-        for m in cls:
-            seen[pair_key[m]] = True
-        classes.append(cls)
+    key = {pair: k for k, pair in enumerate(pairs)}
+    perms = [[key[perm[t], perm[s]] for t, s in pairs]
+             for perm in lat.conjugation]
+    classes = [sorted((subs[pairs[k][0]], subs[pairs[k][1]]) for k in orbit)
+               for orbit in _orbits(len(pairs), perms)]
     classes.sort(key=lambda c: c[0])
     return classes
 
@@ -384,9 +366,13 @@ def section_classes(G: FiniteGroup) -> List[List[SectionPair]]:
 def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup
                                   ) -> List[List[SectionPair]]:
     """The section classes of G whose subquotient T/S is isomorphic to P."""
-    return [cls for cls in section_classes(G)
-            if len(cls[0][0]) == P.order * len(cls[0][1])
-            and is_isomorphic(section_quotient(G, *cls[0])[0], P) is not None]
+    out = []
+    for cls in section_classes(G):
+        errors.budget.check("section classes")
+        if (len(cls[0][0]) == P.order * len(cls[0][1]) and is_isomorphic(
+                section_quotient(G, *cls[0])[0], P) is not None):
+            out.append(cls)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +629,15 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
 def sylow_subgroup(G: FiniteGroup, within: ElementTuple, q: int
                    ) -> Optional[ElementTuple]:
     """A Sylow q-subgroup of the subgroup ``within``, from the lattice."""
-    lat = get_lattice(G)
     m = len(within)
     qpart = 1
     while m % q == 0:
         qpart *= q
         m //= q
+    if m == 1:
+        return within  # already a q-group
     wset = frozenset(within)
-    for s in lat.subgroups:
+    for s in get_lattice(G).subgroups:
         if len(s) == qpart and frozenset(s) <= wset:
             return s
     return None

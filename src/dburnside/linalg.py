@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import errors
 from .errors import PreconditionError
 from .numtheory import is_prime
 
@@ -192,6 +193,7 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
     rank = 0
     prev = 1
     while m.shape[0] and m.shape[1]:
+        errors.budget.check("elimination")
         nonzero = np.flatnonzero(m[:, 0])
         if not nonzero.size:
             m = m[:, 1:]

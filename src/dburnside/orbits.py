@@ -14,7 +14,8 @@ for every other pair of the orbit.
 
 Everything is read off label permutations: each generator of Out(H) or
 Out(G) (``lattice.outer_automorphism_generators``) is turned once into a
-permutation of the basis indices of each space, the groups they generate are
+permutation of the basis indices of kB(H, G) and of kB(H, H) on the left,
+the other sides are read through the opposite, the groups they generate are
 listed as rows of images, and canonical forms of pairs are computed for whole
 arrays of pairs at once.
 """
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import errors
 from .bisets import BisetSpace, mackey_tuples, op_indices
-from .lattice import get_lattice, outer_automorphism_generators
+from .lattice import outer_automorphism_generators
 
 Items = Tuple[Tuple[int, int], ...]  # sorted (basis index, multiplicity)
 
@@ -45,14 +46,11 @@ def _label_permutation(sp: BisetSpace, left: Sequence[int],
     automorphism ``left`` × ``right`` of X × Y."""
     yn = len(right)
     image = [a * yn + b for a in left for b in right]
-    canonical = (None if sp.product.is_abelian()
-                 else get_lattice(sp.product).canonical)
     index = sp.basis_index()
     out = np.empty(len(sp.basis()), np.int64)
     for i, L in enumerate(sp.basis()):
         errors.budget.check("pair orbits")
-        t = sorted([image[x] for x in L])
-        out[i] = index[tuple(t) if canonical is None else canonical(t)]
+        out[i] = index[sp.canonical([image[x] for x in L])]
     return out
 
 
@@ -176,23 +174,23 @@ class PairOrbits:
         self.labels_hh = list(range(len(self.index_hh)))
         nu, nw, nh = len(self.basis_hg), len(self.basis_gh), len(sp_hh.basis())
         self.nw = nw
-        self.op_u = np.array(op_indices(sp_hg, sp_gh))  # kB(H,G) -> kB(G,H)
-        self.op_w = np.array(op_indices(sp_gh, sp_hg))
-        self.op_h = np.array(op_indices(sp_hh, sp_hh))
+        op_u = self.op_u = np.array(op_indices(sp_hg, sp_gh))  # to kB(G,H)
+        op_w = self.op_w = np.array(op_indices(sp_gh, sp_hg))
+        op_h = self.op_h = np.array(op_indices(sp_hh, sp_hh))
         one_h, one_g = range(H.order), range(G.order)
-        # Out(H) on the left of kB(H, G) and kB(H, H), on the right of
-        # kB(G, H) and kB(H, H); Out(G) on the right of kB(H, G) and on the
-        # left of kB(G, H)
+        # Out(H) on the left of kB(H, G) and kB(H, H), and through the
+        # opposite, (1×β)L = ((β×1)L^op)^op, on the right of kB(G, H) and
+        # kB(H, H); Out(G) on the right of kB(H, G) and so on the left of
+        # kB(G, H)
         outer = _Group((nu, nw, nh, nh), (
-            (_label_permutation(sp_hg, b, one_g),
-             _label_permutation(sp_gh, one_g, b),
-             _label_permutation(sp_hh, b, one_h),
-             _label_permutation(sp_hh, one_h, b))
-            for b in outer_automorphism_generators(H)))
+            (u, op_u[u[op_w]], h, op_h[h[op_h]])
+            for u, h in ((_label_permutation(sp_hg, b, one_g),
+                          _label_permutation(sp_hh, b, one_h))
+                         for b in outer_automorphism_generators(H))))
         middle = _Group((nu, nw), (
-            (_label_permutation(sp_hg, one_h, a),
-             _label_permutation(sp_gh, a, one_h))
-            for a in outer_automorphism_generators(G)))
+            (u, op_u[u[op_w]])
+            for u in (_label_permutation(sp_hg, one_h, a)
+                      for a in outer_automorphism_generators(G))))
         b_u, b_w, self.b_left, self.b_right = outer.blocks
         self.b_mul = outer.mul
         self.a_u, self.a_w = middle.blocks

@@ -88,6 +88,46 @@ def test_ssd_budget_exhaustion_is_inconclusive(capsys):
     assert "inconclusive:" in capsys.readouterr().err
 
 
+def _expire_after(monkeypatch, target):
+    """Make the deadline of the run pass right after the function at the
+    dotted path ``target`` returns; ``main`` restores the budget it found
+    when the call ends."""
+    import importlib
+    from dburnside import errors
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+
+    def then_expire(*args):
+        out = real(*args)
+        errors.budget = Budget(-1.0)
+        return out
+    monkeypatch.setattr(target, then_expire)
+
+
+@pytest.mark.parametrize("target", [
+    "dburnside.lattice.section_classes",
+    "dburnside.functors.section_classes_with_quotient"])
+def test_simple_dim_stops_at_the_deadline_after_the_sections(
+        capsys, monkeypatch, target):
+    """Neither the quotient test of each section class nor the structural
+    test of each matching one runs past the deadline."""
+    _expire_after(monkeypatch, target)
+    assert main(["simple-dim", "C2", "C2^3"]) == 2
+    assert "inconclusive:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["burnside-module", "C4"], "dburnside.functors.get_lattice"),
+    (["trace-gram", "S3"], "dburnside.functors._gram")])
+def test_module_action_and_trace_rank_stop_at_the_deadline(
+        capsys, monkeypatch, argv, target):
+    """The label loops of the Burnside module action and the elimination
+    of the trace form check the deadline."""
+    _expire_after(monkeypatch, target)
+    assert main(argv) == 2
+    assert "inconclusive:" in capsys.readouterr().err
+
+
 def test_usage_errors(capsys):
     assert main(["generates", "C2(", "A4"]) == 3
     assert main(["generates", "Q8", "A4"]) == 3

@@ -620,6 +620,44 @@ def test_pair_products_in_shuffled_order():
     _assert_pair_products(g("C2^2"), g("A4xC2"), pairs)
 
 
+@pytest.mark.parametrize("h,gg", [("C2^3", "A4xC2"), ("C3^2", "C3xS3"),
+                                  ("C4", "D8xC6"), ("D12", "D12")])
+def test_label_permutations_read_through_the_opposite(h, gg):
+    """The automorphisms on kB(G, H) and on the right of kB(H, H), read
+    off kB(H, G) and the left of kB(H, H) through the opposite, equal the
+    permutations computed on those sides directly."""
+    from dburnside.lattice import outer_automorphism_generators
+    H, G = g(h), g(gg)
+    sp_hg, sp_gh, sp_hh = space(H, G), space(G, H), space(H, H)
+    orbits = PairOrbits(sp_hg, sp_gh, sp_hh)
+    op_u, op_w, op_h = orbits.op_u, orbits.op_w, orbits.op_h
+    perm = orbits_module._label_permutation
+    one_h, one_g = range(H.order), range(G.order)
+    outer_h = outer_automorphism_generators(H)
+    outer_g = outer_automorphism_generators(G)
+    assert outer_h and outer_g
+    for b in outer_h:
+        u, left = perm(sp_hg, b, one_g), perm(sp_hh, b, one_h)
+        assert (op_u[u[op_w]] == perm(sp_gh, one_g, b)).all()
+        assert (op_h[left[op_h]] == perm(sp_hh, one_h, b)).all()
+    for a in outer_g:
+        u = perm(sp_hg, one_h, a)
+        assert (op_u[u[op_w]] == perm(sp_gh, a, one_h)).all()
+
+
+def test_label_permutations_per_pair_orbits(monkeypatch):
+    # Out(C2^3) brings 5 generators and Out(A4xC2) one: one permutation of
+    # kB(H, G) and one of kB(H, H) per generator of Out(H), one of kB(H, G)
+    # per generator of Out(G)
+    H, G = g("C2^3"), g("A4xC2")
+    real = orbits_module._label_permutation
+    calls = []
+    monkeypatch.setattr(orbits_module, "_label_permutation",
+                        lambda *args: calls.append(args) or real(*args))
+    PairOrbits(space(H, G), space(G, H), space(H, H))
+    assert len(calls) <= 11
+
+
 def _count_mackey_calls(monkeypatch):
     from dburnside import bisets, functors, orbits
     calls = []

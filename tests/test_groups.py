@@ -592,6 +592,38 @@ def test_abelian_classes_are_singletons():
         assert len(lat.classes) == len(lat.subgroups)
 
 
+@pytest.mark.parametrize("name", ["S4", "D8xC2", "A4xS3", "X(27)"])
+def test_conjugation_moves_each_subgroup_by_each_generator(name):
+    grp = g(name)
+    lat = get_lattice(grp)
+    gens = lattice.generating_sequence(grp)
+    assert len(lat.conjugation) == len(gens)
+    for x, perm in zip(gens, lat.conjugation):
+        assert [lat.subgroups[j] for j in perm] == [
+            tuple(sorted(grp.conj(x, y) for y in s)) for s in lat.subgroups]
+    assert get_lattice(g("C2xC4")).conjugation == []  # abelian: no lists
+
+
+def test_section_classes_of_a_lattice_read_from_its_file(tmp_path,
+                                                         monkeypatch):
+    """A lattice read from its file has its classes but no conjugation
+    permutations yet; section_classes builds them on first use and finds
+    the classes of a computed lattice."""
+    from dburnside import cache
+    grp = g("S4xC2")
+    monkeypatch.setattr(cache, "cache_dir", None)
+    clear_memory_caches()
+    expected = section_classes(grp)
+    cache.save_lattice(tmp_path, get_lattice(grp))
+    clear_memory_caches()
+    monkeypatch.setattr(cache, "cache_dir", tmp_path)
+    lat = get_lattice(grp)
+    assert "conjugation" not in vars(lat)  # read, not computed
+    assert section_classes(grp) == expected
+    assert "conjugation" in vars(lat)
+    clear_memory_caches()
+
+
 def test_class_sizes_divide_group_order():
     for name in ["A4", "S4", "D8", "D12"]:
         grp = g(name)
@@ -788,6 +820,22 @@ def test_automorphism_search_is_budgeted(monkeypatch):
     assert automorphisms(c2_4) is first
     assert len(searches) == 2  # the second call ran no search
     assert first[2] == 20160  # |GL(4,2)|
+
+
+def test_sylow_of_a_q_group_is_the_group_itself(monkeypatch):
+    """A q-group is its own Sylow q-subgroup: no lattice is read."""
+    s4 = g("S4")
+    d8 = next(s for s in get_lattice(s4).subgroups if len(s) == 8)
+    c3 = next(s for s in get_lattice(s4).subgroups if len(s) == 3)
+
+    def no_lattice(G):
+        raise AssertionError("lattice read")
+    monkeypatch.setattr(lattice, "get_lattice", no_lattice)
+    full = tuple(range(32))
+    assert lattice.sylow_subgroup(g("D8xC2^2"), full, 2) == full
+    assert lattice.sylow_subgroup(s4, d8, 2) == d8
+    assert lattice.sylow_subgroup(s4, c3, 3) == c3
+    assert lattice.sylow_subgroup(s4, (0,), 5) == (0,)
 
 
 # -- sections -----------------------------------------------------------------
