@@ -7,11 +7,10 @@ from .lattice import (automorphisms, double_coset_reps, get_lattice,
                       is_isomorphic, section_classes, subquotients_up_to_iso)
 from .linalg import FieldSpec, IncrementalSpan, matrix_rank
 from .numtheory import euler_phi
-from .bisets import (BisetElement, BisetLabel, ElementaryBiset,
-                     ProductInvariants, butterfly_factorize, canonical_basis,
-                     compose, identity_element, identity_label, make_label,
-                     product_invariants, realize_and_compose_oracle, star,
-                     trace_map)
+from .bisets import (BisetElement, ElementaryBiset, ProductInvariants,
+                     butterfly_factorize, compose, identity_element,
+                     identity_label, make_label, product_invariants,
+                     realize_and_compose_oracle, space, trace_of_label)
 from .functors import (GeneratesReport, NvReport, burnside_module_matrices,
                        check_submodules, essential_quotient_dim, generates,
                        is_nv, is_s_self_dual, is_semisimple, radical_dim_char0,

@@ -11,6 +11,7 @@ Product-group elements are packed as g*|H| + h throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import errors
@@ -136,18 +137,6 @@ def space(left: FiniteGroup, right: FiniteGroup) -> BisetSpace:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BisetLabel:
-    """Conjugacy class of a subgroup of left x right, canonically represented."""
-
-    left: FiniteGroup
-    right: FiniteGroup
-    elements: LabelTuple
-
-    def __str__(self) -> str:
-        return f"[({self.left.name}x{self.right.name})/{list(self.elements)}]"
-
-
-@dataclass(frozen=True)
 class ProductInvariants:
     p1: LabelTuple  # of left
     p2: LabelTuple  # of right
@@ -157,35 +146,35 @@ class ProductInvariants:
 
 
 def make_label(left: FiniteGroup, right: FiniteGroup,
-               elements: Iterable[int]) -> BisetLabel:
-    """Canonicalize and validate a subgroup of the product into a label."""
+               elements: Iterable[int]) -> LabelTuple:
+    """Canonicalize and validate a subgroup of left x right into a label."""
     sp = space(left, right)
-    return BisetLabel(left, right, sp.canonical(subgroup(sp.product, elements)))
+    return sp.canonical(subgroup(sp.product, elements))
 
 
-def identity_label(G: FiniteGroup) -> BisetLabel:
+def identity_label(G: FiniteGroup) -> LabelTuple:
     sp = space(G, G)
-    diag = [sp.encode(g, g) for g in range(G.order)]
-    return BisetLabel(G, G, sp.canonical(diag))
+    return sp.canonical([sp.encode(g, g) for g in range(G.order)])
 
 
-def _goursat(label: BisetLabel) -> Tuple[LabelTuple, LabelTuple,
-                                          LabelTuple, LabelTuple]:
-    """(p1, k1, p2, k2): the two projections of the label and the two
-    kernels, with p1/k1 isomorphic to p2/k2 (Goursat's lemma)."""
-    hn = label.right.order
-    p1 = tuple(sorted({x // hn for x in label.elements}))
-    p2 = tuple(sorted({x % hn for x in label.elements}))
-    k1 = tuple(sorted(x // hn for x in label.elements if x % hn == 0))
-    k2 = tuple(sorted(x % hn for x in label.elements if x < hn))
+def _goursat(hn: int, L: LabelTuple) -> Tuple[LabelTuple, LabelTuple,
+                                              LabelTuple, LabelTuple]:
+    """(p1, k1, p2, k2) of a label of kB(G, H) with |H| = hn: the two
+    projections and the two kernels, with p1/k1 isomorphic to p2/k2
+    (Goursat's lemma)."""
+    p1 = tuple(sorted({x // hn for x in L}))
+    p2 = tuple(sorted({x % hn for x in L}))
+    k1 = tuple(sorted(x // hn for x in L if x % hn == 0))
+    k2 = tuple(sorted(x % hn for x in L if x < hn))
     if len(p1) * len(k2) != len(p2) * len(k1):
         raise AssertionError("projection/kernel index mismatch")
     return p1, k1, p2, k2
 
 
-def product_invariants(label: BisetLabel) -> ProductInvariants:
-    p1, k1, p2, k2 = _goursat(label)
-    q, _ = section_quotient(label.left, p1, k1)
+def product_invariants(G: FiniteGroup, H: FiniteGroup,
+                       L: LabelTuple) -> ProductInvariants:
+    p1, k1, p2, k2 = _goursat(H.order, L)
+    q, _ = section_quotient(G, p1, k1)
     return ProductInvariants(p1, p2, k1, k2, q)
 
 
@@ -235,12 +224,8 @@ class BisetElement:
         return " + ".join(parts)
 
 
-def element_from_label(label: BisetLabel, field: FieldSpec) -> BisetElement:
-    return BisetElement(label.left, label.right, field, {label.elements: 1})
-
-
 def identity_element(G: FiniteGroup, field: FieldSpec) -> BisetElement:
-    return element_from_label(identity_label(G), field)
+    return BisetElement(G, G, field, {identity_label(G): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +312,6 @@ def compose(x: BisetElement, y: BisetElement) -> BisetElement:
     return BisetElement(x.left, y.right, x.field, out)
 
 
-def star(L: BisetLabel, M: BisetLabel) -> LabelTuple:
-    """The composition subgroup {(g,k) : exists h, (g,h) in L, (h,k) in M}."""
-    if L.right != M.left:
-        raise PreconditionError("middle groups do not match")
-    sp_gh = space(L.left, L.right)
-    sp_hk = space(M.left, M.right)
-    sp_gk = space(L.left, M.right)
-    fib_l, _ = sp_gh.fibers_second(L.elements)
-    fib_m, _ = sp_hk.fibers_first(M.elements)
-    elems = _star(L.right, fib_l, fib_m, M.right.order)
-    return subgroup(sp_gk.product, elems)
-
-
-def canonical_basis(G: FiniteGroup, H: FiniteGroup) -> List[BisetLabel]:
-    """One label per conjugacy class of subgroups of G x H, in fixed order."""
-    sp = space(G, H)
-    return [BisetLabel(G, H, t) for t in sp.basis()]
-
-
 # ---------------------------------------------------------------------------
 # Elementary bisets and the butterfly factorization
 # ---------------------------------------------------------------------------
@@ -353,7 +319,9 @@ def canonical_basis(G: FiniteGroup, H: FiniteGroup) -> List[BisetLabel]:
 @dataclass(frozen=True)
 class ElementaryBiset:
     kind: str  # Ind | Res | Inf | Def | Iso
-    label: BisetLabel
+    left: FiniteGroup
+    right: FiniteGroup
+    elements: LabelTuple
 
 
 def _elementary(kind: str, left: FiniteGroup, right: FiniteGroup,
@@ -361,7 +329,7 @@ def _elementary(kind: str, left: FiniteGroup, right: FiniteGroup,
     """The biset of ``kind`` labelled by the subgroup {(a, b)} of left x right."""
     sp = space(left, right)
     elems = [sp.encode(a, b) for a, b in pairs]
-    return ElementaryBiset(kind, BisetLabel(left, right, sp.canonical(elems)))
+    return ElementaryBiset(kind, left, right, sp.canonical(elems))
 
 
 def elementary_ind(G: FiniteGroup, sub: Iterable[int]) -> ElementaryBiset:
@@ -400,20 +368,20 @@ def elementary_iso(alpha: Sequence[int], source: FiniteGroup,
                        ((alpha[h], h) for h in range(source.order)))
 
 
-def butterfly_factorize(label: BisetLabel) -> List[ElementaryBiset]:
-    """Ind o Inf o Iso o Def o Res factorization of a transitive label.
+def butterfly_factorize(G: FiniteGroup, H: FiniteGroup,
+                        L: LabelTuple) -> List[ElementaryBiset]:
+    """Ind o Inf o Iso o Def o Res factorization of a label L of kB(G, H).
 
-    The label is the subgroup of G x H over the isomorphism P2/K2 -> P1/K1
-    of its Goursat data; each of P1, P2, P1/K1 and P2/K2 is built once.
-    Composing the five factors reproduces exactly 1 * label.
+    L is the subgroup of G x H over the isomorphism P2/K2 -> P1/K1 of its
+    Goursat data; each of P1, P2, P1/K1 and P2/K2 is built once.
+    Composing the five factors reproduces exactly 1 * L.
     """
-    G, H = label.left, label.right
-    p1, k1, p2, k2 = _goursat(label)
+    p1, k1, p2, k2 = _goursat(H.order, L)
     P1, pos1 = section_quotient(G, p1, (0,))
     Q1, proj1 = section_quotient(G, p1, k1)
     P2, pos2 = section_quotient(H, p2, (0,))
     Q2, proj2 = section_quotient(H, p2, k2)
-    fib, _ = space(G, H).fibers_second(label.elements)
+    fib, _ = space(G, H).fibers_second(L)
     alpha = [0] * Q2.order
     for h in p2:
         alpha[proj2[h]] = proj1[fib[h][0]]
@@ -427,10 +395,8 @@ def butterfly_factorize(label: BisetLabel) -> List[ElementaryBiset]:
 
 
 def compose_factors(factors: Sequence[ElementaryBiset]) -> BisetElement:
-    out = element_from_label(factors[0].label, RATIONALS)
-    for f in factors[1:]:
-        out = compose(out, element_from_label(f.label, RATIONALS))
-    return out
+    return reduce(compose, (BisetElement(f.left, f.right, RATIONALS,
+                                         {f.elements: 1}) for f in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +432,21 @@ class _Realization:
                       for r in reps]
 
 
-def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel) -> BisetElement:
-    """Ground-truth composite: orbit count on the explicit coset sets.
+def realize_and_compose_oracle(G: FiniteGroup, H: FiniteGroup,
+                               K: FiniteGroup, U: LabelTuple,
+                               V: LabelTuple) -> BisetElement:
+    """Ground-truth composite of labels U of kB(G, H) and V of kB(H, K):
+    orbit count on the explicit coset sets.
 
     Builds U x V, quotients by the diagonal middle action, and decomposes
     the result by point stabilizers in left x right.  Quadratic in biset
     sizes; wired to tests, not to decision procedures.
     """
-    if U.right != V.left:
-        raise PreconditionError("middle groups do not match")
-    G, H, K = U.left, U.right, V.right
     sp_gh = space(G, H)
     sp_hk = space(H, K)
     sp_gk = space(G, K)
-    RU = sp_gh.realization(U.elements)
-    RV = sp_hk.realization(V.elements)
+    RU = sp_gh.realization(U)
+    RV = sp_hk.realization(V)
     nu, nv = len(RU.reps), len(RV.reps)
     hinv = H.inv
     # H-orbits of pairs under h.(u, v) = (u h^-1, h v)
@@ -546,24 +512,15 @@ def realize_and_compose_oracle(U: BisetLabel, V: BisetLabel) -> BisetElement:
     return BisetElement(G, K, RATIONALS, coeffs)
 
 
-def trace_of_label(L: BisetLabel) -> int:
-    """Number of orbits of the diagonal on the cosets (G x G)/L.
+def trace_of_label(G: FiniteGroup, H: FiniteGroup, L: LabelTuple) -> int:
+    """Number of orbits of the diagonal on the cosets (G x G)/L of a label
+    L of kB(G, H), which must be square (H = G).
 
     The orbit of the coset xL under the diagonal D is the double coset DxL,
     so the trace is the number of double cosets D\\(G x G)/L.
     """
-    if L.left != L.right:
+    if G != H:
         raise PreconditionError("trace needs a square label")
-    sp = space(L.left, L.right)
-    diag = [sp.encode(g, g) for g in range(L.left.order)]
-    return len(double_coset_reps(diag, sp.product, L.elements))
-
-
-def trace_map(x: BisetElement) -> object:
-    """Linear extension of the diagonal orbit count, in the element's field."""
-    if x.left != x.right:
-        raise PreconditionError("trace needs a square element")
-    total = 0
-    for t, c in x.coeffs.items():
-        total += c * trace_of_label(BisetLabel(x.left, x.right, t))
-    return x.field.reduce(total)
+    sp = space(G, G)
+    diag = [sp.encode(g, g) for g in range(G.order)]
+    return len(double_coset_reps(diag, sp.product, L))

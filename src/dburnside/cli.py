@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import cache as cache_mod, errors
-from .bisets import (BisetLabel, canonical_basis, compose, compose_factors,
-                     butterfly_factorize, element_from_label, make_label,
-                     product_invariants)
+from .bisets import (BisetElement, LabelTuple, compose, compose_factors,
+                     butterfly_factorize, make_label, product_invariants,
+                     space)
 from .errors import Budget, BudgetExceeded, GroupSpecError, PreconditionError
 from .functors import (CertificateTerm, GeneratesReport,
                        burnside_module_matrices,
@@ -98,13 +98,13 @@ def _verdict_exit(result: Optional[bool]) -> int:
 def cmd_basis(args):
     G = group_from_text(args.G)
     H = group_from_text(args.H)
-    labels = canonical_basis(G, H)
+    labels = space(G, H).basis()
     entries = []
     for i, lab in enumerate(labels):
-        inv = product_invariants(lab)
+        inv = product_invariants(G, H, lab)
         entries.append({
             "index": i,
-            "subgroup": list(lab.elements),
+            "subgroup": list(lab),
             "p1": list(inv.p1),
             "p2": list(inv.p2),
             "k1": list(inv.k1),
@@ -121,33 +121,32 @@ def cmd_basis(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def _parse_label_arg(sp_left, sp_right, text, labels) -> BisetLabel:
+def _parse_label_arg(G, H, text) -> LabelTuple:
+    """A label of kB(G, H) given as a basis index or as subgroup elements."""
     if re.fullmatch(r"\d+", text):
+        labels = space(G, H).basis()
         idx = int(text)
         if idx >= len(labels):
             raise PreconditionError(f"label index {idx} out of range")
         return labels[idx]
     if not re.fullmatch(r"\d+(,\d+)*", text):
         raise GroupSpecError(f"label {text!r} is not an index or a list i,j,...")
-    return make_label(sp_left, sp_right, [int(x) for x in text.split(",")])
+    return make_label(G, H, [int(x) for x in text.split(",")])
 
 
 def cmd_compose(args):
     G, H, K = (group_from_text(args.G), group_from_text(args.H),
                group_from_text(args.K))
     fieldspec = FieldSpec(args.char)
-    basis_gh = canonical_basis(G, H)
-    basis_hk = canonical_basis(H, K)
-    left = _parse_label_arg(G, H, args.left, basis_gh)
-    right = _parse_label_arg(H, K, args.right, basis_hk)
-    x = element_from_label(left, fieldspec)
-    y = element_from_label(right, fieldspec)
-    z = compose(x, y)
+    left = _parse_label_arg(G, H, args.left)
+    right = _parse_label_arg(H, K, args.right)
+    z = compose(BisetElement(G, H, fieldspec, {left: 1}),
+                BisetElement(H, K, fieldspec, {right: 1}))
     terms = [{"subgroup": list(t), "coeff": str(c)}
              for t, c in sorted(z.coeffs.items())]
     inputs = {"G": args.G, "H": args.H, "K": args.K,
-              "left": list(left.elements),
-              "right": list(right.elements),
+              "left": list(left),
+              "right": list(right),
               "char": fieldspec.characteristic}
     result = {"terms": terms}
     lines = [f"compose over middle {args.H}: {len(terms)} terms"]
@@ -157,22 +156,21 @@ def cmd_compose(args):
 
 def cmd_butterfly(args):
     G, H = group_from_text(args.G), group_from_text(args.H)
-    labels = canonical_basis(G, H)
-    lab = _parse_label_arg(G, H, args.label, labels)
-    factors = butterfly_factorize(lab)
+    lab = _parse_label_arg(G, H, args.label)
+    factors = butterfly_factorize(G, H, lab)
     composite = compose_factors(factors)
-    ok = composite == element_from_label(lab, composite.field)
-    inputs = {"G": args.G, "H": args.H, "label": list(lab.elements)}
+    ok = composite == BisetElement(G, H, composite.field, {lab: 1})
+    inputs = {"G": args.G, "H": args.H, "label": list(lab)}
     result = {
         "factors": [{"kind": f.kind,
-                     "left_order": f.label.left.order,
-                     "right_order": f.label.right.order,
-                     "subgroup": list(f.label.elements)}
+                     "left_order": f.left.order,
+                     "right_order": f.right.order,
+                     "subgroup": list(f.elements)}
                     for f in factors],
         "recomposes": ok,
     }
-    lines = [f"butterfly factors of {lab.elements}:"]
-    lines += [f"  {f.kind}: {f.label.elements}" for f in factors]
+    lines = [f"butterfly factors of {lab}:"]
+    lines += [f"  {f.kind}: {f.elements}" for f in factors]
     lines.append(f"recomposes exactly: {ok}")
     return (EXIT_TRUE if ok else EXIT_FALSE), inputs, result, lines
 
@@ -336,8 +334,8 @@ def cmd_verify(args):
         fieldspec = FieldSpec(int(cert["char"]))
         terms = []
         for t in cert["terms"]:
-            u = make_label(H, G, t["u"]).elements
-            w = make_label(G, H, t["w"]).elements
+            u = make_label(H, G, t["u"])
+            w = make_label(G, H, t["w"])
             terms.append(CertificateTerm(u, w, fieldspec.parse(str(t["coeff"]))))
     except (GroupSpecError, PreconditionError):
         raise

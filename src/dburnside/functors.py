@@ -15,9 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bisets import (BisetElement, BisetLabel, compose, element_from_label,
-                     identity_element, identity_label, mackey_tuples, space,
-                     trace_of_label)
+from .bisets import (BisetElement, compose, identity_element, identity_label,
+                     mackey_tuples, space, trace_of_label)
 from . import errors
 from .cache import memo_table
 from .errors import BudgetExceeded, PreconditionError
@@ -63,8 +62,8 @@ def verify_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
     """Recompose certificate terms and compare against the identity of H."""
     total = BisetElement(H, H, fieldspec, {})
     for t in terms:
-        u = element_from_label(BisetLabel(H, G, t.u), fieldspec)
-        w = element_from_label(BisetLabel(G, H, t.w), fieldspec)
+        u = BisetElement(H, G, fieldspec, {t.u: 1})
+        w = BisetElement(G, H, fieldspec, {t.w: 1})
         total = total + compose(u, w).scale(t.coeff)
     return total == identity_element(H, fieldspec)
 
@@ -154,7 +153,7 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     except BudgetExceeded:
         return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                "budget during basis enumeration", None, 0, 0)
-    id_items = [(sp_hh.basis_index()[identity_label(H).elements], 1)]
+    id_items = [(sp_hh.basis_index()[identity_label(H)], 1)]
     # pair (iu, iw) is x = iu * n + iw, sorted by a cheap proxy for the
     # support size of its product, the coset count; ties keep (iu, iw) order
     n = len(basis_gh)
@@ -431,7 +430,7 @@ def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec) -> Tuple[int, int]:
     tr = []
     for t in basis:
         errors.budget.check("trace form")
-        tr.append(trace_of_label(BisetLabel(G, G, t)))
+        tr.append(trace_of_label(G, G, t))
     return matrix_rank(_gram(_square(G), tr), fieldspec), len(basis)
 
 

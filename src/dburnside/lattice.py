@@ -9,8 +9,7 @@ the other factor's table and carries that factor's ``factors``) takes
 Goursat's lemma: each subgroup is one section K1 <| P1 of G, one section
 K2 <| P2 of H and one isomorphism P2/K2 -> P1/K1, read off the factors'
 own lattices and the automorphisms of each quotient type the factors
-share.  No closure is built and nothing is found twice.  When such a type
-is above the automorphism cap, the product falls back to the next route.
+share.  No closure is built and nothing is found twice.
 
 Every other group takes cyclic extension over zuppos (Neubueser 1960): every
 subgroup is generated by the cyclic subgroups of prime-power order it
@@ -41,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import cache, errors
 from .errors import PreconditionError
 from .groups import FiniteGroup, section_quotient
-from .numtheory import factorize
+from .numtheory import factorize, is_prime
 
 ElementTuple = Tuple[int, ...]
 SectionPair = Tuple[ElementTuple, ElementTuple]  # (T, S), S normal in T
@@ -194,18 +193,17 @@ def _enumerate_subgroups(G: FiniteGroup) -> List[ElementTuple]:
     return sorted(found.values(), key=lambda t: (len(t), t))
 
 
-def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup
-                       ) -> Optional[List[ElementTuple]]:
-    """The sorted subgroups of G x H (elements g*|H| + h) by Goursat's lemma,
-    or None when a quotient type both factors share is above the
-    automorphism cap.
+def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup) -> List[ElementTuple]:
+    """The sorted subgroups of G x H (elements g*|H| + h) by Goursat's lemma.
 
     Every subgroup is {(g, h) : theta(hK2) = gK1} for exactly one section
     K1 <| P1 of G, one K2 <| P2 of H and one isomorphism theta: P2/K2 ->
     P1/K1.  Each quotient is matched to a representative R of its type by
     psi: R -> P/K, so the maps Q1 -> Q2 are psi2 . beta . psi1^-1 for beta
     in Aut(R), each giving one subgroup.  Walking g up P1 and h up its coset
-    yields every subgroup's elements already sorted.
+    yields every subgroup's elements already sorted.  A shared type has
+    order at most min(|G|, |H|), within the automorphism cap because
+    ``direct_product`` caps |G x H|.
     """
     hn = H.order
     sections = []
@@ -247,11 +245,8 @@ def _goursat_subgroups(G: FiniteGroup, H: FiniteGroup
                 entry = (psi, [[tuple(g * hn + h for h in c) for c in cosets]
                                for g in range(G.order)])
             sides[i].setdefault(k, []).append(entry)
-    common = sorted(sides[1])
-    if any(types[k].order > AUTOMORPHISM_ORDER_CAP for k in common):
-        return None
     found: List[ElementTuple] = []
-    for k in common:
+    for k in sorted(sides[1]):
         auts, _, _ = automorphisms(types[k])
         for psi, shifted in sides[1][k]:
             # gK1 = psi1(r) pairs with the coset psi2(beta(r)) of K2
@@ -283,10 +278,8 @@ def get_lattice(G: FiniteGroup) -> SubgroupLattice:
     if cache_dir is not None:
         lat = cache.load_lattice(cache_dir, G)
     if lat is None:
-        subgroups = _goursat_subgroups(*G.factors) if G.factors else None
-        if subgroups is None:
-            subgroups = _enumerate_subgroups(G)
-        lat = SubgroupLattice(G, subgroups)
+        lat = SubgroupLattice(G, _goursat_subgroups(*G.factors) if G.factors
+                              else _enumerate_subgroups(G))
         if cache_dir is not None:
             cache.save_lattice(cache_dir, lat)
     _LATTICE_MEMO[G.key] = lat
@@ -365,12 +358,17 @@ def section_classes(G: FiniteGroup) -> List[List[SectionPair]]:
 
 def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup
                                   ) -> List[List[SectionPair]]:
-    """The section classes of G whose subquotient T/S is isomorphic to P."""
+    """The section classes of G whose subquotient T/S is isomorphic to P.
+
+    When |P| is prime, every group of that order is cyclic and isomorphic
+    to P, so the order alone decides and no T/S is built."""
+    prime = is_prime(P.order)
     out = []
     for cls in section_classes(G):
         errors.budget.check("section classes")
-        if (len(cls[0][0]) == P.order * len(cls[0][1]) and is_isomorphic(
-                section_quotient(G, *cls[0])[0], P) is not None):
+        t, s = cls[0]
+        if len(t) == P.order * len(s) and (prime or is_isomorphic(
+                section_quotient(G, t, s)[0], P) is not None):
             out.append(cls)
     return out
 
@@ -650,6 +648,8 @@ def is_nilpotent_section(G: FiniteGroup, t: ElementTuple) -> bool:
         syl = sylow_subgroup(G, t, q)
         if syl is None:
             return False
+        if len(syl) == len(t):
+            continue  # t is a q-group: its Sylow q-subgroup is t itself
         sset = frozenset(syl)
         if not all(mul[mul[g][x]][inv[g]] in sset for g in t for x in syl):
             return False

@@ -37,7 +37,7 @@ Items = Tuple[Tuple[int, int], ...]  # sorted (basis index, multiplicity)
 # images of basis indices in all
 _GROUP_ORDER = 1024
 _GROUP_CELLS = 1 << 21
-_CHUNK = 1 << 12  # pairs per vectorised step
+_CHUNK = 1 << 11  # pairs per vectorised step
 
 
 def _label_permutation(sp: BisetSpace, left: Sequence[int],
@@ -281,9 +281,15 @@ class PairOrbits:
 
     def products(self, pairs: np.ndarray) -> Iterator[Items]:
         """The sorted (kB(H, H) index, multiplicity) items of u∘w for each
-        pair iu * n + iw, in the order given, a chunk of pairs at a time."""
-        for s in range(0, len(pairs), _CHUNK):
-            K, C = self._rows(pairs[s:s + _CHUNK])
+        pair iu * n + iw, in the order given, a chunk of pairs at a time.
+
+        Chunks start at 64 pairs and double up to ``_CHUNK``, so a reader
+        that stops early has had few products computed that it never read.
+        """
+        s, size = 0, 64
+        while s < len(pairs):
+            K, C = self._rows(pairs[s:s + size])
+            s, size = s + size, min(2 * size, _CHUNK)
             order = np.argsort(K, axis=1)
             K = np.take_along_axis(K, order, axis=1)
             C = np.take_along_axis(C, order, axis=1)

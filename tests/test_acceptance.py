@@ -14,10 +14,9 @@ import time
 from contextlib import redirect_stdout
 from io import StringIO
 
-from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
-                              canonical_basis, compose, compose_factors,
-                              element_from_label, realize_and_compose_oracle,
-                              space)
+from dburnside.bisets import (RATIONALS, BisetElement, butterfly_factorize,
+                              compose, compose_factors,
+                              realize_and_compose_oracle, space)
 from dburnside.catalog import _abelian_specs_of_order, catalog_group, CATALOG_SPECS
 from dburnside.cli import main as cli_main
 from dburnside.functors import (check_submodules, essential_quotient_dim,
@@ -59,12 +58,13 @@ def test_criterion_01_mackey_oracle_equivalence():
     names = ["1", "C2", "C3", "C4", "C2^2", "S3", "C6"]
     pairs = 0
     for a, b, c in itertools.product(names, repeat=3):
-        for L in canonical_basis(g(a), g(b)):
-            for M in canonical_basis(g(b), g(c)):
-                composite = compose(element_from_label(L, RATIONALS),
-                                    element_from_label(M, RATIONALS))
-                assert composite == realize_and_compose_oracle(L, M), \
-                    (a, b, c, L.elements, M.elements)
+        G, H, K = g(a), g(b), g(c)
+        for L in space(G, H).basis():
+            for M in space(H, K).basis():
+                composite = compose(BisetElement(G, H, RATIONALS, {L: 1}),
+                                    BisetElement(H, K, RATIONALS, {M: 1}))
+                oracle = realize_and_compose_oracle(G, H, K, L, M)
+                assert composite == oracle, (a, b, c, L, M)
                 pairs += 1
     report(1, pairs == 78970,
            f"double-coset formula equals the orbit oracle on {pairs} "
@@ -77,11 +77,12 @@ def test_criterion_02_butterfly_reproduction():
     names = ["C2", "C4", "C2^2", "S3", "D8"]
     checked = 0
     for a, b in itertools.product(names, repeat=2):
-        sp = space(g(a), g(b))
+        G, H = g(a), g(b)
+        sp = space(G, H)
         for elements in get_lattice(sp.product).subgroups:
-            lab = BisetLabel(g(a), g(b), sp.canonical(elements))
-            composite = compose_factors(butterfly_factorize(lab))
-            assert composite == element_from_label(lab, RATIONALS), \
+            lab = sp.canonical(elements)
+            composite = compose_factors(butterfly_factorize(G, H, lab))
+            assert composite == BisetElement(G, H, RATIONALS, {lab: 1}), \
                 (a, b, elements)
             checked += 1
     report(2, checked > 0,
@@ -108,8 +109,8 @@ def test_criterion_04_a4_vanishing():
         rep = generates(g("C2^2"), g("A4"), FieldSpec(char))
         assert rep.result is False, f"char {char}"
         assert rep.status == "not-generated"
-        n_hg = len(canonical_basis(g("C2^2"), g("A4")))
-        n_gh = len(canonical_basis(g("A4"), g("C2^2")))
+        n_hg = len(space(g("C2^2"), g("A4")).basis())
+        n_gh = len(space(g("A4"), g("C2^2")).basis())
         assert rep.products_tried == n_hg * n_gh  # complete search
         full_pairs = rep.products_tried
         nv = is_nv(g("A4"), FieldSpec(char))
@@ -265,7 +266,7 @@ def test_criterion_11_extended_a4xc2(tmp_path):
 
     rep3 = generates(H, G, FieldSpec(3))
     assert rep3.result is False
-    n_pairs = (len(canonical_basis(H, G)) * len(canonical_basis(G, H)))
+    n_pairs = len(space(H, G).basis()) * len(space(G, H).basis())
     assert rep3.products_tried == n_pairs  # complete search
 
     nv0 = is_nv(G, Q)

@@ -6,14 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from dburnside.bisets import (BisetLabel, RATIONALS, butterfly_factorize,
-                              canonical_basis, compose, compose_factors,
-                              element_from_label, elementary_def,
+from dburnside.bisets import (RATIONALS, BisetElement, butterfly_factorize,
+                              compose, compose_factors, elementary_def,
                               elementary_ind, elementary_inf, elementary_res,
                               identity_element, identity_label, mackey_tuples,
                               make_label, op_indices, product_invariants,
-                              realize_and_compose_oracle, space, star,
-                              trace_map, trace_of_label)
+                              realize_and_compose_oracle, space,
+                              trace_of_label)
 from dburnside.cache import clear_memory_caches
 from dburnside.errors import PreconditionError
 from dburnside.groups import group_from_text
@@ -33,21 +32,31 @@ def g(text):
 
 
 def basis_labels(a, b):
-    return canonical_basis(g(a), g(b))
+    return space(g(a), g(b)).basis()
 
 
-def compose_labels(L, M):
-    """The composite of two transitive labels over Q."""
-    return compose(element_from_label(L, RATIONALS),
-                   element_from_label(M, RATIONALS))
+def unit(G, H, L, field=RATIONALS):
+    """1 * L in kB(G, H)."""
+    return BisetElement(G, H, field, {L: 1})
+
+
+def compose_labels(G, H, K, L, M):
+    """The composite of labels L of kB(G, H) and M of kB(H, K) over Q."""
+    return compose(unit(G, H, L), unit(H, K, M))
+
+
+def trace(x):
+    """The trace of a square element: the sum over its labels of the
+    coefficient times ``trace_of_label``, in the element's field."""
+    return x.field.reduce(sum(c * trace_of_label(x.left, x.right, t)
+                              for t, c in x.coeffs.items()))
 
 
 # -- product invariants --------------------------------------------------------
 
 def test_invariants_of_diagonal():
     c4 = g("C4")
-    lab = identity_label(c4)
-    inv = product_invariants(lab)
+    inv = product_invariants(c4, c4, identity_label(c4))
     assert inv.p1 == tuple(range(4))
     assert inv.p2 == tuple(range(4))
     assert inv.k1 == (0,)
@@ -57,9 +66,7 @@ def test_invariants_of_diagonal():
 
 def test_invariants_of_full_product():
     a, b = g("C2"), g("S3")
-    sp = space(a, b)
-    lab = BisetLabel(a, b, tuple(range(sp.product.order)))
-    inv = product_invariants(lab)
+    inv = product_invariants(a, b, tuple(range(a.order * b.order)))
     assert inv.p1 == tuple(range(2))
     assert inv.p2 == tuple(range(6))
     assert inv.k1 == tuple(range(2))
@@ -72,7 +79,7 @@ def test_invariants_of_graph():
     c4 = g("C4")
     sp = space(c4, c4)
     lab = make_label(c4, c4, [sp.encode((3 * x) % 4, x) for x in range(4)])
-    inv = product_invariants(lab)
+    inv = product_invariants(c4, c4, lab)
     assert inv.q.order == 4
     assert inv.k1 == (0,)
 
@@ -80,75 +87,63 @@ def test_invariants_of_graph():
 def test_index_identity_for_all_labels():
     for a, b in [("C4", "C4"), ("S3", "C2"), ("D8", "C2^2")]:
         for lab in basis_labels(a, b):
-            inv = product_invariants(lab)
+            inv = product_invariants(g(a), g(b), lab)
             assert len(inv.p1) * len(inv.k2) == len(inv.p2) * len(inv.k1)
             assert len(inv.p1) // len(inv.k1) == inv.q.order
-
-
-# -- star --------------------------------------------------------------------
-
-def test_star_with_diagonal_is_identity_sided():
-    c4 = g("C4")
-    for lab in basis_labels("C4", "C4"):
-        assert star(identity_label(c4), lab) == lab.elements
-        assert star(lab, identity_label(c4)) == lab.elements
-
-
-def test_star_full_products():
-    v4 = g("C2^2")
-    sp = space(v4, v4)
-    full = BisetLabel(v4, v4, tuple(range(16)))
-    assert star(full, full) == tuple(range(16))
-
-
-def test_star_middle_mismatch():
-    with pytest.raises(PreconditionError):
-        star(identity_label(g("C2")), identity_label(g("C3")))
 
 
 # -- composition ----------------------------------------------------------------
 
 def test_identity_composition():
-    for a, b in [("C2", "C2"), ("S3", "C4"), ("C2^2", "S3")]:
+    for a, b in [("C2", "C2"), ("S3", "C4"), ("C2^2", "S3"), ("C4", "C4")]:
         ga, gb = g(a), g(b)
         for lab in basis_labels(a, b):
-            left = compose_labels(identity_label(ga), lab)
-            assert left == element_from_label(lab, RATIONALS)
-            right = compose_labels(lab, identity_label(gb))
-            assert right == element_from_label(lab, RATIONALS)
+            left = compose_labels(ga, ga, gb, identity_label(ga), lab)
+            assert left == unit(ga, gb, lab)
+            right = compose_labels(ga, gb, gb, lab, identity_label(gb))
+            assert right == unit(ga, gb, lab)
+
+
+def test_compose_full_products():
+    # the composite of two one-point bisets is one point
+    v4 = g("C2^2")
+    full = tuple(range(16))
+    assert compose_labels(v4, v4, v4, full, full) == unit(v4, v4, full)
 
 
 def test_res_then_ind_is_two_points():
     c2 = g("C2")
     ind = elementary_ind(c2, (0,))
     res = elementary_res(c2, (0,))
-    out = compose_labels(res.label, ind.label)
+    out = compose_labels(res.left, c2, ind.right, res.elements, ind.elements)
     point = next(iter(out.coeffs))
     assert out.coeffs == {point: Fraction(2)}
     # and the oracle agrees on this explicit two-point biset
-    assert realize_and_compose_oracle(res.label, ind.label) == out
+    assert realize_and_compose_oracle(res.left, c2, ind.right, res.elements,
+                                      ind.elements) == out
 
 
 def test_ind_then_res_is_free_orbit():
     c2 = g("C2")
     ind = elementary_ind(c2, (0,))
     res = elementary_res(c2, (0,))
-    out = compose_labels(ind.label, res.label)
+    out = compose_labels(c2, ind.right, c2, ind.elements, res.elements)
     assert out.coeffs == {(0,): Fraction(1)}
-    assert realize_and_compose_oracle(ind.label, res.label) == out
+    assert realize_and_compose_oracle(c2, ind.right, c2, ind.elements,
+                                      res.elements) == out
 
 
 def test_bilinearity_and_zero():
     c2 = g("C2")
     idl = identity_label(c2)
-    two_id = element_from_label(idl, Q).scale(Fraction(2))
-    three_id = element_from_label(idl, Q).scale(Fraction(3))
-    assert compose(two_id, three_id) == element_from_label(idl, Q).scale(Fraction(6))
-    over_f2 = element_from_label(idl, F2).scale(2)
+    two_id = unit(c2, c2, idl, Q).scale(Fraction(2))
+    three_id = unit(c2, c2, idl, Q).scale(Fraction(3))
+    assert compose(two_id, three_id) == unit(c2, c2, idl, Q).scale(Fraction(6))
+    over_f2 = unit(c2, c2, idl, F2).scale(2)
     assert over_f2.is_zero()
-    assert compose(over_f2, element_from_label(idl, F2)).is_zero()
-    zero = element_from_label(idl, Q).scale(Fraction(0))
-    assert compose(element_from_label(idl, Q), zero).is_zero()
+    assert compose(over_f2, unit(c2, c2, idl, F2)).is_zero()
+    zero = unit(c2, c2, idl, Q).scale(Fraction(0))
+    assert compose(unit(c2, c2, idl, Q), zero).is_zero()
 
 
 def test_compose_field_and_middle_mismatch():
@@ -167,9 +162,9 @@ def test_associativity_random_triples():
         la = rng.choice(basis_labels(a, b))
         lb = rng.choice(basis_labels(b, c))
         lc = rng.choice(basis_labels(c, d))
-        x = element_from_label(la, Q)
-        y = element_from_label(lb, Q)
-        z = element_from_label(lc, Q)
+        x = unit(g(a), g(b), la, Q)
+        y = unit(g(b), g(c), lb, Q)
+        z = unit(g(c), g(d), lc, Q)
         assert compose(compose(x, y), z) == compose(x, compose(y, z))
 
 
@@ -182,11 +177,11 @@ def test_basis_counts():
 
 def test_basis_deterministic_and_canonical():
     labs1 = basis_labels("S3", "C4")
-    labs2 = canonical_basis(g("S3"), g("C4"))
-    assert [l.elements for l in labs1] == [l.elements for l in labs2]
+    labs2 = space(g("S3"), g("C4")).basis()
+    assert labs1 == labs2
     sp = space(g("S3"), g("C4"))
     for lab in labs1:
-        assert sp.canonical(lab.elements) == lab.elements
+        assert sp.canonical(lab) == lab
 
 
 def test_basis_counts_elementary_abelian_cube():
@@ -197,8 +192,9 @@ def test_basis_counts_elementary_abelian_cube():
 
 def test_oracle_of_identity():
     for name in ["C2", "S3"]:
-        idl = identity_label(g(name))
-        assert realize_and_compose_oracle(idl, idl) == compose_labels(idl, idl)
+        G, idl = g(name), identity_label(g(name))
+        assert realize_and_compose_oracle(G, G, G, idl, idl) == \
+            compose_labels(G, G, G, idl, idl)
 
 
 def test_oracle_agreement_small_sweep():
@@ -208,8 +204,9 @@ def test_oracle_agreement_small_sweep():
             continue
         for L in basis_labels(a, b):
             for M in basis_labels(b, c):
-                assert compose_labels(L, M) == realize_and_compose_oracle(L, M), \
-                    (a, b, c, L.elements, M.elements)
+                assert compose_labels(g(a), g(b), g(c), L, M) == \
+                    realize_and_compose_oracle(g(a), g(b), g(c), L, M), \
+                    (a, b, c, L, M)
 
 
 # -- butterfly --------------------------------------------------------------------
@@ -217,9 +214,9 @@ def test_oracle_agreement_small_sweep():
 def test_butterfly_identity_label():
     s3 = g("S3")
     lab = identity_label(s3)
-    factors = butterfly_factorize(lab)
+    factors = butterfly_factorize(s3, s3, lab)
     assert [f.kind for f in factors] == ["Ind", "Inf", "Iso", "Def", "Res"]
-    assert compose_factors(factors) == element_from_label(lab, RATIONALS)
+    assert compose_factors(factors) == unit(s3, s3, lab)
 
 
 def test_butterfly_induction_label():
@@ -228,8 +225,8 @@ def test_butterfly_induction_label():
     c2sub = next(s for s in get_lattice(d8).subgroups if len(s) == 2)
     sp = space(d8, g("C2"))
     lab = make_label(d8, g("C2"), [sp.encode(c2sub[i], i) for i in range(2)])
-    factors = butterfly_factorize(lab)
-    assert compose_factors(factors) == element_from_label(lab, RATIONALS)
+    factors = butterfly_factorize(d8, g("C2"), lab)
+    assert compose_factors(factors) == unit(d8, g("C2"), lab)
 
 
 def test_butterfly_sweep_order_eight():
@@ -240,18 +237,17 @@ def test_butterfly_sweep_order_eight():
         reps = lat.class_reps()
         sample = reps if len(reps) <= 25 else rng.sample(reps, 25)
         for t in sample:
-            lab = BisetLabel(g(a), g(b), t)
-            assert compose_factors(butterfly_factorize(lab)) == \
-                element_from_label(lab, RATIONALS)
+            assert compose_factors(butterfly_factorize(g(a), g(b), t)) == \
+                unit(g(a), g(b), t)
 
 
 @pytest.mark.parametrize("a,b", [("D8", "C4"), ("S3", "C2"), ("A4", "C2^2")])
 def test_butterfly_factors_are_the_elementary_bisets(a, b):
     # P1 and P2 number their elements by position in the projections
     for lab in basis_labels(a, b):
-        ind, inf, _, dfl, res = butterfly_factorize(lab)
-        inv = product_invariants(lab)
-        P1, P2 = ind.label.right, res.label.left
+        ind, inf, _, dfl, res = butterfly_factorize(g(a), g(b), lab)
+        inv = product_invariants(g(a), g(b), lab)
+        P1, P2 = ind.right, res.left
         K1 = [inv.p1.index(x) for x in inv.k1]
         K2 = [inv.p2.index(x) for x in inv.k2]
         assert ind == elementary_ind(g(a), inv.p1)
@@ -263,14 +259,14 @@ def test_butterfly_factors_are_the_elementary_bisets(a, b):
 def test_inflation_label_not_left_free():
     c4 = g("C4")
     inf = elementary_inf(c4, [2, 0])
-    inv = product_invariants(inf.label)
+    inv = product_invariants(inf.left, inf.right, inf.elements)
     assert inv.k1 == (0, 2)
 
 
 def test_elementary_bisets_check_their_subgroups():
     s3 = g("S3")
     transposition = next(s for s in get_lattice(s3).subgroups if len(s) == 2)
-    assert elementary_ind(s3, transposition).label.right.order == 2
+    assert elementary_ind(s3, transposition).right.order == 2
     with pytest.raises(PreconditionError, match="requires a normal subgroup"):
         elementary_inf(s3, transposition)
     with pytest.raises(PreconditionError, match="requires a normal subgroup"):
@@ -283,39 +279,38 @@ def test_elementary_bisets_check_their_subgroups():
 
 def test_left_free_classification():
     # a label is left free exactly when its left kernel k1 is trivial
-    assert product_invariants(identity_label(g("S3"))).k1 == (0,)
-    v4 = g("C2^2")
-    full = BisetLabel(v4, v4, tuple(range(16)))
-    assert product_invariants(full).k1 != (0,)
+    s3, v4 = g("S3"), g("C2^2")
+    assert product_invariants(s3, s3, identity_label(s3)).k1 == (0,)
+    assert product_invariants(v4, v4, tuple(range(16))).k1 != (0,)
 
 
 # -- trace ------------------------------------------------------------------------
 
 def test_trace_identity_counts_conjugacy_classes():
-    assert trace_map(identity_element(g("C2"), Q)) == 2
-    assert trace_map(identity_element(g("1"), Q)) == 1
+    assert trace(identity_element(g("C2"), Q)) == 2
+    assert trace(identity_element(g("1"), Q)) == 1
     # S3 has three conjugacy classes
-    assert trace_map(identity_element(g("S3"), Q)) == 3
+    assert trace(identity_element(g("S3"), Q)) == 3
 
 
 def test_trace_of_zero():
     zero = identity_element(g("C3"), Q).scale(Fraction(0))
-    assert trace_map(zero) == 0
+    assert trace(zero) == 0
 
 
 def test_trace_requires_square():
     lab = basis_labels("C2", "C3")[0]
-    with pytest.raises(PreconditionError):
-        trace_map(element_from_label(lab, Q))
+    with pytest.raises(PreconditionError, match="square"):
+        trace(unit(g("C2"), g("C3"), lab, Q))
 
 
-def diagonal_orbit_count(lab):
-    """Orbits of the diagonal on the cosets of lab, by search over the
-    explicit coset space: the reference for the double-coset count."""
-    sp = space(lab.left, lab.right)
-    R = sp.realization(lab.elements)
+def diagonal_orbit_count(G, lab):
+    """Orbits of the diagonal on the cosets of lab in G x G, by search over
+    the explicit coset space: the reference for the double-coset count."""
+    sp = space(G, G)
+    R = sp.realization(lab)
     mul = sp.product.mul
-    diag = [sp.encode(x, x) for x in range(lab.left.order)]
+    diag = [sp.encode(x, x) for x in range(G.order)]
     seen = [False] * len(R.reps)
     count = 0
     for i in range(len(R.reps)):
@@ -336,8 +331,9 @@ def diagonal_orbit_count(lab):
 
 @pytest.mark.parametrize("name", ["S3", "D8", "A4", "C2^2", "C6"])
 def test_trace_of_label_matches_diagonal_orbit_count(name):
+    G = g(name)
     for lab in basis_labels(name, name):
-        assert trace_of_label(lab) == diagonal_orbit_count(lab)
+        assert trace_of_label(G, G, lab) == diagonal_orbit_count(G, lab)
 
 
 def test_trace_centrality():
@@ -348,9 +344,9 @@ def test_trace_centrality():
         for _ in range(8):
             u = rng.choice(lab_ab)
             v = rng.choice(lab_ba)
-            uv = compose(element_from_label(u, Q), element_from_label(v, Q))
-            vu = compose(element_from_label(v, Q), element_from_label(u, Q))
-            assert trace_map(uv) == trace_map(vu)
+            uv = compose_labels(g(a), g(b), g(a), u, v)
+            vu = compose_labels(g(b), g(a), g(b), v, u)
+            assert trace(uv) == trace(vu)
 
 
 # -- opposite bisets and the abelian middle group ----------------------------------
@@ -446,5 +442,4 @@ def test_abelian_middle_group_matches_double_coset_loop(a, h, k, sample):
 def test_trace_of_opposite_label(name):
     G = g(name)
     for t, t_op in op_label_map(name, name).items():
-        assert trace_of_label(BisetLabel(G, G, t_op)) == trace_of_label(
-            BisetLabel(G, G, t))
+        assert trace_of_label(G, G, t_op) == trace_of_label(G, G, t)

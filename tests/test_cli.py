@@ -6,7 +6,7 @@ import json
 import pytest
 
 from dburnside import cli
-from dburnside.bisets import canonical_basis
+from dburnside.bisets import space
 from dburnside.errors import Budget, BudgetExceeded
 from dburnside.cli import main
 from dburnside.groups import group_from_text
@@ -69,7 +69,7 @@ def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
     assert result["status"] == "inconclusive"
     assert result["products_tried"] == 9 * 64  # checked every 64 products
     H = group_from_text("C2xC2")
-    dim = len(canonical_basis(H, H))
+    dim = len(space(H, H).basis())
     assert 0 < result["rank_reached"] <= min(result["products_tried"], dim)
 
 
@@ -672,7 +672,7 @@ GOLDEN_SCALARS = [
 def _argvs(argv):
     if argv[0] != "butterfly":
         return [argv]
-    n = len(canonical_basis(group_from_text(argv[1]), group_from_text(argv[2])))
+    n = len(space(group_from_text(argv[1]), group_from_text(argv[2])).basis())
     return [argv + ["--label", str(i)] for i in range(n)]
 
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dburnside.bisets import (compose, element_from_label, BisetLabel,
-                              identity_element, mackey_tuples, space)
+from dburnside.bisets import (BisetElement, compose, identity_element,
+                              identity_label, mackey_tuples, space)
 from dburnside.errors import PreconditionError
 from dburnside.functors import (CertificateTerm, _gram, _square,
                                 burnside_module_matrices,
@@ -103,10 +103,10 @@ def test_transitivity_certificate_composition():
     total = None
     for tk in rk.certificate:
         for th in rh.certificate:
-            u = compose(element_from_label(BisetLabel(K, H, tk.u), Q),
-                        element_from_label(BisetLabel(H, G, th.u), Q))
-            w = compose(element_from_label(BisetLabel(G, H, th.w), Q),
-                        element_from_label(BisetLabel(H, K, tk.w), Q))
+            u = compose(BisetElement(K, H, Q, {tk.u: 1}),
+                        BisetElement(H, G, Q, {th.u: 1}))
+            w = compose(BisetElement(G, H, Q, {th.w: 1}),
+                        BisetElement(H, K, Q, {tk.w: 1}))
             piece = compose(u, w).scale(tk.coeff * th.coeff)
             total = piece if total is None else total + piece
     assert total == identity_element(K, Q)
@@ -403,9 +403,8 @@ def test_radical_examples():
 # -- Burnside module ----------------------------------------------------------------
 
 def test_identity_action_matrix():
-    from dburnside.bisets import identity_label
     actions = burnside_module_matrices(g("C4"), Q)
-    idx = actions.labels.index(identity_label(g("C4")).elements)
+    idx = actions.labels.index(identity_label(g("C4")))
     d = len(actions.module_basis)
     assert actions.matrices[idx] == \
         [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
@@ -428,8 +427,8 @@ def test_action_is_multiplicative_on_samples():
         i = rng.randrange(len(labels))
         j = rng.randrange(len(labels))
         # matrix of the composite as a linear combination
-        composite = compose(element_from_label(BisetLabel(grp, grp, labels[i]), Q),
-                            element_from_label(BisetLabel(grp, grp, labels[j]), Q))
+        composite = compose(BisetElement(grp, grp, Q, {labels[i]: 1}),
+                            BisetElement(grp, grp, Q, {labels[j]: 1}))
         comp = [[Fraction(0)] * d for _ in range(d)]
         for t, c in composite.coeffs.items():
             w = labels.index(t)
@@ -668,6 +667,27 @@ def _count_mackey_calls(monkeypatch):
     for module in (bisets, functors, orbits):
         monkeypatch.setattr(module, "mackey_tuples", counted)
     return calls
+
+
+@pytest.mark.parametrize("h,gg,char,result,fixed_chunks", [
+    ("C2^2", "S4", 0, True, 1286), ("C2^2", "A4xC2", 3, True, 1223),
+    ("C4", "D8xC6", 3, False, 17192), ("C3^2", "C3xS3", 0, False, 990),
+    ("C4", "D8xC2", 0, False, 4344)])
+def test_span_leaves_few_products_unread(monkeypatch, h, gg, char, result,
+                                         fixed_chunks):
+    """Products come in chunks that grow from 64 pairs, so a span that stops
+    early has fewer Mackey products computed than chunks of a fixed 4,096
+    pairs give (``fixed_chunks``); a complete span computes every orbit's
+    product once, whatever the chunks."""
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()
+    calls = _count_mackey_calls(monkeypatch)
+    rep = generates(g(h), g(gg), FieldSpec(char), skip_subquotient_check=True)
+    assert rep.result is result
+    if result:
+        assert len(calls) < fixed_chunks
+    else:
+        assert len(calls) == fixed_chunks
 
 
 def test_one_mackey_product_per_orbit_of_pairs(monkeypatch):

@@ -14,16 +14,20 @@ from dburnside import errors
 from dburnside.errors import (Budget, BudgetExceeded, GroupSpecError,
                               PreconditionError)
 from dburnside.catalog import CATALOG_SPECS, catalog_group
-from dburnside.groups import (FiniteGroup, build_cyclic, direct_product,
+from dburnside.groups import (DEFAULT_PRODUCT_CAP, FiniteGroup,
+                              build_cyclic, direct_product,
                               group_from_text, quotient_group,
                               section_quotient, subgroup)
-from dburnside.lattice import (SubgroupLattice, _close_with_images,
-                               _enumerate_subgroups, _goursat_subgroups,
-                               _normal_pairs, automorphisms,
-                               double_coset_reps,
+from dburnside.lattice import (AUTOMORPHISM_ORDER_CAP, SubgroupLattice,
+                               _close_with_images, _enumerate_subgroups,
+                               _goursat_subgroups, _normal_pairs,
+                               automorphisms, double_coset_reps,
                                find_quotient_isomorphic_to, get_lattice,
-                               is_isomorphic,
-                               section_classes, subquotients_up_to_iso)
+                               is_isomorphic, is_nilpotent_section,
+                               section_classes,
+                               section_classes_with_quotient,
+                               subquotients_up_to_iso)
+from dburnside.numtheory import factorize
 
 
 def g(text):
@@ -467,6 +471,13 @@ def test_goursat_lattice_matches_zuppo_extension(monkeypatch, left, right):
         assert lat.classes == ref.classes
 
 
+def test_product_cap_keeps_shared_types_within_the_automorphism_cap():
+    # a quotient type shared by two nontrivial factors has order at most
+    # min(|G|, |H|) <= sqrt(DEFAULT_PRODUCT_CAP): Goursat's lemma can list
+    # its automorphisms for every product that may be built
+    assert DEFAULT_PRODUCT_CAP <= AUTOMORPHISM_ORDER_CAP ** 2
+
+
 @pytest.mark.parametrize("left,right", [("C1", "S4"), ("S4", "C1")])
 def test_trivial_factor_takes_zuppo_extension(monkeypatch, left, right):
     clear_memory_caches()
@@ -838,6 +849,23 @@ def test_sylow_of_a_q_group_is_the_group_itself(monkeypatch):
     assert lattice.sylow_subgroup(s4, (0,), 5) == (0,)
 
 
+@pytest.mark.parametrize("name", ["S4", "D8xC2", "X(27)"])
+def test_nilpotent_section_means_every_sylow_is_normal(name):
+    """The reference lists every Sylow subgroup of each T among the
+    subgroups of G and checks that each is normal in T."""
+    grp = g(name)
+    mul, inv = grp.mul, grp.inv
+    subs = get_lattice(grp).subgroups
+    tops = {t for cls in section_classes(grp) for t, _ in cls}
+    for t in sorted(tops):
+        orders = {q ** k for q, k in factorize(len(t))}
+        sylows = [s for s in subs
+                  if len(s) in orders and set(s) <= set(t)]
+        normal = all(mul[mul[x][y]][inv[x]] in s
+                     for s in sylows for x in t for y in s)
+        assert is_nilpotent_section(grp, t) == normal, t
+
+
 # -- sections -----------------------------------------------------------------
 
 def test_sections_c2_in_c2_cubed():
@@ -852,6 +880,22 @@ def test_sections_c2_in_a4xc2():
     hits = [c[0] for c in classes if len(c[0][0]) == 2 * len(c[0][1])]
     # quotient must actually be C2 (order-2 quotient always is)
     assert len(hits) == 15
+
+
+@pytest.mark.parametrize("name", ["S4", "A4xC2", "D8xC2"])
+@pytest.mark.parametrize("quotient", ["C2", "C3"])
+def test_prime_quotient_classes_are_decided_by_order(monkeypatch, name,
+                                                     quotient):
+    """Every group of prime order p is C_p: the classes with |T| = p|S|,
+    found without building any T/S."""
+    grp, P = g(name), g(quotient)
+    expected = [c for c in section_classes(grp)
+                if len(c[0][0]) == P.order * len(c[0][1])]
+
+    def no_quotient(*args):
+        raise AssertionError("T/S built")
+    monkeypatch.setattr(lattice, "section_quotient", no_quotient)
+    assert section_classes_with_quotient(grp, P) == expected
 
 
 def test_full_section_class_is_unique():
