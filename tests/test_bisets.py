@@ -94,8 +94,20 @@ def test_index_identity_for_all_labels():
 
 # -- composition ----------------------------------------------------------------
 
+def test_star_with_diagonal_is_identity_sided():
+    # the middle group is all of p1 and p2 of the diagonal: one star, once
+    c4 = g("C4")
+    sp = space(c4, c4)
+    for lab in basis_labels("C4", "C4"):
+        assert mackey_tuples(sp, sp, sp, identity_label(c4), lab) == {lab: 1}
+        assert mackey_tuples(sp, sp, sp, lab, identity_label(c4)) == {lab: 1}
+        one = unit(c4, c4, lab)
+        assert compose_labels(c4, c4, c4, identity_label(c4), lab) == one
+        assert compose_labels(c4, c4, c4, lab, identity_label(c4)) == one
+
+
 def test_identity_composition():
-    for a, b in [("C2", "C2"), ("S3", "C4"), ("C2^2", "S3"), ("C4", "C4")]:
+    for a, b in [("C2", "C2"), ("S3", "C4"), ("C2^2", "S3")]:
         ga, gb = g(a), g(b)
         for lab in basis_labels(a, b):
             left = compose_labels(ga, ga, gb, identity_label(ga), lab)
