@@ -158,9 +158,10 @@ class PairOrbits:
 
     ``classes`` tells which pairs differ only by the middle Out(G): those
     have the same product.  ``products`` (read by the span) and ``table``
-    (the rows of the trace forms) both read one orbit table: every orbit met
-    so far with its product, one Mackey product for one representative.  A
-    pair's product is its orbit's row relabelled on kB(H, H).
+    (the rows of the trace forms) both read one append-only orbit table: a
+    row per orbit met so far with its product, one Mackey product for one
+    representative.  A pair's product is its orbit's row relabelled on
+    kB(H, H).
     """
 
     def __init__(self, sp_hg: BisetSpace, sp_gh: BisetSpace,
@@ -203,9 +204,11 @@ class PairOrbits:
         # Out(G) on the Out(H)-orbits
         self.on_orbits = _Diagonal(self.orbit_u[self.a_u[:, self.reps_u]],
                                    self.orbit_w[self.a_w[:, self.reps_w]])
-        # the orbits met so far, sorted, and their products, as ``_rows``
-        self._orbits = np.zeros(0, np.int64)
-        self._K = self._C = np.zeros((0, 1), np.int32)
+        # the product of each orbit met so far as a row of (kB(H, H) index,
+        # multiplicity) pairs, in the order met, and the row of each orbit
+        # key x0·|reps_w| + y0 (as ``_canonical`` forms it), -1 if not met
+        self._table = np.zeros((0, 1, 2), np.int32)
+        self._row = np.full(len(self.reps_u) * len(self.reps_w), -1, np.int32)
 
     # -- orbits ------------------------------------------------------------
 
@@ -248,14 +251,12 @@ class PairOrbits:
         """The product of each pair as a row of two arrays K, C: its kB(H, H)
         indices and their multiplicities, padded with multiplicity 0.
 
-        The orbits of the pairs not met before are added to the orbit table
-        first, one Mackey product each, for the orbit's representative; every
-        pair's row is then its orbit's row relabelled on kB(H, H).
+        The orbits of the pairs that the table lacks are appended to it
+        first, one Mackey product each, for the orbit's representative;
+        every pair's row is then its orbit's row relabelled on kB(H, H).
         """
         orbit, op, lam, mu = self.canonical(pairs)
-        met = _distinct(orbit)
-        new = met[np.searchsorted(self._orbits, met, "right") ==
-                  np.searchsorted(self._orbits, met)]  # not in the table
+        new = _distinct(orbit[self._row[orbit] < 0])
         if len(new):
             reps = []
             for k in new.tolist():
@@ -265,19 +266,16 @@ class PairOrbits:
                                     self.basis_hg[self.reps_u[x0]],
                                     self.basis_gh[self.reps_w[y0]])
                 reps.append([(self.index_hh[t], c) for t, c in raw.items()])
-            n, width = self._K.shape
-            K = np.zeros((n + len(new), max(width, *map(len, reps))), np.int32)
-            C = np.zeros_like(K)
-            K[:n, :width], C[:n, :width] = self._K, self._C
+            n, width, _ = self._table.shape
+            wider = max(0, max(map(len, reps)) - width)
+            self._table = np.pad(self._table,
+                                 ((0, len(new)), (0, wider), (0, 0)))
             for r, items in enumerate(reps, n):
-                for t, (k, c) in enumerate(items):
-                    K[r, t], C[r, t] = k, c
-            orbits = np.concatenate((self._orbits, new))
-            order = np.argsort(orbits)
-            self._orbits, self._K, self._C = orbits[order], K[order], C[order]
-        at = np.searchsorted(self._orbits, orbit)
-        ks = self.b_left[lam[:, None], self.b_right[mu[:, None], self._K[at]]]
-        return np.where(op[:, None], self.op_h[ks], ks), self._C[at]
+                self._table[r, :len(items)] = items
+            self._row[new] = np.arange(n, len(self._table))
+        rows = self._table[self._row[orbit]]
+        ks = self.b_left[lam[:, None], self.b_right[mu[:, None], rows[..., 0]]]
+        return np.where(op[:, None], self.op_h[ks], ks), rows[..., 1]
 
     def products(self, pairs: np.ndarray) -> Iterator[Items]:
         """The sorted (kB(H, H) index, multiplicity) items of u∘w for each
@@ -310,7 +308,7 @@ class PairOrbits:
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values (``np.unique`` would import numpy.ma)."""
     v = np.sort(values)
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+    return v[np.diff(v, prepend=-1) != 0]  # the values are never negative
 
 
 def first_occurrences(values: np.ndarray) -> np.ndarray:

@@ -619,6 +619,30 @@ def test_pair_products_in_shuffled_order():
     _assert_pair_products(g("C2^2"), g("A4xC2"), pairs)
 
 
+def test_second_pass_reads_rows_through_the_orbit_index(monkeypatch):
+    # the pairs of the test above once more, in another order: every orbit
+    # is in the table, so no Mackey product is computed, and each pair gets
+    # the items of the first pass, wherever its orbit's row lies
+    H, G = g("C2^2"), g("A4xC2")
+    n = len(space(G, H).basis())
+    pairs = [iu * n + iw for iu, iw in
+             random.Random(13).sample(_all_pairs(H, G), 6000)]
+    orbits = PairOrbits(space(H, G), space(G, H), space(H, H))
+    first = dict(zip(pairs, orbits.products(np.array(pairs, np.int64))))
+    random.Random(17).shuffle(pairs)
+    calls = _count_mackey_calls(monkeypatch)
+    again = list(orbits.products(np.array(pairs, np.int64)))
+    assert not calls
+    assert again == [first[p] for p in pairs]
+
+
+def test_distinct_values():
+    values = np.array([3, 0, 3, 1, 0], np.int64)
+    assert orbits_module._distinct(values).tolist() == [0, 1, 3]
+    # a batch whose orbits are all in the table has none left to add
+    assert orbits_module._distinct(np.zeros(0, np.int64)).tolist() == []
+
+
 @pytest.mark.parametrize("h,gg", [("C2^3", "A4xC2"), ("C3^2", "C3xS3"),
                                   ("C4", "D8xC6"), ("D12", "D12")])
 def test_label_permutations_read_through_the_opposite(h, gg):
