@@ -1,10 +1,10 @@
 """What a run remembers: in-process memo tables and on-disk lattice files.
 
 Memo tables.  Every process-global memo of the engine (lattices,
-isomorphisms, subquotients, biset spaces, double cosets, generating
-verdicts, catalog groups and names) is a dict made by
-:func:`memo_table`, which registers it here.  :func:`clear_memory_caches`
-empties every registered table, which gives a true cold start.
+isomorphisms, automorphisms, biset spaces, double cosets and catalog
+groups) is a dict made by :func:`memo_table`, which registers it here.
+:func:`clear_memory_caches` empties every registered table, which gives a
+true cold start.
 
 Lattice files.  :data:`cache_dir` is the directory subgroup lattices are
 persisted under, or None; ``cli.main`` sets it for the length of each call

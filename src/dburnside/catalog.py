@@ -50,14 +50,8 @@ def _abelian_specs_of_order(n: int) -> List[str]:
             for combo in combos]
 
 
-_RECOGNIZE_MEMO: Dict[str, str] = memo_table()
-
-
 def recognize(G: FiniteGroup) -> Optional[str]:
     """A grammar name isomorphic to G, or None when outside the catalog."""
-    hit = _RECOGNIZE_MEMO.get(G.key)
-    if hit is not None:
-        return hit
     candidates: List[str] = []
     if G.is_abelian():
         candidates = _abelian_specs_of_order(G.order)
@@ -69,9 +63,7 @@ def recognize(G: FiniteGroup) -> Optional[str]:
     for spec in candidates:
         cand = catalog_group(spec) if spec in CATALOG_SPECS else group_from_text(spec)
         if is_isomorphic(G, cand) is not None:
-            name = _canonical_alias(spec)
-            _RECOGNIZE_MEMO[G.key] = name
-            return name
+            return _canonical_alias(spec)
     return None
 
 

@@ -11,14 +11,13 @@ algebra over that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bisets import (BisetElement, compose, identity_element, identity_label,
                      mackey_tuples, space, trace_of_label)
 from . import errors
-from .cache import memo_table
 from .errors import BudgetExceeded, PreconditionError
 from .groups import (FiniteGroup, build_cyclic, build_extraspecial,
                      build_modular, direct_product, section_quotient)
@@ -81,9 +80,6 @@ def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     return [CertificateTerm(u, w, 1)]
 
 
-_GENERATES_MEMO: Dict[Tuple[str, str, int], GeneratesReport] = memo_table()
-
-
 def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec, *,
               skip_subquotient_check: bool = False) -> GeneratesReport:
     """Decide whether the identity of kB(H,H) factors through G.
@@ -93,22 +89,7 @@ def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec, *,
     A negative answer is only reported after the full product span has
     been exhausted; running out of the run's budget yields an inconclusive
     report.
-    Conclusive answers are memoized for the session.
     """
-    memo_key = (H.key, G.key, fieldspec.characteristic)
-    hit = _GENERATES_MEMO.get(memo_key)
-    if hit is not None:
-        return hit
-    rep = _generates_uncached(H, G, fieldspec,
-                              skip_subquotient_check=skip_subquotient_check)
-    if rep.result is not None:
-        _GENERATES_MEMO[memo_key] = rep
-    return rep
-
-
-def _generates_uncached(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec,
-                        *, skip_subquotient_check: bool = False
-                        ) -> GeneratesReport:
     if not skip_subquotient_check:
         try:
             found = any(is_isomorphic(H, Q) is not None

@@ -512,8 +512,6 @@ def automorphisms(G: FiniteGroup) -> Tuple[List[List[int]], int, int]:
 # C3^3 17,576 and C2^4 50,625
 AUTOMORPHISM_SEARCH_CAP = 10_000
 
-_OUT_GENS_MEMO: Dict[str, List[List[int]]] = cache.memo_table()
-
 
 def outer_automorphism_generators(G: FiniteGroup) -> List[List[int]]:
     """A few automorphisms (image lists) that generate Aut(G) together with
@@ -525,13 +523,6 @@ def outer_automorphism_generators(G: FiniteGroup) -> List[List[int]]:
     the order ``automorphisms`` lists them, when the ones before it do not
     generate it.
     """
-    hit = _OUT_GENS_MEMO.get(G.key)
-    if hit is None:
-        hit = _OUT_GENS_MEMO[G.key] = _outer_generators(G)
-    return hit
-
-
-def _outer_generators(G: FiniteGroup) -> List[List[int]]:
     if G.order > AUTOMORPHISM_ORDER_CAP:
         return []
     seq = generating_sequence(G)
@@ -575,24 +566,16 @@ def _generated(perms: List[List[int]]) -> set:
 # Subquotients and structural predicates
 # ---------------------------------------------------------------------------
 
-_SUBQ_MEMO: Dict[str, List[Tuple[FiniteGroup, SectionPair]]] = \
-    cache.memo_table()
-
-
 def subquotients_up_to_iso(G: FiniteGroup
                            ) -> List[Tuple[FiniteGroup, SectionPair]]:
     """One group per isomorphism type of subquotient, with a witness
     section (T, S)."""
-    hit = _SUBQ_MEMO.get(G.key)
-    if hit is not None:
-        return hit
     out: List[Tuple[FiniteGroup, SectionPair]] = []
     for cls in section_classes(G):
         q, _ = section_quotient(G, *cls[0])
         if not any(is_isomorphic(q, known) is not None for known, _ in out):
             out.append((q, cls[0]))
     out.sort(key=lambda pair: (pair[0].order, pair[0].order_histogram()))
-    _SUBQ_MEMO[G.key] = out
     return out
 
 

@@ -316,6 +316,9 @@ def first_occurrences(values: np.ndarray) -> np.ndarray:
     increasing order."""
     order = np.argsort(values, kind="stable")
     v = values[order]
-    first = order[np.concatenate(([True], v[1:] != v[:-1]))]
+    mask = np.empty(len(v), dtype=bool)
+    mask[:1] = True
+    np.not_equal(v[1:], v[:-1], out=mask[1:])
+    first = order[mask]
     first.sort()
     return first

@@ -37,7 +37,7 @@ def test_generates_exit_codes(capsys):
 
 def test_budget_exhaustion_exit_code(capsys):
     from dburnside.cache import clear_memory_caches
-    clear_memory_caches()  # a memoized conclusive answer would short-circuit
+    clear_memory_caches()  # start cold, as a fresh process does
     code, _ = run(capsys, "generates", "C2xC2", "A4", "--budget", "0s")
     assert code == 2
 
@@ -60,7 +60,7 @@ class ExpireAtCheck(Budget):
 
 def test_budget_in_product_span_reports_real_rank(capsys, monkeypatch):
     from dburnside.cache import clear_memory_caches
-    clear_memory_caches()  # a memoized conclusive answer would short-circuit
+    clear_memory_caches()  # start cold, as a fresh process does
     monkeypatch.setattr(cli, "Budget",
                         lambda seconds: ExpireAtCheck("product span", 10))
     code, payload = run_json(capsys, "generates", "C2xC2", "A4", "--char", "0")
@@ -599,12 +599,53 @@ def test_clear_memory_caches_empties_every_memo(capsys):
     run(capsys, "trace-gram", "C2")
     memos = module_dicts()
     for name in ("lattice._LATTICE_MEMO", "lattice._ISO_MEMO",
-                 "lattice._SUBQ_MEMO", "bisets._SPACES", "bisets._DC_MEMO",
-                 "functors._GENERATES_MEMO",
-                 "catalog._RECOGNIZE_MEMO", "catalog._BUILT"):
+                 "bisets._SPACES", "bisets._DC_MEMO", "catalog._BUILT"):
         assert memos["dburnside." + name], name  # filled by the two runs
     clear_memory_caches()
     assert {name: len(d) for name, d in module_dicts().items() if d} == {}
+
+
+class HitCountingDict(dict):
+    """A dict that counts the lookups that find their key."""
+
+    hits = 0
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self.hits += 1
+        return value
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        self.hits += found
+        return found
+
+    def get(self, key, default=None):
+        if super().__contains__(key):
+            self.hits += 1
+        return super().get(key, default)
+
+
+def test_every_memo_is_read_back(capsys, monkeypatch):
+    """No write-only memo: each registered table is read back within one
+    of two commands."""
+    from dburnside import bisets, cache, catalog, functors, lattice
+
+    cache.clear_memory_caches()
+    counting = {}
+    for i, table in enumerate(cache._MEMO_TABLES):
+        homes = [(m, name) for m in (lattice, bisets, functors, catalog)
+                 for name, value in vars(m).items() if value is table]
+        assert homes, f"memo table {i} is not a module global"
+        swap = counting[f"{homes[0][0].__name__}.{homes[0][1]}"] = \
+            HitCountingDict()
+        for m, name in homes:
+            monkeypatch.setattr(m, name, swap)
+    monkeypatch.setattr(cache, "_MEMO_TABLES", list(counting.values()))
+    assert run(capsys, "generates", "C2^2", "S4", "--char", "0")[0] == 0
+    cache.clear_memory_caches()  # each command starts cold, as a process does
+    assert run(capsys, "nv", "S4")[0] == 1  # S4 is not NV
+    assert {name: t.hits for name, t in counting.items() if not t.hits} == {}
 
 
 # -- golden outputs ------------------------------------------------------------

@@ -128,15 +128,27 @@ def test_quotient_rule_for_every_normal_subgroup():
 def test_budget_gives_inconclusive(monkeypatch):
     from dburnside import errors
     from dburnside.cache import clear_memory_caches
-    clear_memory_caches()  # a memoized conclusive answer would short-circuit
+    clear_memory_caches()  # start cold, as a fresh process does
     with monkeypatch.context() as m:
         m.setattr(errors, "budget", errors.Budget(0.0))
         rep = generates(g("C2^2"), g("A4"), Q)
     assert rep.result is None
     assert rep.status == "inconclusive"
-    # and the memo never keeps an inconclusive answer
+    # the same call without the deadline decides it
     rep2 = generates(g("C2^2"), g("A4"), Q)
     assert rep2.result is False
+
+
+def test_generates_report_does_not_depend_on_call_history():
+    """A call that skips the subquotient check leaves nothing behind that a
+    later call with the check reads."""
+    from dburnside.cache import clear_memory_caches
+    clear_memory_caches()
+    skipped = generates(g("C3"), g("C2"), Q, skip_subquotient_check=True)
+    assert (skipped.result, skipped.via) == (False, "span")
+    rep = generates(g("C3"), g("C2"), Q)
+    assert (rep.result, rep.via) == (False, "not a subquotient")
+    assert rep.products_tried == 0
 
 
 def test_budget_during_basis_enumeration_reports_no_products(monkeypatch):
@@ -641,6 +653,14 @@ def test_distinct_values():
     assert orbits_module._distinct(values).tolist() == [0, 1, 3]
     # a batch whose orbits are all in the table has none left to add
     assert orbits_module._distinct(np.zeros(0, np.int64)).tolist() == []
+
+
+def test_first_occurrences():
+    first = orbits_module.first_occurrences
+    assert first(np.zeros(0, np.int64)).tolist() == []
+    assert first(np.array([7], np.int64)).tolist() == [0]
+    values = np.array([4, 2, 4, 4, 2, 9, 2], np.int64)
+    assert first(values).tolist() == [0, 1, 5]
 
 
 @pytest.mark.parametrize("h,gg", [("C2^3", "A4xC2"), ("C3^2", "C3xS3"),
