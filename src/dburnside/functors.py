@@ -22,11 +22,11 @@ from .errors import BudgetExceeded, PreconditionError
 from .groups import (FiniteGroup, build_cyclic, build_extraspecial,
                      build_modular, direct_product, section_quotient)
 from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
-                      get_lattice, is_isomorphic, is_nilpotent_section,
-                      is_p_group_times_cyclic, section_classes_with_quotient,
-                      subquotients_up_to_iso, sylow_subgroup)
+                      get_lattice, is_isomorphic, is_p_group_times_cyclic,
+                      section_classes_with_quotient, subquotients_up_to_iso,
+                      sylow_elements)
 from .linalg import FieldSpec, IncrementalSpan, matrix_rank
-from .numtheory import euler_phi, factorize, partitions, prime_power
+from .numtheory import euler_phi, partitions, prime_power
 from .orbits import PairOrbits, first_occurrences
 
 LabelTuple = Tuple[int, ...]
@@ -92,8 +92,7 @@ def generates(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec, *,
     """
     if not skip_subquotient_check:
         try:
-            found = any(is_isomorphic(H, Q) is not None
-                        for Q, _ in subquotients_up_to_iso(G))
+            found = bool(section_classes_with_quotient(G, H))
         except BudgetExceeded:
             return GeneratesReport(H, G, fieldspec, None, "inconclusive",
                                    "budget during subquotient enumeration",
@@ -326,17 +325,17 @@ def is_s_self_dual(G: FiniteGroup) -> SsdReport:
             result = False
             failing = rep
             break
-    full = tuple(range(G.order))
-    nilp = is_nilpotent_section(G, full)
-    classification = nilp and _sylows_in_ssd_families(G)
+    sylows = sylow_elements(G, tuple(range(G.order)))
+    nilp = all(len(els) == p ** m for p, m, els in sylows)
+    classification = nilp and _sylows_in_ssd_families(G, sylows)
     return SsdReport(G, result, failing, nilp, classification,
                      classification == result)
 
 
-def _sylows_in_ssd_families(G: FiniteGroup) -> bool:
-    full = tuple(range(G.order))
-    for p, m in factorize(G.order):
-        syl = sylow_subgroup(G, full, p)
+def _sylows_in_ssd_families(G: FiniteGroup,
+                            sylows: List[Tuple[int, int, LabelTuple]]
+                            ) -> bool:
+    for p, m, syl in sylows:
         P, _ = section_quotient(G, syl, (0,))
         if P.is_abelian():
             continue

@@ -607,36 +607,27 @@ def find_quotient_isomorphic_to(G: FiniteGroup, H: FiniteGroup
     return None
 
 
-def sylow_subgroup(G: FiniteGroup, within: ElementTuple, q: int
-                   ) -> Optional[ElementTuple]:
-    """A Sylow q-subgroup of the subgroup ``within``, from the lattice."""
-    m = len(within)
-    qpart = 1
-    while m % q == 0:
-        qpart *= q
-        m //= q
-    if m == 1:
-        return within  # already a q-group
-    wset = frozenset(within)
-    for s in get_lattice(G).subgroups:
-        if len(s) == qpart and frozenset(s) <= wset:
-            return s
-    return None
+def sylow_elements(G: FiniteGroup, t: ElementTuple
+                   ) -> List[Tuple[int, int, ElementTuple]]:
+    """(q, k, the elements of t whose order divides q^k) for each prime
+    power q^k exactly dividing |t|, read from the element orders of G.
+
+    Every element of q-power order lies in a Sylow q-subgroup, and each
+    Sylow q-subgroup holds q^k of them. So t is nilpotent exactly when every
+    list has q^k elements, and each list is then the Sylow q-subgroup. A
+    q-group t is returned as its own list, unscanned."""
+    orders = G.element_orders()
+    out = []
+    for q, k in factorize(len(t)):
+        qk = q ** k
+        out.append((q, k, t if qk == len(t) else
+                    tuple(x for x in t if qk % orders[x] == 0)))
+    return out
 
 
 def is_nilpotent_section(G: FiniteGroup, t: ElementTuple) -> bool:
     """All Sylow subgroups of the subgroup t are normal in t."""
-    mul, inv = G.mul, G.inv
-    for q, _ in factorize(len(t)):
-        syl = sylow_subgroup(G, t, q)
-        if syl is None:
-            return False
-        if len(syl) == len(t):
-            continue  # t is a q-group: its Sylow q-subgroup is t itself
-        sset = frozenset(syl)
-        if not all(mul[mul[g][x]][inv[g]] in sset for g in t for x in syl):
-            return False
-    return True
+    return all(len(els) == q ** k for q, k, els in sylow_elements(G, t))
 
 
 def is_p_group_times_cyclic(G: FiniteGroup, t: ElementTuple, p: int) -> bool:
@@ -645,14 +636,7 @@ def is_p_group_times_cyclic(G: FiniteGroup, t: ElementTuple, p: int) -> bool:
     Coprime cyclic factors merge into a single cyclic complement, so this
     is exactly "direct product of a p-group and a cyclic group".
     """
-    if not is_nilpotent_section(G, t):
-        return False
-    for q, _ in factorize(len(t)):
-        if q == p:
-            continue
-        syl = sylow_subgroup(G, t, q)
-        if syl is None:
-            return False
-        if len(syl) not in [G.element_order(x) for x in syl]:
-            return False
-    return True
+    orders = G.element_orders()
+    return all(len(els) == q ** k
+               and (q == p or any(orders[x] == q ** k for x in els))
+               for q, k, els in sylow_elements(G, t))

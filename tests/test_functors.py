@@ -70,6 +70,35 @@ def test_non_subquotient_is_immediately_false():
     assert rep.result is False
 
 
+def test_subquotient_gate_matches_every_subquotient_type(monkeypatch):
+    """generates goes past its gate exactly when some subquotient type of G
+    is isomorphic to H, the reference that builds every type."""
+    from dburnside import functors
+    from dburnside.lattice import is_isomorphic, subquotients_up_to_iso
+    monkeypatch.setattr(functors, "_quotient_certificate", lambda *a: None)
+    monkeypatch.setattr(functors, "_generates_by_span", lambda *a: "span")
+    for gname in ["S4", "A4xC2", "D8xC6", "C3xS3", "X(27)", "C2^3"]:
+        G = g(gname)
+        types = [T for T, _ in subquotients_up_to_iso(G)]
+        for hname in ["C1", "C2", "C3", "C4", "C2^2", "S3", "C6", "D8",
+                      "A4"]:
+            H = g(hname)
+            expected = any(is_isomorphic(H, T) is not None for T in types)
+            rep = generates(H, G, Q)
+            assert (rep == "span") == expected, (hname, gname)
+
+
+def test_subquotient_gate_builds_no_subquotient_types(monkeypatch):
+    from dburnside import functors
+
+    def every_type(G):
+        raise AssertionError("every subquotient type built")
+    monkeypatch.setattr(functors, "subquotients_up_to_iso", every_type)
+    rep = generates(g("C4"), g("C2^3"), Q)
+    assert (rep.result, rep.via) == (False, "not a subquotient")
+    assert rep.products_tried == 0
+
+
 def test_klein_four_not_generated_by_a4():
     for spec in (Q, F2, F3):
         rep = generates(g("C2^2"), g("A4"), spec)

@@ -24,9 +24,9 @@ from dburnside.lattice import (AUTOMORPHISM_ORDER_CAP, SubgroupLattice,
                                automorphisms, double_coset_reps,
                                find_quotient_isomorphic_to, get_lattice,
                                is_isomorphic, is_nilpotent_section,
-                               section_classes,
+                               is_p_group_times_cyclic, section_classes,
                                section_classes_with_quotient,
-                               subquotients_up_to_iso)
+                               subquotients_up_to_iso, sylow_elements)
 from dburnside.numtheory import factorize
 
 
@@ -834,7 +834,8 @@ def test_automorphism_search_is_budgeted(monkeypatch):
 
 
 def test_sylow_of_a_q_group_is_the_group_itself(monkeypatch):
-    """A q-group is its own Sylow q-subgroup: no lattice is read."""
+    """A q-group is its own Sylow q-subgroup, returned unscanned, and no
+    nilpotency or p-group times cyclic check reads a lattice."""
     s4 = g("S4")
     d8 = next(s for s in get_lattice(s4).subgroups if len(s) == 8)
     c3 = next(s for s in get_lattice(s4).subgroups if len(s) == 3)
@@ -843,16 +844,26 @@ def test_sylow_of_a_q_group_is_the_group_itself(monkeypatch):
         raise AssertionError("lattice read")
     monkeypatch.setattr(lattice, "get_lattice", no_lattice)
     full = tuple(range(32))
-    assert lattice.sylow_subgroup(g("D8xC2^2"), full, 2) == full
-    assert lattice.sylow_subgroup(s4, d8, 2) == d8
-    assert lattice.sylow_subgroup(s4, c3, 3) == c3
-    assert lattice.sylow_subgroup(s4, (0,), 5) == (0,)
+    assert sylow_elements(g("D8xC2^2"), full)[0][2] is full
+    assert sylow_elements(s4, d8) == [(2, 3, d8)]
+    assert sylow_elements(s4, d8)[0][2] is d8
+    assert sylow_elements(s4, c3) == [(3, 1, c3)]
+    assert sylow_elements(s4, (0,)) == []
+    assert is_nilpotent_section(s4, d8)
+    assert not is_nilpotent_section(s4, tuple(range(24)))
+    assert is_p_group_times_cyclic(s4, c3, 3)
+    d8xc3 = tuple(range(24))
+    assert is_p_group_times_cyclic(g("D8xC3"), d8xc3, 2)
+    assert not is_p_group_times_cyclic(g("D8xC3"), d8xc3, 3)
 
 
-@pytest.mark.parametrize("name", ["S4", "D8xC2", "X(27)"])
+@pytest.mark.parametrize("name", ["S4", "D8xC2", "X(27)", "D8xC3",
+                                  "X(27)xC2", "A4xC2", "C3xS3"])
 def test_nilpotent_section_means_every_sylow_is_normal(name):
     """The reference lists every Sylow subgroup of each T among the
-    subgroups of G and checks that each is normal in T."""
+    subgroups of G and checks that each is normal in T; T is a p-group
+    times a cyclic group when, besides, each Sylow q-subgroup for q != p
+    holds an element of its own order."""
     grp = g(name)
     mul, inv = grp.mul, grp.inv
     subs = get_lattice(grp).subgroups
@@ -864,6 +875,13 @@ def test_nilpotent_section_means_every_sylow_is_normal(name):
         normal = all(mul[mul[x][y]][inv[x]] in s
                      for s in sylows for x in t for y in s)
         assert is_nilpotent_section(grp, t) == normal, t
+        for p, _ in factorize(grp.order):
+            cyclic = all(any(len(s) == q ** k and len(s) in
+                             [grp.element_order(x) for x in s]
+                             for s in sylows)
+                         for q, k in factorize(len(t)) if q != p)
+            assert is_p_group_times_cyclic(grp, t, p) == (
+                normal and cyclic), (t, p)
 
 
 # -- sections -----------------------------------------------------------------
