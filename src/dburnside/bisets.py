@@ -19,7 +19,7 @@ from .cache import memo_table
 from .errors import PreconditionError
 from .groups import (FiniteGroup, direct_product, quotient_group,
                      section_quotient, subgroup)
-from .lattice import double_coset_reps, get_lattice, memoized_lattice
+from .lattice import canonical, double_coset_reps, get_lattice
 from .linalg import FieldSpec
 
 LabelTuple = Tuple[int, ...]
@@ -34,37 +34,13 @@ class BisetSpace:
         self.left = left
         self.right = right
         self.product = direct_product(left, right)
-        self._abelian = self.product.is_abelian()
         self._basis: Optional[List[LabelTuple]] = None
         self._basis_index: Optional[Dict[LabelTuple, int]] = None
-        self._fibers_second: Dict[LabelTuple, Tuple[Dict[int, Tuple[int, ...]], Tuple[int, ...]]] = {}
-        self._fibers_first: Dict[LabelTuple, Tuple[Dict[int, Tuple[int, ...]], Tuple[int, ...]]] = {}
+        self._fibers: Dict[Tuple[LabelTuple, int], Tuple[Dict[int, Tuple[int, ...]], Tuple[int, ...]]] = {}
         self._realizations: Dict[LabelTuple, "_Realization"] = {}
 
     def encode(self, g: int, h: int) -> int:
         return g * self.right.order + h
-
-    # -- canonicalization ------------------------------------------------
-
-    def canonical(self, elements: Iterable[int]) -> LabelTuple:
-        """Lexicographically least conjugate of the subgroup element list."""
-        if self._abelian:
-            return tuple(sorted(elements))
-        # use the lattice only when it is already materialized; building it
-        # here would turn a single canonicalization into a full enumeration
-        lat = memoized_lattice(self.product)
-        if lat is not None:
-            return lat.canonical(elements)
-        X = self.product
-        mul, inv = X.mul, X.inv
-        elems = sorted(set(elements))
-        best = tuple(elems)
-        for t in range(1, X.order):
-            ti = inv[t]
-            cand = tuple(sorted(mul[mul[t][s]][ti] for s in elems))
-            if cand < best:
-                best = cand
-        return best
 
     # -- canonical basis --------------------------------------------------
 
@@ -82,32 +58,20 @@ class BisetSpace:
 
     # -- per-label caches --------------------------------------------------
 
-    def fibers_second(self, L: LabelTuple):
-        """Map h -> (g with (g,h) in L), plus the projection p2(L)."""
-        hit = self._fibers_second.get(L)
+    def fibers(self, L: LabelTuple, coordinate: int):
+        """Map each value a of one coordinate (0: left, 1: right) of the
+        pairs of L to the other coordinates paired with a, plus the
+        projection of L to that coordinate: p1(L) or p2(L)."""
+        hit = self._fibers.get((L, coordinate))
         if hit is None:
             d: Dict[int, List[int]] = {}
             hn = self.right.order
             for x in L:
-                g, h = divmod(x, hn)
-                d.setdefault(h, []).append(g)
-            fib = {h: tuple(gs) for h, gs in d.items()}
+                pair = divmod(x, hn)
+                d.setdefault(pair[coordinate], []).append(pair[1 - coordinate])
+            fib = {a: tuple(bs) for a, bs in d.items()}
             hit = (fib, tuple(sorted(fib)))
-            self._fibers_second[L] = hit
-        return hit
-
-    def fibers_first(self, M: LabelTuple):
-        """Map h -> (k with (h,k) in M), plus the projection p1(M)."""
-        hit = self._fibers_first.get(M)
-        if hit is None:
-            d: Dict[int, List[int]] = {}
-            kn = self.right.order
-            for x in M:
-                h, k = divmod(x, kn)
-                d.setdefault(h, []).append(k)
-            fib = {h: tuple(ks) for h, ks in d.items()}
-            hit = (fib, tuple(sorted(fib)))
-            self._fibers_first[M] = hit
+            self._fibers[L, coordinate] = hit
         return hit
 
     def realization(self, L: LabelTuple) -> "_Realization":
@@ -149,12 +113,12 @@ def make_label(left: FiniteGroup, right: FiniteGroup,
                elements: Iterable[int]) -> LabelTuple:
     """Canonicalize and validate a subgroup of left x right into a label."""
     sp = space(left, right)
-    return sp.canonical(subgroup(sp.product, elements))
+    return canonical(sp.product, subgroup(sp.product, elements))
 
 
 def identity_label(G: FiniteGroup) -> LabelTuple:
     sp = space(G, G)
-    return sp.canonical([sp.encode(g, g) for g in range(G.order)])
+    return canonical(sp.product, [sp.encode(g, g) for g in range(G.order)])
 
 
 def _goursat(hn: int, L: LabelTuple) -> Tuple[LabelTuple, LabelTuple,
@@ -269,15 +233,15 @@ def mackey_tuples(sp_gh: BisetSpace, sp_hk: BisetSpace, sp_gk: BisetSpace,
     """
     H = sp_gh.right
     kn = sp_hk.right.order
-    fib_l, p2l = sp_gh.fibers_second(L)
-    fib_m, p1m = sp_hk.fibers_first(M)
+    fib_l, p2l = sp_gh.fibers(L, 1)
+    fib_m, p1m = sp_hk.fibers(M, 0)
     if H.is_abelian():
         meet = sum(1 for m in p1m if m in fib_l)
-        return {sp_gk.canonical(_star(H, fib_l, fib_m, kn)):
+        return {canonical(sp_gk.product, _star(H, fib_l, fib_m, kn)):
                 H.order * meet // (len(p2l) * len(p1m))}
     out: Dict[LabelTuple, int] = {}
     for h in _double_cosets(H, p2l, p1m):
-        t = sp_gk.canonical(_star(H, fib_l, fib_m, kn, h))
+        t = canonical(sp_gk.product, _star(H, fib_l, fib_m, kn, h))
         out[t] = out.get(t, 0) + 1
     return out
 
@@ -291,7 +255,8 @@ def op_indices(sp: BisetSpace, sp_op: BisetSpace) -> List[int]:
     """
     gn, hn = sp.left.order, sp.right.order
     index = sp_op.basis_index()
-    return [index[sp_op.canonical([(x % hn) * gn + x // hn for x in L])]
+    return [index[canonical(sp_op.product,
+                            [(x % hn) * gn + x // hn for x in L])]
             for L in sp.basis()]
 
 
@@ -329,7 +294,7 @@ def _elementary(kind: str, left: FiniteGroup, right: FiniteGroup,
     """The biset of ``kind`` labelled by the subgroup {(a, b)} of left x right."""
     sp = space(left, right)
     elems = [sp.encode(a, b) for a, b in pairs]
-    return ElementaryBiset(kind, left, right, sp.canonical(elems))
+    return ElementaryBiset(kind, left, right, canonical(sp.product, elems))
 
 
 def elementary_ind(G: FiniteGroup, sub: Iterable[int]) -> ElementaryBiset:
@@ -381,7 +346,7 @@ def butterfly_factorize(G: FiniteGroup, H: FiniteGroup,
     Q1, proj1 = section_quotient(G, p1, k1)
     P2, pos2 = section_quotient(H, p2, (0,))
     Q2, proj2 = section_quotient(H, p2, k2)
-    fib, _ = space(G, H).fibers_second(L)
+    fib, _ = space(G, H).fibers(L, 1)
     alpha = [0] * Q2.order
     for h in p2:
         alpha[proj2[h]] = proj1[fib[h][0]]
@@ -507,7 +472,7 @@ def realize_and_compose_oracle(G: FiniteGroup, H: FiniteGroup,
             for bb in range(K.order):
                 if orbit[base + row[kinv[bb]]] == o:
                     stab.append(sp_gk.encode(a, bb))
-        t = sp_gk.canonical(stab)
+        t = canonical(sp_gk.product, stab)
         coeffs[t] = coeffs.get(t, 0) + 1
     return BisetElement(G, K, RATIONALS, coeffs)
 

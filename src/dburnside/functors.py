@@ -21,10 +21,10 @@ from . import errors
 from .errors import BudgetExceeded, PreconditionError
 from .groups import (FiniteGroup, build_cyclic, build_extraspecial,
                      build_modular, direct_product, section_quotient)
-from .lattice import (double_coset_reps, find_quotient_isomorphic_to,
-                      get_lattice, is_isomorphic, is_p_group_times_cyclic,
-                      section_classes_with_quotient, subquotients_up_to_iso,
-                      sylow_elements)
+from .lattice import (canonical, double_coset_reps,
+                      find_quotient_isomorphic_to, get_lattice, is_isomorphic,
+                      is_p_group_times_cyclic, section_classes_with_quotient,
+                      subquotients_up_to_iso, sylow_elements)
 from .linalg import FieldSpec, IncrementalSpan, matrix_rank
 from .numtheory import euler_phi, partitions, prime_power
 from .orbits import PairOrbits, first_occurrences
@@ -75,8 +75,10 @@ def _quotient_certificate(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
         return None
     sp_hg = space(H, G)
     sp_gh = space(G, H)
-    u = sp_hg.canonical([sp_hg.encode(epi[g], g) for g in range(G.order)])
-    w = sp_gh.canonical([sp_gh.encode(g, epi[g]) for g in range(G.order)])
+    u = canonical(sp_hg.product,
+                  [sp_hg.encode(epi[g], g) for g in range(G.order)])
+    w = canonical(sp_gh.product,
+                  [sp_gh.encode(g, epi[g]) for g in range(G.order)])
     return [CertificateTerm(u, w, 1)]
 
 
@@ -474,7 +476,7 @@ def burnside_module_matrices_abelian(G: FiniteGroup, fieldspec: FieldSpec
     mats = []
     for lab in labels:
         errors.budget.check("Burnside module")
-        fib, p2 = sp_gg.fibers_second(lab)
+        fib, p2 = sp_gg.fibers(lab, 1)
         mat = [[0] * d for _ in range(d)]
         for col, sub in enumerate(module_basis):
             sset = set(sub)

@@ -22,8 +22,9 @@ deduplicated by their element-flag bytes.
 Results are deterministic and do not depend on the route: subgroups are
 sorted by (order, element list), conjugacy classes of subgroups and of
 sections (T, S) are orbits of ``SubgroupLattice.conjugation``, and each
-class is represented by its lexicographically least member.  So memo and
-cache files stay keyed by the table hash alone.
+class is represented by its lexicographically least member, which
+``canonical`` returns for any subgroup.  So memo and cache files stay keyed
+by the table hash alone.
 
 Subgroups are sorted element tuples of the group and sections are pairs
 (T, S) of them, in every result too; each subquotient T/S is built from
@@ -99,10 +100,6 @@ class SubgroupLattice:
 
     def class_reps(self) -> List[ElementTuple]:
         return [self.subgroups[c[0]] for c in self.classes]
-
-    def canonical(self, elements: Iterable[int]) -> ElementTuple:
-        idx = self.index[tuple(sorted(elements))]
-        return self.subgroups[self.rep_of[idx]]
 
 
 def _orbits(n: int, perms: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -286,9 +283,29 @@ def get_lattice(G: FiniteGroup) -> SubgroupLattice:
     return lat
 
 
-def memoized_lattice(G: FiniteGroup) -> Optional[SubgroupLattice]:
-    """The lattice of G if this run already holds it; never builds one."""
-    return _LATTICE_MEMO.get(G.key)
+def canonical(X: FiniteGroup, elements: Iterable[int]) -> ElementTuple:
+    """The least member of the conjugacy class of the subgroup ``elements``
+    of X, as a sorted element tuple.
+
+    In an abelian X that is the subgroup itself.  When this run holds X's
+    lattice it is read off the lattice; otherwise it is the least conjugate
+    over every element of X, since building the lattice to canonicalize a
+    few one-off subgroups costs more than the search.
+    """
+    if X.is_abelian():
+        return tuple(sorted(elements))
+    lat = _LATTICE_MEMO.get(X.key)
+    if lat is not None:
+        return lat.subgroups[lat.rep_of[lat.index[tuple(sorted(elements))]]]
+    mul, inv = X.mul, X.inv
+    elems = sorted(set(elements))
+    best = tuple(elems)
+    for t in range(1, X.order):
+        ti = inv[t]
+        cand = tuple(sorted(mul[mul[t][s]][ti] for s in elems))
+        if cand < best:
+            best = cand
+    return best
 
 
 def double_coset_reps(A: Iterable[int], G: FiniteGroup,
@@ -360,8 +377,11 @@ def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup
                                   ) -> List[List[SectionPair]]:
     """The section classes of G whose subquotient T/S is isomorphic to P.
 
+    When |P| does not divide |G| there are none, and no lattice is built.
     When |P| is prime, every group of that order is cyclic and isomorphic
     to P, so the order alone decides and no T/S is built."""
+    if G.order % P.order:
+        return []
     prime = is_prime(P.order)
     out = []
     for cls in section_classes(G):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import errors
 from .bisets import BisetSpace, mackey_tuples, op_indices
-from .lattice import outer_automorphism_generators
+from .lattice import canonical, outer_automorphism_generators
 
 Items = Tuple[Tuple[int, int], ...]  # sorted (basis index, multiplicity)
 
@@ -50,7 +50,7 @@ def _label_permutation(sp: BisetSpace, left: Sequence[int],
     out = np.empty(len(sp.basis()), np.int64)
     for i, L in enumerate(sp.basis()):
         errors.budget.check("pair orbits")
-        out[i] = index[sp.canonical([image[x] for x in L])]
+        out[i] = index[canonical(sp.product, [image[x] for x in L])]
     return out
 
 

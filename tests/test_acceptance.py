@@ -24,7 +24,7 @@ from dburnside.functors import (check_submodules, essential_quotient_dim,
                                 is_semisimple, radical_dim_char0,
                                 simple_dim_with_raw, trace_gram_rank)
 from dburnside.groups import group_from_text
-from dburnside.lattice import automorphisms, get_lattice
+from dburnside.lattice import automorphisms, canonical, get_lattice
 from dburnside.linalg import FieldSpec
 
 Q = FieldSpec(0)
@@ -80,7 +80,7 @@ def test_criterion_02_butterfly_reproduction():
         G, H = g(a), g(b)
         sp = space(G, H)
         for elements in get_lattice(sp.product).subgroups:
-            lab = sp.canonical(elements)
+            lab = canonical(sp.product, elements)
             composite = compose_factors(butterfly_factorize(G, H, lab))
             assert composite == BisetElement(G, H, RATIONALS, {lab: 1}), \
                 (a, b, elements)

@@ -13,10 +13,12 @@ from dburnside.bisets import (RATIONALS, BisetElement, butterfly_factorize,
                               make_label, op_indices, product_invariants,
                               realize_and_compose_oracle, space,
                               trace_of_label)
+from dburnside import cache, lattice
 from dburnside.cache import clear_memory_caches
 from dburnside.errors import PreconditionError
-from dburnside.groups import group_from_text
-from dburnside.lattice import double_coset_reps, get_lattice, is_isomorphic
+from dburnside.groups import direct_product, group_from_text
+from dburnside.lattice import (canonical, double_coset_reps, get_lattice,
+                               is_isomorphic)
 from dburnside.linalg import FieldSpec
 
 Q = FieldSpec(0)
@@ -193,7 +195,7 @@ def test_basis_deterministic_and_canonical():
     assert labs1 == labs2
     sp = space(g("S3"), g("C4"))
     for lab in labs1:
-        assert sp.canonical(lab) == lab
+        assert canonical(sp.product, lab) == lab
 
 
 def test_basis_counts_elementary_abelian_cube():
@@ -417,19 +419,44 @@ def test_op_indices_over_lattices_memoize_nothing():
             assert index[least] == k
 
 
+@pytest.mark.parametrize("a,b", [("S3", "C4"), ("A4", "S3"), ("X(27)", "C3"),
+                                 ("D8", "C6")])
+def test_canonical_search_and_lattice_agree(monkeypatch, a, b):
+    """Without X's lattice in the memo, ``canonical`` searches the least
+    conjugate; with it, it reads the class off the lattice.  Both give the
+    same answer for every subgroup of X and for a conjugate of it."""
+    monkeypatch.setattr(cache, "cache_dir", None)
+    clear_memory_caches()
+    X = direct_product(g(a), g(b))
+    queries = []
+    for s in get_lattice(X).subgroups:
+        queries.append(s)
+        for t in range(1, X.order):
+            conj = tuple(sorted(X.conj(t, x) for x in s))
+            if conj != s:
+                queries.append(conj)
+                break
+    clear_memory_caches()
+    searched = [canonical(X, q) for q in queries]
+    assert X.key not in lattice._LATTICE_MEMO
+    get_lattice(X)
+    assert [canonical(X, q) for q in queries] == searched
+    assert any(q != c for q, c in zip(queries, searched))
+
+
 def mackey_by_double_cosets(sp_gh, sp_hk, sp_gk, L, M):
     """The composite with one star per double coset, for any middle group:
     the reference for the one-star shortcut over an abelian middle group."""
     H = sp_gh.right
     mul, inv = H.mul, H.inv
     kn = sp_hk.right.order
-    fib_l, p2l = sp_gh.fibers_second(L)
-    fib_m, p1m = sp_hk.fibers_first(M)
+    fib_l, p2l = sp_gh.fibers(L, 1)
+    fib_m, p1m = sp_hk.fibers(M, 0)
     out = {}
     for h in double_coset_reps(p2l, H, p1m):
         elems = {g * kn + k for m, ks in fib_m.items()
                  for g in fib_l.get(mul[mul[h][m]][inv[h]], ()) for k in ks}
-        t = sp_gk.canonical(elems)
+        t = canonical(sp_gk.product, elems)
         out[t] = out.get(t, 0) + 1
     return out
 

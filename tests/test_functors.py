@@ -99,6 +99,21 @@ def test_subquotient_gate_builds_no_subquotient_types(monkeypatch):
     assert rep.products_tried == 0
 
 
+def test_order_gate_builds_no_lattice(monkeypatch):
+    """|C3| does not divide |C2^6|, so C3 is no subquotient of C2^6 and the
+    gates of generates, simple-dim and sections say so without a lattice."""
+    from dburnside import lattice
+
+    def no_lattice(G):
+        raise AssertionError("a lattice was built")
+    monkeypatch.setattr(lattice, "get_lattice", no_lattice)
+    rep = generates(g("C3"), g("C2^6"), Q)
+    assert (rep.result, rep.via) == (False, "not a subquotient")
+    assert (rep.products_tried, rep.rank_reached) == (0, 0)
+    assert lattice.section_classes_with_quotient(g("C2^6"), g("C3")) == []
+    assert simple_dim_with_raw(g("C3"), g("C2^6")) == (0, 0)
+
+
 def test_klein_four_not_generated_by_a4():
     for spec in (Q, F2, F3):
         rep = generates(g("C2^2"), g("A4"), spec)

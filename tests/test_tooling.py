@@ -141,3 +141,13 @@ def test_only_linalg_knows_the_field():
                     and "characteristic" in _uses(divisor)):
                 found.append(f"{path.name}:{node.lineno} % characteristic")
     assert found == []
+
+
+def test_only_lattice_reads_the_lattice_memo():
+    """No engine module but ``lattice.py`` names ``_LATTICE_MEMO``, so no
+    layer chooses an algorithm by peeking into another module's memo;
+    ``lattice.canonical`` is the one place that asks whether a lattice is
+    held."""
+    found = [path.name for path in ENGINE if path.name != "lattice.py"
+             and "_LATTICE_MEMO" in _uses(ast.parse(path.read_text()))]
+    assert found == []
