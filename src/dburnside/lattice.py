@@ -358,12 +358,15 @@ def _normal_pairs(G: FiniteGroup, lat: SubgroupLattice, divides: int = 0
     return pairs
 
 
-def section_classes(G: FiniteGroup) -> List[List[SectionPair]]:
+def section_classes(G: FiniteGroup, divides: int = 0
+                    ) -> List[List[SectionPair]]:
     """Conjugacy classes of sections (T, S) under simultaneous conjugation:
-    the orbits of the normal pairs under the ``conjugation`` permutations."""
+    the orbits of the normal pairs under the ``conjugation`` permutations.
+    Given ``divides``, only the classes whose |T/S| divides it, which are
+    whole orbits, since conjugation keeps |T/S|."""
     lat = get_lattice(G)
     subs = lat.subgroups
-    pairs = _normal_pairs(G, lat)
+    pairs = _normal_pairs(G, lat, divides)
     key = {pair: k for k, pair in enumerate(pairs)}
     perms = [[key[perm[t], perm[s]] for t, s in pairs]
              for perm in lat.conjugation]
@@ -384,7 +387,7 @@ def section_classes_with_quotient(G: FiniteGroup, P: FiniteGroup
         return []
     prime = is_prime(P.order)
     out = []
-    for cls in section_classes(G):
+    for cls in section_classes(G, P.order):
         errors.budget.check("section classes")
         t, s = cls[0]
         if len(t) == P.order * len(s) and (prime or is_isomorphic(

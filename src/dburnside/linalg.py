@@ -3,7 +3,9 @@
 :class:`IncrementalSpan` takes sparse vectors one at a time and keeps a
 reduced echelon with provenance, for certificates over the insertion
 sequence.  :func:`matrix_rank` takes a dense integer matrix whole and
-returns its rank by one fraction-free echelon, the same for every field.
+returns its rank by one modular echelon for every field: mod p directly,
+and over Q modulo enough primes that Hadamard's bound makes the largest
+rank found exact.
 
 Everything here is exact.  A scalar over Q is a Python int or a
 ``fractions.Fraction`` (whole numbers stay ints until an inverse or a
@@ -11,14 +13,16 @@ parsed coefficient brings in a quotient), and a scalar over F_p is an
 int in [0, p).  Callers compute with ``+`` and ``*`` and pass each
 result through ``FieldSpec.reduce``, the one field-dependent step:
 identity over Q, ``% p`` over F_p.  Dense matrices are numpy arrays of
-int64 residues or of Python ints.  No floating point is used anywhere.
+residues mod p: int64 where no sum of products can overflow, Python ints
+otherwise.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import isqrt, prod
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -172,37 +176,97 @@ def _axpy(red, y: Dict[int, object], a, x: Dict[int, object]) -> None:
 # Matrix rank
 # ---------------------------------------------------------------------------
 
-def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    """Rank of an integer matrix over the field, by fraction-free elimination.
+_BLOCK = 64      # rows reduced against the echelon by one matrix product
+_INT64 = 2 ** 63
 
-    Each step takes the first row with a nonzero entry pv in the leading
-    column as the pivot row r, replaces the other rows by
-    ``pv*rest - outer(rest[:, 0], r)`` and drops r and the leading column.
-    Only the reduction depends on the field: ``% p`` over F_p, or Bareiss's
-    exact division by the previous pivot over Q, which keeps every entry a
-    minor of the input (Bareiss, Math. Comp. 22, 1968).  Entries are int64
-    while p < 2**31, where pv*x - a*y cannot overflow, and exact Python ints
-    otherwise.
+
+def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
+    """Rank of an integer matrix over the field, by one modular echelon.
+
+    Mod p, :func:`_rank_mod` reduces the residues.  Over Q each row is
+    first divided by the gcd of its entries, which keeps the rank.  The rank
+    is then the largest rank r found modulo primes from
+    :func:`_rank_primes`, taken until their product P satisfies P^2 > H, the
+    product of the r+1 largest squared row norms, or until r = min(shape).
+    That r is exact: no rank mod p exceeds the rank over Q, and if some
+    (r+1)-minor M were nonzero, it would be divisible by every prime taken,
+    so P^2 <= M^2 <= H by Hadamard's inequality, against the stop.
     """
     p = field.characteristic
-    m = np.array(rows, dtype=np.int64 if 0 < p < 2 ** 31 else object)
+    try:
+        m = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        m = np.array(rows, dtype=object)
     if m.size == 0:
         return 0
+    k = min(m.shape)
     if p:
-        m %= p
-    rank = 0
-    prev = 1
-    while m.shape[0] and m.shape[1]:
+        return _rank_mod(_residues(m, p, k * (p - 1) ** 2 < _INT64), p)
+    m //= np.maximum(np.gcd.reduce(m, axis=1), 1)[:, None]
+    norms = sorted((sum(x * x for x in row) for row in m.tolist()), reverse=True)
+    rank, modulus = 0, 1
+    for p in _rank_primes(k):
+        rank = max(rank, _rank_mod(_residues(m, p, True), p))
+        modulus *= p
+        if rank == k or modulus * modulus > prod(norms[:rank + 1]):
+            return rank
+    raise PreconditionError(f"too few primes below 2^63 for a rank of size {k}")
+
+
+def _rank_primes(k: int) -> Iterator[int]:
+    """The primes below sqrt(2^63 / k), descending: the moduli of a rank
+    over Q of a matrix whose smaller side is k, so k*p^2 < 2^63 and the
+    residues stay int64."""
+    p = isqrt(_INT64 // k)
+    while p > 2:
+        p -= 1
+        if is_prime(p):
+            yield p
+
+
+def _residues(m: np.ndarray, p: int, small: bool) -> np.ndarray:
+    """m mod p, as int64 when ``small`` and as Python ints otherwise."""
+    if small:
+        return (m % p).astype(np.int64, copy=False)
+    return m.astype(object) % p
+
+
+def _rank_mod(m: np.ndarray, p: int) -> int:
+    """Rank of a matrix of residues mod p, by a reduced echelon built
+    ``_BLOCK`` rows at a time.
+
+    The echelon E has E[:, J] = 1 at its pivot columns J.  Each block of
+    rows is reduced against E by one product ``B[:, J] @ E``, its zero rows
+    are dropped, and the rest is brought to reduced form F row by row, with
+    new pivot columns Jn.  One product ``E[:, Jn] @ F`` then clears the old
+    rows at Jn, and F joins E.  Every product sums at most min(shape) terms
+    below p^2, so int64 entries are exact while min(shape)*(p-1)^2 < 2^63;
+    an array of Python ints is exact for any p.
+    """
+    E = np.empty((min(m.shape), m.shape[1]), dtype=m.dtype)
+    J: List[int] = []
+    for start in range(0, m.shape[0], _BLOCK):
         errors.budget.check("elimination")
-        nonzero = np.flatnonzero(m[:, 0])
-        if not nonzero.size:
-            m = m[:, 1:]
-            continue
-        i = nonzero[0]
-        pivot = m[i]
-        below = np.delete(m, i, axis=0)
-        m = pivot[0] * below[:, 1:] - np.outer(below[:, 0], pivot[1:])
-        m = m % p if p else m // prev
-        prev = pivot[0]
-        rank += 1
-    return rank
+        r = len(J)
+        B = m[start:start + _BLOCK]
+        if r:
+            B = (B - B[:, J] @ E[:r] % p) % p
+        B = B[(B != 0).any(axis=1)]
+        F, f = E[r:], 0   # the block's rows go below the old ones
+        for v in B:
+            if f:
+                v = (v - v[J[r:]] @ F[:f] % p) % p
+            nonzero = np.flatnonzero(v)
+            if not nonzero.size:
+                continue
+            c = nonzero[0]
+            v = v * pow(int(v[c]), -1, p) % p
+            F[:f] -= np.outer(F[:f, c], v)
+            F[:f] %= p
+            F[f] = v
+            f += 1
+            J.append(c)
+        if f:
+            E[:r] -= E[:r, J[r:]] @ F[:f]
+            E[:r] %= p
+    return len(J)

@@ -916,6 +916,24 @@ def test_prime_quotient_classes_are_decided_by_order(monkeypatch, name,
     assert section_classes_with_quotient(grp, P) == expected
 
 
+@pytest.mark.parametrize("name, quotients", [
+    ("S4xS3", ["C2", "C3", "C2^2", "C4", "S3", "C6", "A4"]),
+    ("C2^4", ["C2", "C2^2", "C4", "C2^3"]),
+    ("D8xC6", ["C2", "C2^2", "C4", "C6", "D8", "C2xC6"])])
+def test_quotient_classes_match_a_filter_of_all_classes(name, quotients):
+    """Filtering the normal pairs by |T/S| before taking orbits keeps the
+    classes, since conjugation keeps |T/S|: the same lists as a filter of
+    every section class."""
+    grp = g(name)
+    every = section_classes(grp)
+    for P in map(g, quotients):
+        assert section_classes(grp, P.order) == [
+            c for c in every if P.order * len(c[0][1]) % len(c[0][0]) == 0]
+        assert section_classes_with_quotient(grp, P) == [
+            c for c in every if len(c[0][0]) == P.order * len(c[0][1])
+            and is_isomorphic(section_quotient(grp, *c[0])[0], P) is not None]
+
+
 def test_full_section_class_is_unique():
     for name in ["S3", "C6"]:
         grp = g(name)

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
+from math import prod
 
 import pytest
 
 from dburnside.errors import PreconditionError
-from dburnside.linalg import FieldSpec, IncrementalSpan, matrix_rank
+from dburnside.linalg import FieldSpec, IncrementalSpan, _rank_primes, matrix_rank
 from dburnside.numtheory import factorize, is_prime
 
 Q = FieldSpec(0)
@@ -202,8 +204,10 @@ def test_mod_p_rank_at_most_rational():
 
 
 def test_fraction_free_rank_matches_fraction_path():
-    # 2147483647 is the largest prime held in int64, where pv*x - a*y must
-    # not overflow; 4294967311 takes exact Python ints
+    # mod p, entries are int64 while min(shape)*(p-1)**2 < 2**63, so that no
+    # sum of products of residues overflows, and exact Python ints otherwise:
+    # at these sizes 2 and 3 stay in int64, 2147483647 does only for a single
+    # row or column, and 4294967311 never does
     for p in (0, 2, 3, 2147483647, 4294967311):
         spec = FieldSpec(p)
         rng = random.Random(29 + p)
@@ -237,6 +241,70 @@ def test_rank_mod_large_prime_is_exact():
         a, b = rng.randrange(p), rng.randrange(p)
         rows.append([(a * x + b * y) % p for x, y in zip(rows[0], rows[-1])])
         assert matrix_rank(rows, spec) == span_rank(rows, spec)
+
+
+def _planted(rng, n, m, big):
+    """An n x m matrix in which about a third of the rows are combinations
+    of two earlier ones, often in an earlier block of 64 rows, and a few
+    rows are zero; the other rows have about 5% nonzero entries, small or
+    residues below ``big``."""
+    rows = []
+    for i in range(n):
+        if i > 2 and rng.random() < 0.35:
+            x, y = rng.sample(rows, 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([a * s + b * t for s, t in zip(x, y)])
+        elif rng.random() < 0.05:
+            rows.append([0] * m)
+        else:
+            rows.append([0 if rng.random() < 0.95 else
+                         rng.randrange(big) if big else rng.choice((1, -1, 2, -3))
+                         for _ in range(m)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 2147483647, 4294967311])
+def test_blocked_rank_matches_span(p):
+    # 150 rows make three blocks, and rank above 64 makes later blocks
+    # reduce against rows found in earlier ones
+    spec = FieldSpec(p)
+    rng = random.Random(53 + p)
+    for big in (0, p) if p > 3 else (0,):
+        rows = _planted(rng, 150, 130, big)
+        rank = matrix_rank(rows, spec)
+        assert rank == span_rank(rows, spec)
+        assert 64 < rank < 130
+
+
+def test_rank_over_q_with_entries_beyond_int64():
+    big = 2 ** 64 + 13
+    rows = [[big, 2, 0], [3 * big, 6, 0], [0, 1, big * big], [1, 0, 0]]
+    assert matrix_rank(rows, Q) == span_rank(rows, Q) == 3
+    rows[3] = [2 * big, 4 + big, big ** 3]  # 2*row0 + big*row2
+    assert matrix_rank(rows, Q) == span_rank(rows, Q) == 2
+
+
+def test_rank_over_q_takes_primes_until_the_hadamard_bound():
+    # N vanishes modulo each of the first three primes the rank over Q
+    # takes, so the rank found there is 1; only the fourth prime, taken
+    # because N^2 is below the Hadamard bound, finds 2
+    N = prod(islice(_rank_primes(2), 3))
+    assert matrix_rank([[1, 0], [1, N]], Q) == 2
+    assert matrix_rank([[1, 1], [1, N + 1]], Q) == 2
+    # [0, N] is divided by its gcd before any prime is taken
+    assert matrix_rank([[1, 0], [0, N]], Q) == 2
+    assert matrix_rank([[N, N], [N, N]], Q) == 1
+
+
+@pytest.mark.parametrize("p", [0, 2, 4294967311])
+def test_rank_skips_zero_rows(p):
+    rng = random.Random(59)
+    rows = [[0] * 90 for _ in range(140)]
+    nonzero = sorted(rng.sample(range(140), 80))
+    for k, i in enumerate(nonzero):
+        rows[i][k] = rng.randint(1, 9)
+        rows[i][k + 1:] = [rng.randint(-2, 2) for _ in range(89 - k)]
+    assert matrix_rank(rows, FieldSpec(p)) == 80
 
 
 def test_span_rows_stay_reduced():

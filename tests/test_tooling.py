@@ -151,3 +151,28 @@ def test_only_lattice_reads_the_lattice_memo():
     found = [path.name for path in ENGINE if path.name != "lattice.py"
              and "_LATTICE_MEMO" in _uses(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_linalg_uses_no_floating_point():
+    """README says there is no floating point anywhere, and every rank rests
+    on exact residues: ``linalg.py`` writes no float literal, names no float
+    type or dtype (``float``, ``np.float64``, ``np.double``, a dtype given as
+    text such as ``"f8"``), divides with ``/`` nowhere and takes no
+    ``sqrt``, so neither ``n ** 0.5`` nor a float64 product can slip in."""
+    path = ROOT / "src" / "dburnside" / "linalg.py"
+    floats = {"double", "half", "single", "longdouble", "floating", "inexact",
+              "sqrt"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else "")
+        if ("float" in name or "complex" in name or name in floats
+                or isinstance(node, ast.Constant)
+                and isinstance(node.value, (float, complex))
+                or isinstance(node, ast.keyword) and node.arg == "dtype"
+                and isinstance(node.value, ast.Constant)
+                or isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            found.append(f"linalg.py:{getattr(node, 'lineno', '?')} "
+                         f"{ast.unparse(node)}")
+    assert found == []
