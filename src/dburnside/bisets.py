@@ -159,9 +159,6 @@ class BisetElement:
         red = self.field.reduce
         self.coeffs = {t: r for t, c in self.coeffs.items() if (r := red(c)) != 0}
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BisetElement):
             return NotImplemented
@@ -179,13 +176,6 @@ class BisetElement:
     def scale(self, c) -> "BisetElement":
         return BisetElement(self.left, self.right, self.field,
                             {t: c * v for t, v in self.coeffs.items()})
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = [f"{c}*[{list(t)}]"
-                 for t, c in sorted(self.coeffs.items())]
-        return " + ".join(parts)
 
 
 def identity_element(G: FiniteGroup, field: FieldSpec) -> BisetElement:

@@ -67,9 +67,8 @@ def _certificate_json(rep: GeneratesReport, h_name: str, g_name: str) -> Dict:
     }
 
 
-def _generates_result_json(rep: GeneratesReport,
-                           h_name: Optional[str] = None,
-                           g_name: Optional[str] = None) -> Dict:
+def _generates_result_json(rep: GeneratesReport, h_name: str,
+                           g_name: str) -> Dict:
     out: Dict = {
         "result": rep.result,
         "status": rep.status,
@@ -78,8 +77,7 @@ def _generates_result_json(rep: GeneratesReport,
         "rank_reached": rep.rank_reached,
     }
     if rep.certificate is not None:
-        out["certificate"] = _certificate_json(rep, h_name or rep.H.name,
-                                               g_name or rep.G.name)
+        out["certificate"] = _certificate_json(rep, h_name, g_name)
     return out
 
 
@@ -92,12 +90,11 @@ def _verdict_exit(result: Optional[bool]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (exit_code, inputs, result, text_lines)
+# Command handlers: each is called as handler(args, fieldspec, *groups) and
+# returns (exit_code, inputs, result, text_lines)
 # ---------------------------------------------------------------------------
 
-def cmd_basis(args):
-    G = group_from_text(args.G)
-    H = group_from_text(args.H)
+def cmd_basis(args, _, G, H):
     labels = space(G, H).basis()
     entries = []
     for i, lab in enumerate(labels):
@@ -134,10 +131,7 @@ def _parse_label_arg(G, H, text) -> LabelTuple:
     return make_label(G, H, [int(x) for x in text.split(",")])
 
 
-def cmd_compose(args):
-    G, H, K = (group_from_text(args.G), group_from_text(args.H),
-               group_from_text(args.K))
-    fieldspec = FieldSpec(args.char)
+def cmd_compose(args, fieldspec, G, H, K):
     left = _parse_label_arg(G, H, args.left)
     right = _parse_label_arg(H, K, args.right)
     z = compose(BisetElement(G, H, fieldspec, {left: 1}),
@@ -154,8 +148,7 @@ def cmd_compose(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_butterfly(args):
-    G, H = group_from_text(args.G), group_from_text(args.H)
+def cmd_butterfly(args, _, G, H):
     lab = _parse_label_arg(G, H, args.label)
     factors = butterfly_factorize(G, H, lab)
     composite = compose_factors(factors)
@@ -175,10 +168,7 @@ def cmd_butterfly(args):
     return (EXIT_TRUE if ok else EXIT_FALSE), inputs, result, lines
 
 
-def cmd_generates(args):
-    H = group_from_text(args.H)
-    G = group_from_text(args.G)
-    fieldspec = FieldSpec(args.char)
+def cmd_generates(args, fieldspec, H, G):
     rep = generates(H, G, fieldspec)
     inputs = {"H": args.H, "G": args.G, "char": fieldspec.characteristic}
     result = _generates_result_json(rep, args.H, args.G)
@@ -191,9 +181,7 @@ def cmd_generates(args):
     return _verdict_exit(rep.result), inputs, result, lines
 
 
-def cmd_nv(args):
-    G = group_from_text(args.G)
-    fieldspec = FieldSpec(args.char)
+def cmd_nv(args, fieldspec, G):
     rep = is_nv(G, fieldspec, short_circuit=not args.full)
     verdicts = []
     for v in rep.verdicts:
@@ -216,9 +204,7 @@ def cmd_nv(args):
     return _verdict_exit(rep.overall), inputs, result, lines
 
 
-def cmd_semisimple(args):
-    G = group_from_text(args.G)
-    fieldspec = FieldSpec(args.char)
+def cmd_semisimple(args, fieldspec, G):
     res = is_semisimple(G, fieldspec)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {"semisimple": res, "cyclic": G.is_cyclic()}
@@ -226,8 +212,7 @@ def cmd_semisimple(args):
     return (EXIT_TRUE if res else EXIT_FALSE), inputs, result, lines
 
 
-def cmd_ssd(args):
-    G = group_from_text(args.G)
+def cmd_ssd(args, _, G):
     rep = is_s_self_dual(G)
     inputs = {"G": args.G}
     result = {
@@ -245,9 +230,7 @@ def cmd_ssd(args):
     return (EXIT_TRUE if rep.result else EXIT_FALSE), inputs, result, lines
 
 
-def cmd_simple_dim(args):
-    P = group_from_text(args.P)
-    G = group_from_text(args.G)
+def cmd_simple_dim(args, _, P, G):
     dim, raw = simple_dim_with_raw(P, G)
     inputs = {"P": args.P, "G": args.G}
     result = {"dim": dim, "raw_section_classes": raw, "excluded": raw - dim}
@@ -256,11 +239,9 @@ def cmd_simple_dim(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_sections(args):
-    G = group_from_text(args.G)
-    if args.quotient:
-        classes = section_classes_with_quotient(
-            G, group_from_text(args.quotient))
+def cmd_sections(args, _, G, quotient):
+    if quotient is not None:
+        classes = section_classes_with_quotient(G, quotient)
     else:
         classes = section_classes(G)
     entries = [{"T": list(cls[0][0]), "S": list(cls[0][1]),
@@ -272,9 +253,7 @@ def cmd_sections(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_trace_gram(args):
-    G = group_from_text(args.G)
-    fieldspec = FieldSpec(args.char)
+def cmd_trace_gram(args, fieldspec, G):
     rank, dim = trace_gram_rank(G, fieldspec)
     inputs = {"G": args.G, "char": fieldspec.characteristic}
     result = {"rank": rank, "dim": dim, "degenerate": rank < dim}
@@ -283,9 +262,7 @@ def cmd_trace_gram(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_burnside_module(args):
-    G = group_from_text(args.G)
-    fieldspec = FieldSpec(args.char)
+def cmd_burnside_module(args, fieldspec, G):
     actions = burnside_module_matrices(G, fieldspec)
     agree = None
     if G.is_abelian():
@@ -307,8 +284,7 @@ def cmd_burnside_module(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_essential_out(args):
-    H = group_from_text(args.H)
+def cmd_essential_out(args, _, H):
     dim = essential_quotient_dim(H)
     _, inner, out_order = automorphisms(H)
     inputs = {"H": args.H}
@@ -319,7 +295,7 @@ def cmd_essential_out(args):
     return EXIT_TRUE, inputs, result, lines
 
 
-def cmd_verify(args):
+def cmd_verify(args, _):
     path = Path(args.report)
     try:
         payload = json.loads(path.read_text())
@@ -352,7 +328,7 @@ def cmd_verify(args):
 
 def _extract_certificate(payload: object) -> Optional[Dict]:
     """The certificate a report carries: the report itself, its result's,
-    or a subquotient's (preferring the one for the report's H)."""
+    or the first subquotient's."""
     if not isinstance(payload, dict):
         raise GroupSpecError("malformed certificate report: not a JSON object")
     if "terms" in payload and "H" in payload:
@@ -368,27 +344,42 @@ def _extract_certificate(payload: object) -> Optional[Dict]:
         raise GroupSpecError(
             'malformed certificate report: "subquotients" is not a list '
             'of objects')
-    certs = [v["certificate"] for v in subs if "certificate" in v]
-    inputs = payload.get("inputs")
-    want = inputs.get("H") if isinstance(inputs, dict) else None
-    return next((c for c in certs if isinstance(c, dict) and c.get("H") == want),
-                certs[0] if certs else None)
+    return next((v["certificate"] for v in subs if "certificate" in v), None)
 
 
+# name: (handler, help, group arguments, other arguments).  ``main`` parses
+# the group arguments in this order and passes them to the handler; an
+# option among them that is absent or empty passes None.
 COMMANDS = {
-    "basis": (cmd_basis, "canonical basis of kB(G,H) with label invariants"),
-    "compose": (cmd_compose, "compose two basis labels over a middle group"),
-    "butterfly": (cmd_butterfly, "factor a label into the five elementary bisets"),
-    "generates": (cmd_generates, "decide the generating relation H from G"),
-    "nv": (cmd_nv, "check that every subquotient is generated"),
-    "semisimple": (cmd_semisimple, "closed-form semisimplicity of kB(G,G)"),
-    "ssd": (cmd_ssd, "is every subgroup isomorphic to a quotient"),
-    "simple-dim": (cmd_simple_dim, "section-class dimension count"),
-    "sections": (cmd_sections, "conjugacy classes of sections"),
-    "trace-gram": (cmd_trace_gram, "rank of the trace bilinear form"),
-    "burnside-module": (cmd_burnside_module, "action on the ordinary Burnside module"),
-    "essential-out": (cmd_essential_out, "dimension of the essential quotient"),
-    "verify": (cmd_verify, "re-verify an exported certificate"),
+    "basis": (cmd_basis, "canonical basis of kB(G,H) with label invariants",
+              ("G", "H"), ()),
+    "compose": (cmd_compose, "compose two basis labels over a middle group",
+                ("G", "H", "K"),
+                (("--left", {"required": True, "help":
+                             "basis index or comma-separated subgroup elements"}),
+                 ("--right", {"required": True}))),
+    "butterfly": (cmd_butterfly, "factor a label into the five elementary bisets",
+                  ("G", "H"), (("--label", {"required": True}),)),
+    "generates": (cmd_generates, "decide the generating relation H from G",
+                  ("H", "G"), ()),
+    "nv": (cmd_nv, "check that every subquotient is generated", ("G",),
+           (("--full", {"action": "store_true",
+                        "help": "keep testing after the first failure"}),)),
+    "semisimple": (cmd_semisimple, "closed-form semisimplicity of kB(G,G)",
+                   ("G",), ()),
+    "ssd": (cmd_ssd, "is every subgroup isomorphic to a quotient", ("G",), ()),
+    "simple-dim": (cmd_simple_dim, "section-class dimension count",
+                   ("P", "G"), ()),
+    "sections": (cmd_sections, "conjugacy classes of sections",
+                 ("G", "--quotient"), ()),
+    "trace-gram": (cmd_trace_gram, "rank of the trace bilinear form",
+                   ("G",), ()),
+    "burnside-module": (cmd_burnside_module,
+                        "action on the ordinary Burnside module", ("G",), ()),
+    "essential-out": (cmd_essential_out, "dimension of the essential quotient",
+                      ("H",), ()),
+    "verify": (cmd_verify, "re-verify an exported certificate", (),
+               (("report", {"help": "path to a JSON report or certificate"}),)),
 }
 
 
@@ -409,34 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="time budget like 30s, 10m, 2h (default 10m)")
     common.add_argument("--seed", type=int, default=None,
                         help="seed recorded for sampled suites; unused by verdicts")
-
-    def add(name, *spec_args):
-        fn, help_text = COMMANDS[name]
+    for name, (_, help_text, groups, options) in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        for flags, kw in spec_args:
-            p.add_argument(*flags, **kw)
-        p.set_defaults(handler=fn)
-        return p
-
-    add("basis", (("G",), {}), (("H",), {}))
-    add("compose", (("G",), {}), (("H",), {}), (("K",), {}),
-        (("--left",), {"required": True,
-                       "help": "basis index or comma-separated subgroup elements"}),
-        (("--right",), {"required": True}))
-    add("butterfly", (("G",), {}), (("H",), {}),
-        (("--label",), {"required": True}))
-    add("generates", (("H",), {}), (("G",), {}))
-    add("nv", (("G",), {}),
-        (("--full",), {"action": "store_true",
-                       "help": "keep testing after the first failure"}))
-    add("semisimple", (("G",), {}))
-    add("ssd", (("G",), {}))
-    add("simple-dim", (("P",), {}), (("G",), {}))
-    add("sections", (("G",), {}), (("--quotient",), {"default": None}))
-    add("trace-gram", (("G",), {}))
-    add("burnside-module", (("G",), {}))
-    add("essential-out", (("H",), {}))
-    add("verify", (("report",), {"help": "path to a JSON report or certificate"}))
+        for flag in groups:
+            p.add_argument(flag)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
     return parser
 
 
@@ -450,7 +419,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        FieldSpec(args.char)
+        fieldspec = FieldSpec(args.char)
     except PreconditionError as e:
         print(f"error: --char: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -467,7 +436,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.budget is not None:
             budget_s = parse_duration(args.budget)
         errors.budget = Budget(budget_s)
-        code, inputs, result, lines = args.handler(args)
+        handler, _, names, _ = COMMANDS[args.command]
+        texts = [getattr(args, name.lstrip("-")) for name in names]
+        groups = [None if name.startswith("-") and not text
+                  else group_from_text(text) for name, text in zip(names, texts)]
+        code, inputs, result, lines = handler(args, fieldspec, *groups)
     except GroupSpecError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -648,11 +648,6 @@ def sylow_elements(G: FiniteGroup, t: ElementTuple
     return out
 
 
-def is_nilpotent_section(G: FiniteGroup, t: ElementTuple) -> bool:
-    """All Sylow subgroups of the subgroup t are normal in t."""
-    return all(len(els) == q ** k for q, k, els in sylow_elements(G, t))
-
-
 def is_p_group_times_cyclic(G: FiniteGroup, t: ElementTuple, p: int) -> bool:
     """Structural test: t nilpotent with cyclic Sylow q for every q != p.
 

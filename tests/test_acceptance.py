@@ -259,7 +259,7 @@ def test_criterion_11_extended_a4xc2(tmp_path):
     from dburnside.cli import _generates_result_json
     payload = {"schema": "dburnside.report/1", "command": "generates",
                "inputs": {"H": "C2^3", "G": "A4xC2", "char": 0},
-               "result": _generates_result_json(rep0)}
+               "result": _generates_result_json(rep0, "C2^3", "A4xC2")}
     path = tmp_path / "c23_a4xc2_cert.json"
     path.write_text(json.dumps(payload))
     assert cli_main(["verify", str(path)]) == 0

@@ -140,6 +140,7 @@ def test_usage_errors(capsys):
     assert main(["compose", "S3", "C2", "S3", "--left", "",
                  "--right", "1"]) == 3
     assert main(["butterfly", "S3", "C2", "--label", "x"]) == 3
+    assert main(["basis", "C2", "C2", "--budget", "10x"]) == 3
     # numbers too large for a float cube root or a tuple of factors
     assert main(["basis", "X(1" + "0" * 400 + ")", "C2"]) == 3
     assert main(["basis", "C2^10000000000000000000", "C2"]) == 3
@@ -163,6 +164,25 @@ PRODUCT_ERRORS = [
 def test_which_product_error_wins(capsys, text, exit_code, message):
     assert main(["basis", text, "C1"]) == exit_code
     assert capsys.readouterr().err == message
+
+
+def test_label_given_as_subgroup_elements(capsys):
+    # basis label 2 of kB(S3, C2) is the subgroup {0, 2}
+    argv = ("compose", "S3", "C2", "S3", "--right", "1")
+    _, by_index = run_json(capsys, *argv, "--left", "2")
+    _, by_elements = run_json(capsys, *argv, "--left", "0,2")
+    assert by_elements["inputs"]["left"] == by_index["inputs"]["left"] == [0, 2]
+    assert by_elements["result"] == by_index["result"]
+
+
+@pytest.mark.parametrize("label,message", [
+    ("0,1,2", "subset not closed under multiplication"),
+    ("99", "label index 99 out of range")])
+def test_label_naming_no_basis_label_is_a_precondition_error(
+        capsys, label, message):
+    assert main(["compose", "S3", "C2", "S3", "--left", label,
+                 "--right", "1"]) == 4
+    assert capsys.readouterr().err == f"precondition error: {message}\n"
 
 
 def test_precondition_exit_code(capsys):
@@ -196,6 +216,16 @@ def test_basis_counts(capsys):
     assert payload["result"]["count"] == 5
     code, payload = run_json(capsys, "basis", "1", "1")
     assert payload["result"]["count"] == 1
+
+
+def test_basis_text_lists_the_first_50_labels(capsys):
+    code, out = run(capsys, "basis", "C2^2", "C2^2")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "canonical basis of kB(C2^2,C2^2): 67 labels"
+    assert [line.split("]")[0] for line in lines[1:51]] == \
+        [f"  [{i}" for i in range(50)]
+    assert lines[51:] == ["  ... 17 more"]
 
 
 def test_basis_lists_invariants(capsys):
@@ -286,6 +316,21 @@ def test_verify_span_certificate(tmp_path, capsys):
     report = tmp_path / "span.json"
     report.write_text(json.dumps(payload))
     assert run(capsys, "verify", str(report))[0] == 0
+
+
+def test_verify_reads_the_first_certificate_of_an_nv_report(tmp_path, capsys):
+    code, payload = run_json(capsys, "nv", "C4")
+    assert code == 0
+    first = payload["result"]["subquotients"][0]
+    assert first["subquotient"] == "C1" and "certificate" in first
+    report = tmp_path / "nv.json"
+    report.write_text(json.dumps(payload))
+    code, checked = run_json(capsys, "verify", str(report))
+    assert code == 0
+    assert checked["inputs"]["H"] == "C1" and checked["result"]["valid"]
+    first["certificate"]["terms"][0]["coeff"] = "2"
+    report.write_text(json.dumps(payload))
+    assert run(capsys, "verify", str(report))[0] == 1
 
 
 def test_verify_usage_error_on_missing_file(capsys):

@@ -663,6 +663,27 @@ def test_pair_products_above_the_automorphism_cap():
     _assert_pair_products(H, G, pairs)
 
 
+def _answer(rep):
+    return (rep.result, rep.status, rep.via, rep.products_tried,
+            rep.rank_reached, rep.certificate)
+
+
+@pytest.mark.parametrize("cap,value", [("_GROUP_ORDER", 2), ("_GROUP_CELLS", 1)])
+def test_pair_products_when_the_group_cap_leaves_out_generators(
+        monkeypatch, cap, value):
+    # Out(C2^2) = GL(2, 2) has order 6: at the cap a generator is left out,
+    # so the listed group is a subgroup, whose orbits are finer
+    H, G = g("C2^2"), g("A4")
+    negative = _answer(generates(H, G, Q))
+    positive = _answer(generates(H, g("A4xC2"), F3))
+    monkeypatch.setattr(orbits_module, cap, value)
+    orbits = PairOrbits(space(H, G), space(G, H), space(H, H))
+    assert len(orbits.b_mul) <= value
+    _assert_pair_products(H, G, _all_pairs(H, G))
+    assert _answer(generates(H, G, Q)) == negative
+    assert _answer(generates(H, g("A4xC2"), F3)) == positive
+
+
 def test_pair_products_in_shuffled_order():
     # an orbit's pairs may come in any order, at any distance
     pairs = _all_pairs(g("C2^2"), g("A4"))

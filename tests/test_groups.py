@@ -23,8 +23,8 @@ from dburnside.lattice import (AUTOMORPHISM_ORDER_CAP, SubgroupLattice,
                                _goursat_subgroups, _normal_pairs,
                                automorphisms, double_coset_reps,
                                find_quotient_isomorphic_to, get_lattice,
-                               is_isomorphic, is_nilpotent_section,
-                               is_p_group_times_cyclic, section_classes,
+                               is_isomorphic, is_p_group_times_cyclic,
+                               outer_automorphism_generators, section_classes,
                                section_classes_with_quotient,
                                subquotients_up_to_iso, sylow_elements)
 from dburnside.numtheory import factorize
@@ -174,6 +174,11 @@ def test_recognize_lets_a_failed_candidate_build_propagate(monkeypatch):
     monkeypatch.setattr(catalog, "group_from_text", broken)
     with pytest.raises(RuntimeError):
         catalog.recognize(c2_3)
+
+
+def test_recognize_returns_none_outside_the_catalog():
+    # order 18: no catalog entry, and not the dihedral candidate D18
+    assert catalog.recognize(g("C3xS3")) is None
 
 
 @pytest.mark.parametrize("text", list(GOLDEN_KEYS))
@@ -789,6 +794,18 @@ def test_automorphism_cap():
         automorphisms(g("C2^7"))  # order 128, above the cap 64
 
 
+@pytest.mark.parametrize("name", ["C2^4", "C3^3", "C2^5"])
+def test_no_outer_generators_above_the_search_cap(monkeypatch, name):
+    """Where the search could try more than AUTOMORPHISM_SEARCH_CAP image
+    tuples, the answer is [] at once: Aut is never listed."""
+    def listed(G):
+        raise AssertionError(f"Aut({G.name}) listed")
+    monkeypatch.setattr(lattice, "automorphisms", listed)
+    assert outer_automorphism_generators(g(name)) == []
+    with pytest.raises(AssertionError):  # C2^3: 343 tuples, below the cap
+        outer_automorphism_generators(g("C2^3"))
+
+
 def test_isomorphism_search_is_budgeted_and_not_memoized(monkeypatch):
     c6, c2c3 = g("C6"), g("C2xC3")
     clear_memory_caches()
@@ -833,6 +850,11 @@ def test_automorphism_search_is_budgeted(monkeypatch):
     assert first[2] == 20160  # |GL(4,2)|
 
 
+def _sylow_counts_full(G, t):
+    """Each list of ``sylow_elements`` has q^k elements: t is nilpotent."""
+    return all(len(els) == q ** k for q, k, els in sylow_elements(G, t))
+
+
 def test_sylow_of_a_q_group_is_the_group_itself(monkeypatch):
     """A q-group is its own Sylow q-subgroup, returned unscanned, and no
     nilpotency or p-group times cyclic check reads a lattice."""
@@ -849,8 +871,8 @@ def test_sylow_of_a_q_group_is_the_group_itself(monkeypatch):
     assert sylow_elements(s4, d8)[0][2] is d8
     assert sylow_elements(s4, c3) == [(3, 1, c3)]
     assert sylow_elements(s4, (0,)) == []
-    assert is_nilpotent_section(s4, d8)
-    assert not is_nilpotent_section(s4, tuple(range(24)))
+    assert _sylow_counts_full(s4, d8)
+    assert not _sylow_counts_full(s4, tuple(range(24)))
     assert is_p_group_times_cyclic(s4, c3, 3)
     d8xc3 = tuple(range(24))
     assert is_p_group_times_cyclic(g("D8xC3"), d8xc3, 2)
@@ -874,7 +896,7 @@ def test_nilpotent_section_means_every_sylow_is_normal(name):
                   if len(s) in orders and set(s) <= set(t)]
         normal = all(mul[mul[x][y]][inv[x]] in s
                      for s in sylows for x in t for y in s)
-        assert is_nilpotent_section(grp, t) == normal, t
+        assert _sylow_counts_full(grp, t) == normal, t
         for p, _ in factorize(grp.order):
             cyclic = all(any(len(s) == q ** k and len(s) in
                              [grp.element_order(x) for x in s]

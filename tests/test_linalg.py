@@ -154,6 +154,7 @@ def test_rank_identity_and_zero():
     zero = [[0] * 4 for _ in range(3)]
     assert matrix_rank(zero, Q) == 0
     assert matrix_rank(zero, F2) == 0
+    assert matrix_rank([], Q) == matrix_rank([], F2) == 0
 
 
 def span_rank(rows, spec):
