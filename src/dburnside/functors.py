@@ -140,8 +140,12 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     # support size of its product, the coset count; ties keep (iu, iw) order
     n = len(basis_gh)
     n_pairs = len(basis_hg) * n
-    cosets_hg = [sp_hg.product.order // len(u) for u in basis_hg]
-    cosets_gh = [sp_gh.product.order // len(w) for w in basis_gh]
+    # each coset count is at most DEFAULT_PRODUCT_CAP = 2^12, so every key
+    # is below 2^24 and int32 holds it at half the bytes of int64
+    cosets_hg = np.array([sp_hg.product.order // len(u) for u in basis_hg],
+                         dtype=np.int32)
+    cosets_gh = np.array([sp_gh.product.order // len(w) for w in basis_gh],
+                         dtype=np.int32)
     order = np.argsort(np.multiply.outer(cosets_hg, cosets_gh).ravel(),
                        kind="stable").astype(np.int32)
     # a pair that differs from an earlier one by the middle Out(G) alone

@@ -9,8 +9,11 @@ A table becomes a group in one place, ``FiniteGroup.__init__``.  The
 constructions and :func:`direct_product` make their tables as one numpy
 array by index arithmetic; the constructor checks the table once, as one
 integer array, reads the inverses, the content hash and the abelian flag
-off the same array, and keeps the table as lists, which the engine's hot
-loops index.
+off the same array, and keeps the table as lists of Python ints, which the
+engine's hot loops index.  All rows share one int object per element, so
+an entry costs one 8-byte pointer: a plain ``tolist`` would make each
+entry above 256 an int of its own, 28 bytes more, which for a product of
+order 2304 is about 150 MB.
 
 A subgroup is a sorted tuple of its elements, and a section T/S is the pair
 (T, S) of such tuples; no other representation exists.  Every subquotient
@@ -55,9 +58,11 @@ class FiniteGroup:
                  check_associativity: bool = True):
         """Check the table as one integer array, then keep it as lists.
 
-        ``mul`` is nested rows or a numpy array.  The first failed check
-        raises GroupSpecError; the inverses, the content hash ``key`` and
-        the abelian flag are read off the same array.
+        ``mul`` is nested rows or a numpy array of integers.  The first
+        failed check raises GroupSpecError; the inverses, the content hash
+        ``key`` and the abelian flag are read off the same array.  The rows
+        kept are lists of Python ints that all share one int object per
+        element, at 8 bytes an entry.
         """
         self.name = name
         self.order = n = len(mul)
@@ -67,7 +72,10 @@ class FiniteGroup:
             m = np.asarray(mul)
         except ValueError:  # rows of unequal length
             m = None
-        if m is None or m.shape != (n, n) or m.min() < 0 or m.max() >= n:
+        # only integer entries go on: a float row cannot index, and a bool
+        # row would index as a mask
+        if (m is None or m.dtype.kind not in "iu" or m.shape != (n, n)
+                or m.min() < 0 or m.max() >= n):
             raise GroupSpecError(f"{name}: malformed table row")
         e = np.arange(n)
         if (m[0] != e).any() or (m[:, 0] != e).any():
@@ -89,8 +97,11 @@ class FiniteGroup:
         h.update(m.astype("<u2", copy=False).tobytes())
         self.key = h.hexdigest()
         self._abelian = bool((m == m.T).all())
-        self.mul: List[List[int]] = m.tolist()
-        self.inv: List[int] = inv.tolist()
+        # rows are gathered from one int object per element, one row at a
+        # time, so no table of fresh per-entry ints is ever built
+        ints = np.arange(n).astype(object)
+        self.mul: List[List[int]] = [ints[row].tolist() for row in m]
+        self.inv: List[int] = ints[inv].tolist()
         # (G, H) when this is direct_product(G, H) of two nontrivial groups;
         # with a trivial factor, the other factor's own
         self.factors: Optional[Tuple[FiniteGroup, FiniteGroup]] = None

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,23 @@ def test_direct_product_matches_entrywise_oracle(spec):
         H = catalog_group(other)
         _assert_group_of(direct_product(G, H), _oracle_product(G, H))
 
+
+def test_table_rows_share_one_int_per_element():
+    """Rows of plain ints, one object per element: 8 bytes an entry."""
+    x27 = g("X(27)")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        G = direct_product(x27, x27)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = G.order
+    assert n == 729
+    entries = [x for row in G.mul for x in row] + G.inv
+    assert {type(x) for x in entries} == {int}
+    assert len({id(x) for x in entries}) == n
+    assert retained < 10 * n * n
 
 _CONSTRUCTION_ORACLES = {
     **{f"D{k}": (_oracle_dihedral, k) for k in range(2, 34, 2)},
@@ -1114,6 +1132,11 @@ def test_broken_table_rejected():
     ([[0], [1]], True, "t: malformed table row"),
     ([[0, 1], [1, -1]], True, "t: malformed table row"),
     ([[0, 1], [1, 2]], True, "t: malformed table row"),
+    # non-integer entries are refused before anything indexes with them
+    ([[0.0, 1.0], [1.0, 0.0]], True, "t: malformed table row"),
+    ([["0", "1"], ["1", "0"]], True, "t: malformed table row"),
+    ([[False]], True, "t: malformed table row"),
+    ([[False, True], [True, False]], False, "t: malformed table row"),
     ([[0, 1], [0, 1]], True, "t: 0 is not a two-sided identity"),
     ([[0, 0], [1, 1]], True, "t: 0 is not a two-sided identity"),
     (_LOOP5, True, "t: multiplication not associative"),
