@@ -11,16 +11,18 @@ algebra over that span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bisets import (BisetElement, compose, identity_element, identity_label,
-                     mackey_tuples, space, trace_of_label)
+                     mackey_tuples, space)
 from . import errors
 from .errors import BudgetExceeded, PreconditionError
 from .groups import (FiniteGroup, build_cyclic, build_extraspecial,
-                     build_modular, direct_product, section_quotient)
+                     build_modular, conjugacy_classes, direct_product,
+                     section_quotient)
 from .lattice import (canonical, double_coset_reps,
                       find_quotient_isomorphic_to, get_lattice, is_isomorphic,
                       is_p_group_times_cyclic, section_classes_with_quotient,
@@ -378,20 +380,26 @@ def is_semisimple(G: FiniteGroup, fieldspec: FieldSpec) -> bool:
 
 # ---------------------------------------------------------------------------
 # Trace forms and the regular radical
+#
+# The diagonal-orbit form tr(u_i∘u_j) comes from class counts of G×G and
+# reads no product.  The regular form weighs each product by the traces of
+# left multiplication, which are structure constants, so it reads every
+# product u_i∘u_j through the orbits of pairs.
 # ---------------------------------------------------------------------------
 
 def _square(G: FiniteGroup) -> PairOrbits:
     """The pairs of basis labels of kB(G, G) under Out(G)³ and the
     opposite: ``table()`` gives every product u_i∘u_j a row at a time from
     the orbit table, one Mackey product per orbit, kept across passes; no
-    composition table is kept."""
+    composition table is kept.  Only the regular trace form reads it: its
+    weights are structure constants, which no class count gives."""
     sp = space(G, G)
     return PairOrbits(sp, sp, sp)
 
 
 def _gram(square: PairOrbits, weight: Sequence[int]) -> List[List[int]]:
-    """The trace form ``[[Σ_k [u_i∘u_j]_k · weight[k] for j] for i]`` over
-    the basis u of kB(G, G)."""
+    """A trace form ``[[Σ_k [u_i∘u_j]_k · weight[k] for j] for i]`` over
+    the basis u of kB(G, G), read off the products."""
     w = np.array(weight, dtype=np.int64)
     return [(C * w[K]).sum(axis=1).tolist() for K, C in square.table()]
 
@@ -410,14 +418,47 @@ def radical_dim_char0(G: FiniteGroup) -> int:
     return len(lt) - matrix_rank(_gram(square, lt), FieldSpec(0))
 
 
+def _trace_form(G: FiniteGroup, basis: Sequence[LabelTuple]) -> np.ndarray:
+    """The diagonal-orbit trace form ``tr(u_i∘u_j)`` over the basis u of
+    kB(G, G), from class counts alone, by Burnside's lemma on G×G.
+
+    An element z of G×G fixes F_L(z) = |C(z)|·|z^(G×G) ∩ L| / |L| cosets
+    of (G×G)/L.  The diagonal orbits on U ×_G W are the orbits of G×G on
+    U × W, (g, h) acting as (u, w) ↦ (g·u·h⁻¹, h·w·g⁻¹), so
+    tr(L∘M) = |G|⁻² Σ_(g,h) F_L(g, h)·F_M(h, g).  Grouped by the classes
+    c = (class of g, class of h) of G×G, with A[i, c] = |c ∩ u_i| and σ
+    swapping the two classes of c, that is
+    (A · diag|C(c)| · A[:, σ]ᵀ)[i, j] / (|u_i|·|u_j|).
+    """
+    cls = conjugacy_classes(G)
+    cent = G.order // np.bincount(cls)  # |C(g)| on each class of G
+    k = len(cent)
+    # the class of G×G of each packed element g·|G| + h is cls[g]·k + cls[h]
+    pair = (cls[:, None] * k + cls).ravel()
+    sizes = np.fromiter(map(len, basis), np.int64, len(basis))
+    flat = np.fromiter(chain.from_iterable(basis), np.int64, int(sizes.sum()))
+    A = np.bincount(np.repeat(np.arange(0, len(basis) * k * k, k * k), sizes)
+                    + pair[flat], minlength=len(basis) * k * k
+                    ).reshape(len(basis), k * k)
+    swapped = A[:, np.arange(k * k).reshape(k, k).T.ravel()]
+    A *= np.multiply.outer(cent, cent).ravel()
+    # an entry Σ_c |C(c)|·|c ∩ u_i|·|σc ∩ u_j| is at most |G|²·|u_i|·|u_j|
+    # ≤ |G|⁶ ≤ 2^36 (the product cap keeps |G| ≤ 64), so int64 is exact
+    gram = A @ swapped.T
+    del A, swapped
+    # quotients in place of the entries, remainders in place of |u_i|·|u_j|
+    rem = np.multiply.outer(sizes, sizes)
+    np.divmod(gram, rem, out=(gram, rem))
+    if rem.any():
+        raise AssertionError("trace form not integral")
+    return gram
+
+
 def trace_gram_rank(G: FiniteGroup, fieldspec: FieldSpec) -> Tuple[int, int]:
     """(rank, dimension) of the diagonal-orbit trace form on (G, G) labels."""
     basis = space(G, G).basis()
-    tr = []
-    for t in basis:
-        errors.budget.check("trace form")
-        tr.append(trace_of_label(G, G, t))
-    return matrix_rank(_gram(_square(G), tr), fieldspec), len(basis)
+    errors.budget.check("trace form")
+    return matrix_rank(_trace_form(G, basis), fieldspec), len(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,15 @@ class FiniteGroup:
                      if all(mul[z][g] == mul[g][z] for g in range(n)))
 
 
+def conjugacy_classes(G: FiniteGroup) -> np.ndarray:
+    """The conjugacy class of each element of G, the classes numbered
+    0, 1, ... in the order of their least elements."""
+    m = np.array(G.mul)
+    least = m[m, np.array(G.inv)[:, None]].min(axis=0)  # min_g g x g^-1
+    reps = np.flatnonzero(least == np.arange(G.order))
+    return np.searchsorted(reps, least)
+
+
 def subgroup(G: FiniteGroup, elements: Iterable[int]) -> Tuple[int, ...]:
     """The elements as a sorted tuple, refused unless they form a subgroup
     of G: the one check for a subgroup that a caller hands in."""

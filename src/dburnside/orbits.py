@@ -158,10 +158,10 @@ class PairOrbits:
 
     ``classes`` tells which pairs differ only by the middle Out(G): those
     have the same product.  ``products`` (read by the span) and ``table``
-    (the rows of the trace forms) both read one append-only orbit table: a
-    row per orbit met so far with its product, one Mackey product for one
-    representative.  A pair's product is its orbit's row relabelled on
-    kB(H, H).
+    (the rows of the regular trace form) both read one append-only orbit
+    table: a row per orbit met so far with its product, one Mackey product
+    for one representative.  A pair's product is its orbit's row
+    relabelled on kB(H, H).
     """
 
     def __init__(self, sp_hg: BisetSpace, sp_gh: BisetSpace,
@@ -208,6 +208,7 @@ class PairOrbits:
         # multiplicity) pairs, in the order met, and the row of each orbit
         # key x0·|reps_w| + y0 (as ``_canonical`` forms it), -1 if not met
         self._table = np.zeros((0, 1, 2), np.int32)
+        self._rows_used = 0
         self._row = np.full(len(self.reps_u) * len(self.reps_w), -1, np.int32)
 
     # -- orbits ------------------------------------------------------------
@@ -258,21 +259,32 @@ class PairOrbits:
         orbit, op, lam, mu = self.canonical(pairs)
         new = _distinct(orbit[self._row[orbit] < 0])
         if len(new):
-            reps = []
+            items, lens = [], []  # the items of all new rows, row by row
             for k in new.tolist():
                 errors.budget.check("pair products")
                 x0, y0 = divmod(k, len(self.reps_w))
                 raw = mackey_tuples(*self.spaces,
                                     self.basis_hg[self.reps_u[x0]],
                                     self.basis_gh[self.reps_w[y0]])
-                reps.append([(self.index_hh[t], c) for t, c in raw.items()])
-            n, width, _ = self._table.shape
-            wider = max(0, max(map(len, reps)) - width)
-            self._table = np.pad(self._table,
-                                 ((0, len(new)), (0, wider), (0, 0)))
-            for r, items in enumerate(reps, n):
-                self._table[r, :len(items)] = items
-            self._row[new] = np.arange(n, len(self._table))
+                items += [(self.index_hh[t], c) for t, c in raw.items()]
+                lens.append(len(raw))
+            n = self._rows_used
+            m = n + len(new)
+            cap, width, _ = self._table.shape
+            if m > cap or max(lens) > width:
+                # the capacity at least doubles, so a table of r rows is
+                # copied O(log r) times; rows past m stay unwritten, and
+                # np.zeros gives pages that cost no memory until written
+                grown = np.zeros((max(m, 2 * cap), max(width, max(lens)), 2),
+                                 np.int32)
+                grown[:n, :width] = self._table[:n]
+                self._table = grown
+            # every new row in one assignment: item j of row r at (n + r, j)
+            start = np.repeat(np.cumsum(lens) - lens, lens)
+            self._table[np.repeat(np.arange(n, m), lens),
+                        np.arange(len(items)) - start] = items
+            self._row[new] = np.arange(n, m)
+            self._rows_used = m
         rows = self._table[self._row[orbit]]
         ks = self.b_left[lam[:, None], self.b_right[mu[:, None], rows[..., 0]]]
         return np.where(op[:, None], self.op_h[ks], ks), rows[..., 1]

@@ -1,7 +1,8 @@
 """Acceptance criteria: one test per criterion, each printing a verdict line.
 
 One catalog exclusion is deliberate and documented: the regular-trace
-radical of C2^3 (criterion 7) would need the rank of a 2825x2825 exact
+radical of C2^3 (criterion 7) and its diagonal-orbit trace form
+(criterion 10) would each need the rank over Q of a 2825x2825 exact
 matrix, which sits outside the desk-scale budget envelope.  Every other
 catalog group of the stated orders is covered, C2^4 in criterion 9
 included (its square has 417,199 subgroups).
@@ -234,14 +235,27 @@ def test_criterion_09_essential_quotient():
            time.time() - t0, 600)
 
 
+# (rank, dim) over Q of the diagonal-orbit trace form of each member of
+# CATALOG_12, as the products u_i∘u_j give it; C2^3 is left out, as its
+# rank over Q alone takes about 17 s
+TRACE_GRAM = {
+    "C1": (1, 1), "C2": (4, 5), "C3": (5, 6), "C4": (10, 15), "C5": (7, 8),
+    "C6": (20, 30), "C7": (9, 10), "C8": (22, 37), "C9": (17, 23),
+    "C10": (28, 40), "C11": (13, 14), "C12": (50, 90), "C2^2": (16, 67),
+    "C2xC4": (40, 249), "C3^2": (41, 212), "C2xC6": (80, 402),
+    "S3": (9, 22), "D8": (25, 214), "D10": (10, 24), "D12": (36, 284),
+    "A4": (10, 41),
+}
+
+
 def test_criterion_10_trace_gram_degeneracy():
     t0 = time.time()
-    rank1, dim1 = trace_gram_rank(g("1"), Q)
-    assert (rank1, dim1) == (1, 1)
+    assert sorted(TRACE_GRAM) == sorted(CATALOG_12)
     details = []
-    for spec in ("C2", "C3", "C2^2", "S3"):
+    for spec in CATALOG_12:
         rank, dim = trace_gram_rank(g(spec), Q)
-        assert rank < dim, (spec, rank, dim)
+        assert (rank, dim) == TRACE_GRAM[spec], (spec, rank, dim)
+        assert (rank < dim) == (spec != "C1"), (spec, rank, dim)
         details.append(f"{spec}:{rank}/{dim}")
     report(10, True,
            "trace form nondegenerate only for the trivial group; "

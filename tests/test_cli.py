@@ -118,7 +118,7 @@ def test_simple_dim_stops_at_the_deadline_after_the_sections(
 
 @pytest.mark.parametrize("argv,target", [
     (["burnside-module", "C4"], "dburnside.functors.get_lattice"),
-    (["trace-gram", "S3"], "dburnside.functors._gram")])
+    (["trace-gram", "S3"], "dburnside.functors._trace_form")])
 def test_module_action_and_trace_rank_stop_at_the_deadline(
         capsys, monkeypatch, argv, target):
     """The label loops of the Burnside module action and the elimination

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from dburnside.bisets import (BisetElement, compose, identity_element,
-                              identity_label, mackey_tuples, space)
+                              identity_label, mackey_tuples, space,
+                              trace_of_label)
 from dburnside.errors import PreconditionError
-from dburnside.functors import (CertificateTerm, _gram, _square,
+from dburnside.functors import (CertificateTerm, _gram, _square, _trace_form,
                                 burnside_module_matrices,
                                 burnside_module_matrices_abelian,
                                 check_submodules, essential_quotient_dim,
@@ -17,7 +18,7 @@ from dburnside.functors import (CertificateTerm, _gram, _square,
                                 is_nv, is_s_self_dual, is_semisimple,
                                 radical_dim_char0, simple_dim_with_raw,
                                 trace_gram_rank, verify_certificate)
-from dburnside.groups import group_from_text
+from dburnside.groups import direct_product, group_from_text
 from dburnside.lattice import AUTOMORPHISM_ORDER_CAP, automorphisms
 from dburnside import orbits as orbits_module
 from dburnside.orbits import PairOrbits
@@ -246,21 +247,26 @@ def test_budget_while_pair_orbits_are_built_reports_no_products(
 
 def test_budget_before_the_first_pair_product(monkeypatch):
     """The deadline is checked before each orbit's Mackey product, so even
-    the first chunk of pairs stops there: the span reports no products,
-    and a trace form raises."""
+    the first chunk of pairs stops there: the span reports no products.
+    A trace form checks it once, before its class counts."""
     from dburnside import cache, errors
 
-    class ExpireAtPairProducts(errors.Budget):
+    class ExpireAt(errors.Budget):
+        def __init__(self, at):
+            super().__init__(None)
+            self.at = at
+
         def check(self, what):
-            if what == "pair products":
+            if what == self.at:
                 raise errors.BudgetExceeded(f"budget exhausted during {what}")
 
     cache.clear_memory_caches()
-    monkeypatch.setattr(errors, "budget", ExpireAtPairProducts())
+    monkeypatch.setattr(errors, "budget", ExpireAt("pair products"))
     rep = generates(g("C2^2"), g("A4"), F3, skip_subquotient_check=True)
     assert rep.result is None
     assert rep.via == "budget during product span"
     assert (rep.products_tried, rep.rank_reached) == (0, 0)
+    monkeypatch.setattr(errors, "budget", ExpireAt("trace form"))
     with pytest.raises(errors.BudgetExceeded):
         trace_gram_rank(g("S3"), Q)
     cache.clear_memory_caches()
@@ -602,6 +608,65 @@ def test_trace_gram_modular_field():
     assert trace_gram_rank(g("C6"), big) == trace_gram_rank(g("C6"), Q) == (20, 30)
 
 
+def _class_count(G):
+    """k(G), from the conjugates of every element."""
+    return len({frozenset(G.conj(x, y) for x in range(G.order))
+                for y in range(G.order)})
+
+
+def _cyclic_subgroup_classes(P):
+    """The number of conjugacy classes of cyclic subgroups of P."""
+    cyclic = set()
+    for z in range(P.order):
+        powers, y = {0}, z
+        while y:
+            powers.add(y)
+            y = P.mul[y][z]
+        cyclic.add(frozenset(powers))
+    return len({min(tuple(sorted(P.conj(x, y) for y in C))
+                    for x in range(P.order)) for C in cyclic})
+
+
+@pytest.mark.parametrize("name", ["S3", "D8", "A4", "C6", "C2xC4", "C3^2",
+                                  "D12"])
+def test_trace_form_from_class_counts_matches_the_products(name):
+    # the form from class counts against tr(u_i∘u_j) read off every product
+    # u_i∘u_j, weighted by the diagonal-orbit count of each label
+    G = g(name)
+    basis = space(G, G).basis()
+    form = _trace_form(G, basis)
+    assert form.dtype == np.int64
+    traces = [trace_of_label(G, G, t) for t in basis]
+    assert form.tolist() == _gram(_square(G), traces)
+    # the form factors through the k(G)² classes of G×G, and no rank mod p
+    # exceeds the rank over Q
+    k = _class_count(G)
+    rank, dim = trace_gram_rank(G, Q)
+    assert dim == len(basis)
+    assert trace_gram_rank(G, F3)[0] <= rank <= k * k
+    if name == "D12":
+        assert rank == k * k == 36
+    # over Q the form is the inner product of the permutation characters
+    # of G×G, one swapped, so its rank is the dimension of their span:
+    # the number of classes of cyclic subgroups of G×G (Artin)
+    assert rank == _cyclic_subgroup_classes(direct_product(G, G))
+
+
+def test_trace_form_refuses_a_wrong_class_count(monkeypatch):
+    # C3 with its last class merged into that of the identity: the counts
+    # then give no integral form, and the exact division says so
+    from dburnside import functors
+    real = functors.conjugacy_classes
+
+    def merged(G):
+        cls = real(G).copy()
+        cls[cls == cls.max()] = 0
+        return cls
+    monkeypatch.setattr(functors, "conjugacy_classes", merged)
+    with pytest.raises(AssertionError, match="trace form not integral"):
+        trace_gram_rank(g("C3"), Q)
+
+
 # -- products shared by orbits of pairs ----------------------------------------------
 
 @pytest.mark.parametrize("name", ["S3", "D8", "C2xC4"])
@@ -810,5 +875,8 @@ def test_one_mackey_product_per_orbit_of_pairs(monkeypatch):
         (False, 45369, 14)
     assert len(calls) <= 4344
     calls.clear()
-    assert trace_gram_rank(g("C3^2"), Q) == (41, 212)
+    assert radical_dim_char0(g("C3^2")) == 59
     assert len(calls) <= 133
+    calls.clear()
+    assert trace_gram_rank(g("C3^2"), Q) == (41, 212)
+    assert not calls  # the trace form reads class counts, no product

@@ -16,7 +16,7 @@ from dburnside.errors import (Budget, BudgetExceeded, GroupSpecError,
                               PreconditionError)
 from dburnside.catalog import CATALOG_SPECS, catalog_group
 from dburnside.groups import (DEFAULT_PRODUCT_CAP, FiniteGroup,
-                              build_cyclic, direct_product,
+                              build_cyclic, conjugacy_classes, direct_product,
                               group_from_text, quotient_group,
                               section_quotient, subgroup)
 from dburnside.lattice import (AUTOMORPHISM_ORDER_CAP, SubgroupLattice,
@@ -656,6 +656,22 @@ def test_section_classes_of_a_lattice_read_from_its_file(tmp_path,
     assert section_classes(grp) == expected
     assert "conjugation" in vars(lat)
     clear_memory_caches()
+
+
+@pytest.mark.parametrize("name,k", [("1", 1), ("C6", 6), ("S3", 3),
+                                    ("D8", 5), ("A4", 4), ("D12", 6),
+                                    ("S4", 5), ("X(27)", 11)])
+def test_conjugacy_classes_of_elements(name, k):
+    grp = g(name)
+    cls = conjugacy_classes(grp).tolist()
+    assert max(cls) + 1 == k
+    # classes numbered in the order of their least elements, each the set
+    # of conjugates of any of its elements
+    assert [cls.index(c) for c in range(k)] == sorted(
+        cls.index(c) for c in range(k))
+    for y in range(grp.order):
+        assert {x for x in range(grp.order) if cls[x] == cls[y]} == {
+            grp.conj(x, y) for x in range(grp.order)}
 
 
 def test_class_sizes_divide_group_order():
