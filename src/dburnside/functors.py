@@ -29,7 +29,7 @@ from .lattice import (canonical, double_coset_reps,
                       subquotients_up_to_iso, sylow_elements)
 from .linalg import FieldSpec, IncrementalSpan, matrix_rank
 from .numtheory import euler_phi, partitions, prime_power
-from .orbits import PairOrbits, first_occurrences
+from .orbits import PairOrbits
 
 LabelTuple = Tuple[int, ...]
 
@@ -151,8 +151,10 @@ def _generates_by_span(H: FiniteGroup, G: FiniteGroup, fieldspec: FieldSpec
     order = np.argsort(np.multiply.outer(cosets_hg, cosets_gh).ravel(),
                        kind="stable").astype(np.int32)
     # a pair that differs from an earlier one by the middle Out(G) alone
-    # has the same product: only the first pair of each class is looked at
-    positions = first_occurrences(orbits.classes(order))
+    # has the same product, so only its class's first pair is looked at:
+    # Out(G) keeps |u| and |w|, so a class shares one key, and the stable
+    # sort puts first its least pair, the one equal to its class value
+    positions = np.flatnonzero(orbits.classes(order) == order)
     order = order[positions]
     products = orbits.products(order)
     span = IncrementalSpan(dim, fieldspec)

@@ -33,6 +33,7 @@ them by ``groups.section_quotient``.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from itertools import chain, compress
 from operator import getitem
@@ -40,7 +41,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import cache, errors
 from .errors import PreconditionError
-from .groups import FiniteGroup, section_quotient
+from .groups import FiniteGroup, conjugacy_classes, section_quotient
 from .numtheory import factorize, is_prime
 
 ElementTuple = Tuple[int, ...]
@@ -413,14 +414,13 @@ def generating_sequence(G: FiniteGroup) -> List[int]:
     return gens
 
 
-def _centralizer_size(G: FiniteGroup, x: int) -> int:
-    mul = G.mul
-    return sum(1 for g in range(G.order) if mul[g][x] == mul[x][g])
-
-
 def _element_invariants(G: FiniteGroup) -> List[Tuple[int, int]]:
-    return [(G.element_order(x), _centralizer_size(G, x))
-            for x in range(G.order)]
+    """The order and the centralizer order |C(x)| = |G| / |x^G| of each
+    element x."""
+    classes = conjugacy_classes(G).tolist()
+    size = Counter(classes)
+    return [(G.element_order(x), G.order // size[c])
+            for x, c in enumerate(classes)]
 
 
 def _close_with_images(G: FiniteGroup, H: FiniteGroup,

@@ -10,7 +10,9 @@ Inner automorphisms fix every label, so Out(H) × Out(G) × Out(H), with the
 opposite, acts on the pairs.  The middle α leaves the product unchanged, and
 the outer β, β' and the opposite move its kB(H, H) labels by a permutation.
 So :class:`PairOrbits` computes one Mackey product per orbit and relabels it
-for every other pair of the orbit.
+for every other pair of the orbit, and it names each class of pairs under
+the middle α alone by its least pair, so that a reader of the products
+keeps one pair per class by comparing each pair with its class.
 
 Everything is read off label permutations: each generator of Out(H) or
 Out(G) (``lattice.outer_automorphism_generators``) is turned once into a
@@ -157,11 +159,11 @@ class PairOrbits:
     Out(H) × Out(G) × Out(H) and the opposite, with each orbit's product.
 
     ``classes`` tells which pairs differ only by the middle Out(G): those
-    have the same product.  ``products`` (read by the span) and ``table``
-    (the rows of the regular trace form) both read one append-only orbit
-    table: a row per orbit met so far with its product, one Mackey product
-    for one representative.  A pair's product is its orbit's row
-    relabelled on kB(H, H).
+    have the same product, and the least of them is the class's value.
+    ``products`` (read by the span) and ``table`` (the rows of the regular
+    trace form) both read one append-only orbit table: a row per orbit met
+    so far with its product, one Mackey product for one representative.
+    A pair's product is its orbit's row relabelled on kB(H, H).
     """
 
     def __init__(self, sp_hg: BisetSpace, sp_gh: BisetSpace,
@@ -215,7 +217,9 @@ class PairOrbits:
 
     def classes(self, pairs: np.ndarray) -> np.ndarray:
         """A number per pair iu * n + iw (n the dimension of kB(G, H)),
-        equal for pairs that differ by Out(G) alone."""
+        equal for pairs that differ by Out(G) alone: the least pair of
+        their class, x0 * n + y0 with x0 the least of the orbit of iu and
+        y0 the least image of iw under the stabilizer of x0."""
         on_labels = _Diagonal(self.a_u, self.a_w)
         out = np.empty(len(pairs), pairs.dtype)
         for s in range(0, len(pairs), _CHUNK):
@@ -322,15 +326,3 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     v = np.sort(values)
     return v[np.diff(v, prepend=-1) != 0]  # the values are never negative
 
-
-def first_occurrences(values: np.ndarray) -> np.ndarray:
-    """The positions of the first occurrence of each distinct value, in
-    increasing order."""
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    mask = np.empty(len(v), dtype=bool)
-    mask[:1] = True
-    np.not_equal(v[1:], v[:-1], out=mask[1:])
-    first = order[mask]
-    first.sort()
-    return first

@@ -785,12 +785,53 @@ def test_distinct_values():
     assert orbits_module._distinct(np.zeros(0, np.int64)).tolist() == []
 
 
-def test_first_occurrences():
-    first = orbits_module.first_occurrences
-    assert first(np.zeros(0, np.int64)).tolist() == []
-    assert first(np.array([7], np.int64)).tolist() == [0]
-    values = np.array([4, 2, 4, 4, 2, 9, 2], np.int64)
-    assert first(values).tolist() == [0, 1, 5]
+class _Handed(Exception):
+    """Raised by a stand-in ``products`` once it has its pairs."""
+
+
+@pytest.mark.parametrize("h,gg", [("C4", "D8xC6"), ("C3^2", "C3xS3"),
+                                  ("C2^2", "A4xC2"), ("C2^3", "A4xC2"),
+                                  ("D12", "D12")])
+def test_span_reads_the_least_pair_of_each_class(monkeypatch, h, gg):
+    """The span reads the first pair of each middle-Out(G) class in its
+    order: the first occurrence of each class's least pair, found here as
+    the least image of the pair under every listed element of Out(G)."""
+    from dburnside import functors
+    H, G = g(h), g(gg)
+    sp_hg, sp_gh = space(H, G), space(G, H)
+    orbits = PairOrbits(sp_hg, sp_gh, space(H, H))
+    assert len(orbits.a_u) > 1
+    # the span's order: by coset-count product, ties in pair order
+    cosets_hg = np.array([sp_hg.product.order // len(u)
+                          for u in sp_hg.basis()])
+    cosets_gh = np.array([sp_gh.product.order // len(w)
+                          for w in sp_gh.basis()])
+    key = np.multiply.outer(cosets_hg, cosets_gh).ravel()
+    order = np.argsort(key, kind="stable")
+    n = len(cosets_gh)
+    iu, iw = np.divmod(order, n)
+    least = np.full(len(order), len(key))
+    for e in range(len(orbits.a_u)):
+        least = np.minimum(least, orbits.a_u[e, iu] * n + orbits.a_w[e, iw])
+    by_class = np.argsort(least, kind="stable")
+    v = least[by_class]
+    first = np.sort(by_class[np.diff(v, prepend=-1) != 0])
+    # Out(G) keeps |u| and |w|, so the key is constant on each class
+    k = key[order][by_class]
+    same = v[1:] == v[:-1]
+    assert (k[1:][same] == k[:-1][same]).all()
+    assert len(first) < len(order)
+
+    handed = []
+
+    def products(self, pairs):
+        handed.append(pairs.copy())
+        raise _Handed
+
+    monkeypatch.setattr(PairOrbits, "products", products)
+    with pytest.raises(_Handed):
+        functors._generates_by_span(H, G, F3)
+    assert handed[0].tolist() == order[first].tolist()
 
 
 @pytest.mark.parametrize("h,gg", [("C2^3", "A4xC2"), ("C3^2", "C3xS3"),
